@@ -43,7 +43,6 @@ from .norms import (
 from .amalgam import (
     AmalgamSpec,
     ClassicalSpace,
-    ClipMode,
     ControlFunction,
     GrandSpace,
     WindowSpec,

@@ -2,7 +2,8 @@
 
 A compact window slides over the box on a stride lattice of anchors.  The
 control function records, at every anchor, the local norm of the function
-restricted to the translated window (zero-filled at the boundary); the
+restricted to the translated window (zero-filled at the boundary), all
+windows evaluated together as the rows of one (windows, cells) block; the
 amalgam norm is then a global norm of the control function over the anchor
 lattice, whose cells carry measure stride * h per axis so that the
 one-window configuration reproduces the plain norm exactly.  Local and
@@ -13,18 +14,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .gridfn import BoxDomain, GridFunction, Weight, _int_vector
-from .norms import GrandParams, NormReport, _grand_scan, _lp_arrays
+from .norms import GrandParams, NormReport, _grand_report, _grand_scan, _lp_rows, _one_window
 from .reporting import write_csv
 
 __all__ = [
-    "ClipMode",
     "WindowSpec",
     "ClassicalSpace",
     "GrandSpace",
@@ -39,17 +39,12 @@ __all__ = [
 ]
 
 
-class ClipMode(Enum):
-    ZERO_FILL = "zero_fill"
-
-
 @dataclass(frozen=True)
 class WindowSpec:
     """Window extent and anchor stride, both in whole cells per axis."""
 
     side_cells: tuple[int, ...]
     stride_cells: tuple[int, ...]
-    clip_mode: ClipMode = ClipMode.ZERO_FILL
 
     def __post_init__(self):
         side = _int_vector(self.side_cells, "side_cells")
@@ -63,7 +58,7 @@ class WindowSpec:
         if len(self.side_cells) == ndim:
             return self
         if len(self.side_cells) == 1:
-            return WindowSpec(self.side_cells * ndim, self.stride_cells * ndim, self.clip_mode)
+            return WindowSpec(self.side_cells * ndim, self.stride_cells * ndim)
         raise ValueError(f"window is {len(self.side_cells)}-dimensional, domain is {ndim}-dimensional")
 
     def scaled(self, factor: int) -> "WindowSpec":
@@ -71,7 +66,6 @@ class WindowSpec:
         return WindowSpec(
             tuple(s * factor for s in self.side_cells),
             tuple(s * factor for s in self.stride_cells),
-            self.clip_mode,
         )
 
 
@@ -145,6 +139,29 @@ def _check_space_domain(space: SpaceDescriptor, domain: BoxDomain, what: str) ->
         raise ValueError(f"domain mismatch in {what}: descriptor weight lives on a different grid")
 
 
+def _window_blocks(values: np.ndarray, window: WindowSpec) -> np.ndarray:
+    """Every window translate of ``values`` as one row of a (windows, cells) block.
+
+    Rows follow the anchor lattice in C order.  A window is at most as wide
+    as the box; one hanging over the right edge reads zeros from a padded
+    copy, which is what extending the function by zero outside the box
+    gives.  In 1-D the block is a view of ``values`` (or of its padded copy).
+    """
+    shape = values.shape
+    side = tuple(min(s, n) for s, n in zip(window.side_cells, shape))
+    counts = tuple(-(-n // st) for n, st in zip(shape, window.stride_cells))
+    pad = tuple(
+        (0, max(0, (c - 1) * st + s - n))
+        for c, st, s, n in zip(counts, window.stride_cells, side, shape)
+    )
+    if any(hi for _, hi in pad):
+        values = np.pad(values, pad)
+    anchors = tuple(slice(None, None, st) for st in window.stride_cells)
+    return sliding_window_view(values, side)[anchors].reshape(
+        int(np.prod(counts)), int(np.prod(side))
+    )
+
+
 def control_function(
     f: GridFunction, local: SpaceDescriptor, window: WindowSpec, refine: bool = True
 ) -> ControlFunction:
@@ -152,39 +169,29 @@ def control_function(
 
     Windows hanging over the right boundary are clipped (zero fill), which
     is what extending f by zero outside the box would give.  Anchors are
-    cell indices 0, stride, 2*stride, ...; iterations are independent, so
-    the evaluation order never affects the result.
+    cell indices 0, stride, 2*stride, ...  All windows are evaluated at once
+    as the rows of one block: a classical stage is one array pass, a grand
+    stage one array pass per epsilon plus a golden-section refinement run
+    on every window's bracket together.  Windows stay independent (each row
+    is summed along its own cells), so a window's value never depends on
+    the others.
     """
     dom = f.domain
     window = window.for_ndim(dom.ndim)
     _check_space_domain(local, dom, "control_function")
     starts = _anchor_starts(dom, window)
     counts = tuple(len(s) for s in starts)
-    absf = np.abs(f.values)
-    vol = dom.cell_volume
-    out = np.empty(counts, dtype=np.float64)
-
+    blocks = _window_blocks(np.abs(f.values), window)
     if isinstance(local, ClassicalSpace):
-        wv = None if local.weight is None else local.weight.values
-        for idx in itertools.product(*(range(c) for c in counts)):
-            sl = tuple(
-                slice(int(starts[d][idx[d]]), min(int(starts[d][idx[d]]) + window.side_cells[d], dom.shape[d]))
-                for d in range(dom.ndim)
-            )
-            out[idx] = _lp_arrays(absf[sl], None if wv is None else wv[sl], local.p, vol)
+        wrows = None if local.weight is None else _window_blocks(local.weight.values, window)
+        out = _lp_rows(blocks, wrows, local.p, dom.cell_volume)
     else:
-        params = local.params
-        av = params.grandizer.values
-        for idx in itertools.product(*(range(c) for c in counts)):
-            sl = tuple(
-                slice(int(starts[d][idx[d]]), min(int(starts[d][idx[d]]) + window.side_cells[d], dom.shape[d]))
-                for d in range(dom.ndim)
-            )
-            out[idx] = _grand_scan(absf[sl], av[sl], params, vol, refine)[0]
+        arows = _window_blocks(local.params.grandizer.values, window)
+        out = _grand_scan(blocks, arows, local.params, dom.cell_volume, refine)[0]
 
     lattice = _lattice_domain(dom, window, counts)
     return ControlFunction(
-        gridfn=GridFunction(lattice, out.astype(np.complex128)),
+        gridfn=GridFunction(lattice, out.reshape(counts).astype(np.complex128)),
         anchor_starts=starts,
         window=window,
     )
@@ -218,44 +225,44 @@ def lattice_weight(
     return Weight(lattice, vals)
 
 
-def amalgam_norm(f: GridFunction, spec: AmalgamSpec, refine: bool = True) -> NormReport:
+def amalgam_norm(
+    f: GridFunction,
+    spec: AmalgamSpec,
+    refine: bool = True,
+    *,
+    control: ControlFunction | None = None,
+) -> NormReport:
     """Two-stage amalgam norm: global norm of the control function.
 
     The anchor lattice carries cell measure stride * h per axis.  When the
     global stage is grand, the report carries the outer epsilon curve;
-    classical global stages report an empty curve.
+    classical global stages report an empty curve.  ``control`` is the
+    control function of ``f`` for ``spec``'s local stage and window when the
+    caller already holds it; by default it is computed here.
     """
-    cf = control_function(f, spec.local_space, spec.window, refine)
-    g = cf.gridfn
+    window = spec.window.for_ndim(f.domain.ndim)
+    if control is None:
+        control = control_function(f, spec.local_space, window, refine)
+    elif control.window != window:
+        raise ValueError("amalgam_norm: the control function was made with a different window")
+    g = control.gridfn
     glob = spec.global_space
     _check_space_domain(glob, f.domain, "amalgam_norm")
+    absg = np.abs(g.values)
     if isinstance(glob, ClassicalSpace):
-        wlat = (
+        wrows = (
             None
             if glob.weight is None
-            else lattice_weight(glob.weight, spec.window, f.domain, g.domain)
+            else _one_window(lattice_weight(glob.weight, window, f.domain, g.domain).values)
         )
-        value = _lp_arrays(
-            np.abs(g.values), None if wlat is None else wlat.values, glob.p, g.domain.cell_volume
-        )
+        value = float(_lp_rows(_one_window(absg), wrows, glob.p, g.domain.cell_volume)[0])
         return NormReport(
             value=value, argmax_eps=None, curve=(), refined=False, p=glob.p, variant="classical"
         )
     params = glob.params.with_grandizer(
-        lattice_weight(glob.params.grandizer, spec.window, f.domain, g.domain)
+        lattice_weight(glob.params.grandizer, window, f.domain, g.domain)
     )
-    value, argmax, curve, refined = _grand_scan(
-        np.abs(g.values), params.grandizer.values, params, g.domain.cell_volume, refine
-    )
-    return NormReport(
-        value=value,
-        argmax_eps=argmax,
-        curve=curve,
-        refined=refined,
-        p=params.p,
-        theta=params.theta,
-        variant=params.variant.value,
-    )
+    return _grand_report(absg, params.grandizer.values, params, g.domain.cell_volume, refine)
 
 
 def mixed_norm_family(f: GridFunction, spec: AmalgamSpec, eps: float, eta: float) -> float:

@@ -29,7 +29,7 @@ from .amalgam import (
     write_control_csv,
 )
 from .gridfn import BoxDomain, GridFunction, build, read_grid_csv, weight_from
-from .maximal import RadiusSet, maximal_fast, maximal_naive, maximal_tail_profile, write_maximal_csv
+from .maximal import RadiusSet, _sample_profile, maximal_fast, maximal_naive, write_maximal_csv
 from .norms import EpsGrid, GrandParams, NormReport, Variant, grand_norm, weighted_lp_norm, write_norm_csv
 from .reporting import CheckResult, write_check_csv, write_check_json, write_csv, write_json
 from . import verify as verify_mod
@@ -104,6 +104,18 @@ _DEFAULT_PARAMS = {
 }
 
 
+# Numeric parameters and their types; every one is converted by _number.
+_NUMBER_TYPES = {
+    "p": float,
+    "q": float,
+    "theta": float,
+    "eps_min": float,
+    "eps_count": int,
+    "window_side": int,
+    "window_stride": int,
+}
+
+
 class ConfigError(Exception):
     """Invalid configuration; the message names the offending key or line."""
 
@@ -173,6 +185,16 @@ def emit_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(params: dict, key: str):
+    """The numeric parameter ``key`` as its type; a malformed value names the key."""
+    kind = _NUMBER_TYPES[key]
+    try:
+        return kind(params[key])
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"param.{key}: expected {noun}, got {params[key]!r}") from None
+
+
 def _parse_floats(text: str, key: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -229,11 +251,12 @@ def validate_config(config: RunConfig) -> RunConfig:
         lo, up = _parse_box(params)
         _parse_cells(params, len(lo))
 
+    for key in _NUMBER_TYPES:
+        if params.get(key, "") != "":
+            _number(params, key)
+
     def need_positive(key: str, strict_gt: float | None = None):
-        try:
-            v = float(params[key])
-        except ValueError:
-            raise ConfigError(f"param.{key}: expected a number, got {params[key]!r}")
+        v = _number(params, key)
         if strict_gt is not None and not v > strict_gt:
             raise ConfigError(f"param.{key}: invariant {key} > {strict_gt} violated by {v}")
         return v
@@ -241,7 +264,7 @@ def validate_config(config: RunConfig) -> RunConfig:
     sub = config.subcommand
     if sub == "norm":
         need_positive("p", strict_gt=0.0)
-        if float(params["p"]) < 1.0:
+        if _number(params, "p") < 1.0:
             raise ConfigError("param.p: invariant p >= 1 violated")
     elif sub == "grand":
         need_positive("p", strict_gt=1.0)
@@ -250,7 +273,7 @@ def validate_config(config: RunConfig) -> RunConfig:
             raise ConfigError("param.variant: expected 'over_p' or 'full'")
         if params["eps_mode"] not in ("geometric", "linear"):
             raise ConfigError("param.eps_mode: expected 'geometric' or 'linear'")
-        if int(params["eps_count"]) < 2:
+        if _number(params, "eps_count") < 2:
             raise ConfigError("param.eps_count: need at least 2")
     elif sub == "amalgam":
         for key, kind in (("p", params["local"]), ("q", params["global"])):
@@ -263,7 +286,7 @@ def validate_config(config: RunConfig) -> RunConfig:
             if params[kind_key] not in ("classical", "grand"):
                 raise ConfigError(f"param.{kind_key}: expected 'classical' or 'grand'")
         need_positive("theta", strict_gt=0.0)
-        if int(params["window_side"]) < 1 or int(params["window_stride"]) < 1:
+        if _number(params, "window_side") < 1 or _number(params, "window_stride") < 1:
             raise ConfigError("param.window_side/window_stride: need at least one cell")
     elif sub == "maximal":
         if params["impl"] not in ("fast", "naive"):
@@ -283,7 +306,7 @@ def validate_config(config: RunConfig) -> RunConfig:
                 if not lo[0] <= x <= up[0]:
                     raise ConfigError(f"param.probe: point {x} outside the box")
     elif sub == "verify":
-        if int(params["cells"]) < 16:
+        if _parse_cells(params, 1)[0] < 16:
             raise ConfigError("param.cells: verify needs at least 16 cells")
         if params["checks"] != "all":
             unknown = [
@@ -413,20 +436,21 @@ def _run_norm(config: RunConfig, outdir: Path) -> int:
     domain = _domain_from(params)
     f = _load_input(config, domain)
     w = _weight_from_spec(params["w"], f.domain)
-    value = weighted_lp_norm(f, float(params["p"]), w)
-    write_json(outdir / "norm_summary.json", {"value": value, "p": float(params["p"])})
+    p = _number(params, "p")
+    value = weighted_lp_norm(f, p, w)
+    write_json(outdir / "norm_summary.json", {"value": value, "p": p})
     return 0
 
 
 def _grand_params_from(params: dict, domain: BoxDomain) -> GrandParams:
-    p = float(params["p"])
+    p = _number(params, "p")
     grid_factory = EpsGrid.geometric if params["eps_mode"] == "geometric" else EpsGrid.linear
-    min_eps = float(params["eps_min"]) if params.get("eps_min") else None
-    grid = grid_factory(p, count=int(params["eps_count"]), min_eps=min_eps)
+    min_eps = _number(params, "eps_min") if params.get("eps_min") else None
+    grid = grid_factory(p, count=_number(params, "eps_count"), min_eps=min_eps)
     return GrandParams(
         p=p,
         grandizer=_weight_from_spec(params["a"], domain),
-        theta=float(params["theta"]),
+        theta=_number(params, "theta"),
         variant=Variant.EXPONENT_OVER_P if params["variant"] == "over_p" else Variant.EXPONENT_FULL,
         eps_grid=grid,
     )
@@ -446,7 +470,7 @@ def _run_amalgam(config: RunConfig, outdir: Path) -> int:
     params = config.parameters
     domain = _domain_from(params)
     f = _load_input(config, domain)
-    window = WindowSpec(int(params["window_side"]), int(params["window_stride"]))
+    window = WindowSpec(_number(params, "window_side"), _number(params, "window_stride"))
 
     def space(kind: str, exponent_key: str, weight_key: str):
         if kind == "grand":
@@ -459,7 +483,7 @@ def _run_amalgam(config: RunConfig, outdir: Path) -> int:
             gp.setdefault("variant", "over_p")
             return GrandSpace(_grand_params_from(gp, f.domain))
         return ClassicalSpace(
-            float(params[exponent_key]), _weight_from_spec(params[weight_key], f.domain)
+            _number(params, exponent_key), _weight_from_spec(params[weight_key], f.domain)
         )
 
     spec = AmalgamSpec(
@@ -469,10 +493,12 @@ def _run_amalgam(config: RunConfig, outdir: Path) -> int:
     )
     cf = control_function(f, spec.local_space, spec.window)
     emit_plotdata(cf, outdir, "control")
-    report = amalgam_norm(f, spec)
+    report = amalgam_norm(f, spec, control=cf)
     emit_plotdata(report, outdir, "outer_curve")
     summary = report.summary()
-    summary.update({"local": params["local"], "global": params["global"], "q": float(params["q"])})
+    summary.update(
+        {"local": params["local"], "global": params["global"], "q": _number(params, "q")}
+    )
     write_json(outdir / "amalgam_summary.json", summary)
     return 0
 
@@ -497,7 +523,7 @@ def _run_maximal(config: RunConfig, outdir: Path) -> int:
         "max_value": float(np.max(np.real(result.mf.values))),
     }
     if params["probe"]:
-        probes = maximal_tail_profile(f, rs, _parse_floats(params["probe"], "probe"))
+        probes = _sample_profile(result, _parse_floats(params["probe"], "probe"))
         write_csv(outdir / "probes.csv", ["x", "mf"], probes)
         summary["probes"] = [{"x": x, "mf": v} for x, v in probes]
     write_json(outdir / "maximal_summary.json", summary)
@@ -508,7 +534,8 @@ def _run_verify(config: RunConfig, outdir: Path) -> int:
     params = config.parameters
     wanted = params["checks"]
     names = None if wanted == "all" else [n.strip() for n in wanted.split(",")]
-    results = verify_mod.run_all_checks(seed=config.seed, cells=int(params["cells"]), names=names)
+    cells = _parse_cells(params, 1)[0]
+    results = verify_mod.run_all_checks(seed=config.seed, cells=cells, names=names)
     failed = False
     summary_rows = []
     for result in results:
@@ -526,7 +553,7 @@ def _run_verify(config: RunConfig, outdir: Path) -> int:
         failed = failed or result.failed
     write_json(
         outdir / "summary.json",
-        {"seed": config.seed, "cells": int(params["cells"]), "checks": summary_rows},
+        {"seed": config.seed, "cells": cells, "checks": summary_rows},
     )
     return 1 if failed else 0
 

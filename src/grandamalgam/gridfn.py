@@ -30,7 +30,6 @@ __all__ = [
     "translate",
     "modulate",
     "scale",
-    "add",
     "pointwise_abs",
     "pointwise_product",
     "restrict",
@@ -318,10 +317,6 @@ def modulate(f: GridFunction, xi) -> GridFunction:
 
 def scale(f: GridFunction, lam) -> GridFunction:
     return GridFunction(f.domain, f.values * complex(lam))
-
-
-def add(f: GridFunction, g: GridFunction) -> GridFunction:
-    return f + g
 
 
 def pointwise_abs(f: GridFunction) -> GridFunction:

@@ -53,12 +53,6 @@ class RadiusSet:
         return RadiusSet(tuple(range(1, top + 1)), include_center)
 
     @staticmethod
-    def full_to_edge(domain: BoxDomain, include_center: bool = True) -> "RadiusSet":
-        """Every radius up to the full grid extent (for far-tail profiles)."""
-        top = max(domain.points_per_axis)
-        return RadiusSet(tuple(range(1, top + 1)), include_center)
-
-    @staticmethod
     def dyadic(domain: BoxDomain, include_center: bool = True) -> "RadiusSet":
         """Radii 1, 2, 4, ...; changes Mf by a bounded factor, flag in reports."""
         top = max(1, min(domain.points_per_axis) // 2)
@@ -175,12 +169,17 @@ def maximal_tail_profile(
     f: GridFunction, rs: RadiusSet, sample_points, use_fast: bool = True
 ) -> list[tuple[float, float]]:
     """Mf at the cells nearest the sample points; points must be in-domain."""
-    result = maximal_fast(f, rs) if use_fast else maximal_naive(f, rs)
+    return _sample_profile(maximal_fast(f, rs) if use_fast else maximal_naive(f, rs), sample_points)
+
+
+def _sample_profile(result: MaximalResult, sample_points) -> list[tuple[float, float]]:
+    """(point, Mf) at the cells of ``result`` nearest the in-domain sample points."""
+    dom = result.mf.domain
     mf = np.real(result.mf.values)
     out = []
     for x in sample_points:
-        cell = f.domain.nearest_cell(x)
-        out.append((float(x) if f.domain.ndim == 1 else tuple(x), float(mf[cell])))
+        cell = dom.nearest_cell(x)
+        out.append((float(x) if dom.ndim == 1 else tuple(x), float(mf[cell])))
     return out
 
 

@@ -3,8 +3,12 @@
 A grand norm is a supremum over epsilon in (0, p-1] of epsilon-weighted
 L^(p-eps) norms.  It is evaluated on a finite epsilon grid (geometric by
 default, so the eps -> 0 behavior is resolved) and optionally sharpened by
-one golden-section pass bracketing the discrete argmax.  Two inner
-weightings are supported:
+one golden-section pass bracketing the discrete argmax.  Both steps run on a
+(windows, cells) block: the grid is one array pass per epsilon over every
+row, and the golden-section refinement runs on all rows' brackets together.
+The grand norm of a whole function is the one-row case (a view of the
+samples, not a copy); the amalgam control function passes one row per
+window.  Two inner weightings are supported:
 
 * ``EXPONENT_OVER_P``: weight a**(eps/p), outer factor eps**theta;
 * ``EXPONENT_FULL``:   weight a**eps, outer factor eps**(theta/(p-eps)).
@@ -189,54 +193,88 @@ class NormReport:
         }
 
 
+def _golden_rows(fn, lo, hi, f_lo, f_hi, rel_tol: float = 1e-12, max_iter: int = 96):
+    """Golden-section maximization of one function per row, each on its own [lo, hi].
+
+    ``fn(rows, x)`` evaluates the functions of the rows selected by the
+    sorted index array ``rows`` (``None``: every row) at the points ``x``, one
+    per selected row; ``f_lo`` and ``f_hi`` are the values at the bracket
+    ends.  A row drops out once its bracket has shrunk to ``rel_tol`` times
+    max(|lo|, |hi|, 1) or after ``max_iter`` steps.  Returns the best
+    (x, fn(x)) per row over every point evaluated, endpoints included, so the
+    result never undercuts a bracketing grid value.
+    """
+    best_x, best_v = lo, f_lo
+    a, b = lo, hi
+    h = b - a
+    c = a + _INV_PHI2 * h
+    d = a + _INV_PHI * h
+    yc, yd = fn(None, c), fn(None, d)
+    for x, y in ((hi, f_hi), (c, yc), (d, yd)):
+        up = y > best_v
+        best_x, best_v = np.where(up, x, best_x), np.where(up, y, best_v)
+    tol = rel_tol * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
+    for _ in range(max_iter):
+        running = h > tol
+        count = np.count_nonzero(running)
+        if count == 0:
+            break
+        # shrink toward the larger interior value; the kept interior point
+        # becomes the other interior point of the new bracket
+        left = yc > yd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        h = b - a
+        x = a + np.where(left, _INV_PHI2, _INV_PHI) * h
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        if count == len(h):
+            y = fn(None, x)
+        else:  # converged rows are not evaluated again and keep their best
+            rows = np.flatnonzero(running)
+            y = np.full(len(h), -np.inf)
+            y[rows] = fn(rows, x[rows])
+        yc, yd = np.where(left, y, yd), np.where(left, yc, y)
+        up = y > best_v
+        best_x, best_v = np.where(up, x, best_x), np.where(up, y, best_v)
+    return best_x, best_v
+
+
 def golden_section_max(fn, lo: float, hi: float, rel_tol: float = 1e-12, max_iter: int = 96):
-    """Golden-section maximization on [lo, hi].
+    """Golden-section maximization of a scalar function on [lo, hi].
 
     Returns the best (x, fn(x)) over every point evaluated, endpoints
     included, so the result never undercuts a bracketing grid value.
     """
     if hi <= lo:
         return lo, fn(lo)
-    best_x, best_v = lo, fn(lo)
-    v_hi = fn(hi)
-    if v_hi > best_v:
-        best_x, best_v = hi, v_hi
-    a, b = lo, hi
-    h = b - a
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc, yd = fn(c), fn(d)
-    for x, y in ((c, yc), (d, yd)):
-        if y > best_v:
-            best_x, best_v = x, y
-    scale = max(abs(lo), abs(hi), 1.0)
-    it = 0
-    while h > rel_tol * scale and it < max_iter:
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = a + _INV_PHI2 * h
-            yc = fn(c)
-            if yc > best_v:
-                best_x, best_v = c, yc
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INV_PHI * h
-            yd = fn(d)
-            if yd > best_v:
-                best_x, best_v = d, yd
-        it += 1
-    return best_x, best_v
+    x, v = _golden_rows(
+        lambda rows, xs: np.array([fn(float(xs[0]))]),
+        np.array([float(lo)]),
+        np.array([float(hi)]),
+        np.array([fn(lo)], dtype=float),
+        np.array([fn(hi)], dtype=float),
+        rel_tol,
+        max_iter,
+    )
+    return float(x[0]), float(v[0])
 
 
-def _lp_arrays(absvals: np.ndarray, wvals: np.ndarray | None, p: float, cell_volume: float) -> float:
-    if wvals is None:
-        s = np.sum(absvals**p)
-    else:
-        s = np.sum(absvals**p * wvals)
-    s = float(s) * cell_volume
-    return s ** (1.0 / p) if s > 0.0 else 0.0
+def _lp_rows(absw: np.ndarray, wrows: np.ndarray | None, p, cell_volume: float) -> np.ndarray:
+    """Weighted L^p norms of the rows of a (windows, cells) block of |f| values.
+
+    ``wrows`` holds the weight of every cell (``None`` means unweighted) and
+    ``p`` is one exponent for all rows or one per row.  Each row is summed
+    along its own cells, so no window's value depends on another's.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    t = absw ** (p if p.ndim == 0 else p[:, None])
+    if wrows is not None:
+        t *= wrows
+    return (t.sum(axis=-1) * cell_volume) ** (1.0 / p)
+
+
+def _one_window(values: np.ndarray) -> np.ndarray:
+    """The whole grid as a (1, cells) block; a view, never a copy."""
+    return values.reshape(1, -1)
 
 
 def weighted_lp_norm(f: GridFunction, p: float, w: Weight | None = None) -> float:
@@ -245,50 +283,80 @@ def weighted_lp_norm(f: GridFunction, p: float, w: Weight | None = None) -> floa
         raise ValueError(f"need p >= 1, got p = {p}")
     if w is not None:
         _check_same_domain(f, w, "weighted_lp_norm")
-    return _lp_arrays(np.abs(f.values), None if w is None else w.values, p, f.domain.cell_volume)
+    wrows = None if w is None else _one_window(w.values)
+    return float(_lp_rows(_one_window(np.abs(f.values)), wrows, p, f.domain.cell_volume)[0])
+
+
+def _grand_inner(
+    absw: np.ndarray, aw: np.ndarray, gp: GrandParams, eps, cell_volume: float
+) -> np.ndarray:
+    """Inner L^(p-eps) norms of the rows, weighted by a**(eps/p) or a**eps.
+
+    ``eps`` is one value for all rows or one per row.
+    """
+    eps = np.asarray(eps, dtype=np.float64)
+    col = eps if eps.ndim == 0 else eps[:, None]
+    wexp = col / gp.p if gp.variant is Variant.EXPONENT_OVER_P else col
+    return _lp_rows(absw, aw**wexp, gp.p - eps, cell_volume)
 
 
 def _grand_scan(
-    absvals: np.ndarray,
-    avals: np.ndarray,
-    gp: GrandParams,
-    cell_volume: float,
-    refine: bool,
+    absw: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volume: float, refine: bool
 ):
-    """Shared epsilon scan on raw arrays; returns (value, argmax, curve, refined)."""
-    p = gp.p
-    over_p = gp.variant is Variant.EXPONENT_OVER_P
+    """Epsilon scan of every row of a (windows, cells) block at once.
 
-    def inner(eps: float) -> float:
-        w = avals ** (eps / p) if over_p else avals**eps
-        return _lp_arrays(absvals, w, p - eps, cell_volume)
+    The grid stage makes one array pass per epsilon over all rows.  With
+    ``refine``, each row's grid argmax is bracketed by its grid neighbours
+    (at either end of the grid, the adjacent grid interval: geometric grids
+    are coarse near p-1, where window-measure < 1 curves peak) and golden
+    section runs on all brackets together.  Returns (value, argmax, inner,
+    terms, probe): per-row values and maximizers, the (rows, grid) inner
+    norms and weighted terms, and the golden-section best (x, term) per row,
+    or ``None`` when no refinement ran.
+    """
+    eps_values = gp.eps_grid.values
+    inner = np.stack([_grand_inner(absw, aw, gp, eps, cell_volume) for eps in eps_values], axis=1)
+    terms = inner * np.array([gp.prefactor(eps) for eps in eps_values])
+    grid = np.array(eps_values)
+    k = np.argmax(terms, axis=1)  # first maximum: ties break toward the lowest eps
+    rows = np.arange(len(terms))
+    value, argmax = terms[rows, k], grid[k]
+    if not refine or grid.size < 2:
+        return value, argmax, inner, terms, None
 
-    def term(eps: float) -> float:
-        return gp.prefactor(eps) * inner(eps)
+    def term(sel: np.ndarray | None, eps: np.ndarray) -> np.ndarray:
+        # while every row is still running, use the block itself: no copy
+        blocks = (absw, aw) if sel is None else (absw[sel], aw[sel])
+        return gp.prefactor(eps) * _grand_inner(*blocks, gp, eps, cell_volume)
 
-    rows = []
-    for eps in gp.eps_grid.values:
-        iv = inner(eps)
-        rows.append((eps, iv, gp.prefactor(eps) * iv))
-    terms = [r[2] for r in rows]
-    k = int(np.argmax(terms))  # first maximum: ties break toward the lowest eps
-    value, argmax = terms[k], rows[k][0]
-    ran = False
-    if refine and len(rows) > 1:
-        # bracket the argmax by its grid neighbors; at either endpoint the
-        # bracket is the adjacent grid interval (geometric grids are coarse
-        # near p-1, where window-measure < 1 curves peak)
-        lo = rows[k - 1][0] if k > 0 else rows[k][0]
-        hi = rows[k + 1][0] if k < len(rows) - 1 else rows[k][0]
-        if hi > lo:
-            ran = True
-            x, v = golden_section_max(term, lo, hi)
-            if v > value:
-                value, argmax = v, x
-            if all(abs(x - r[0]) > 1e-15 for r in rows):
-                rows.append((x, inner(x), v))
-                rows.sort(key=lambda r: r[0])
-    return value, argmax, tuple(rows), ran
+    lo, hi = np.maximum(k - 1, 0), np.minimum(k + 1, grid.size - 1)
+    probe = _golden_rows(term, grid[lo], grid[hi], terms[rows, lo], terms[rows, hi])
+    better = probe[1] > value
+    value, argmax = np.where(better, probe[1], value), np.where(better, probe[0], argmax)
+    return value, argmax, inner, terms, probe
+
+
+def _grand_report(
+    absf: np.ndarray, avals: np.ndarray, gp: GrandParams, cell_volume: float, refine: bool
+) -> NormReport:
+    """One-window grand norm of ``absf`` with its curve, through the batched scan."""
+    absw, aw = _one_window(absf), _one_window(avals)
+    value, argmax, inner, terms, probe = _grand_scan(absw, aw, gp, cell_volume, refine)
+    rows = list(zip(gp.eps_grid.values, inner[0].tolist(), terms[0].tolist()))
+    if probe is not None:
+        x, v = float(probe[0][0]), float(probe[1][0])
+        if all(abs(x - r[0]) > 1e-15 for r in rows):
+            rows.append((x, float(_grand_inner(absw, aw, gp, x, cell_volume)[0]), v))
+            rows.sort(key=lambda r: r[0])
+    return NormReport(
+        value=float(value[0]),
+        argmax_eps=float(argmax[0]),
+        curve=tuple(rows),
+        refined=probe is not None,
+        p=gp.p,
+        theta=gp.theta,
+        variant=gp.variant.value,
+    )
 
 
 def grand_norm(f: GridFunction, gp: GrandParams, refine: bool = True) -> NormReport:
@@ -298,26 +366,15 @@ def grand_norm(f: GridFunction, gp: GrandParams, refine: bool = True) -> NormRep
     replaces the grid maximum when it finds a larger term.
     """
     _check_same_domain(f, gp.grandizer, "grand_norm")
-    value, argmax, curve, refined = _grand_scan(
-        np.abs(f.values), gp.grandizer.values, gp, f.domain.cell_volume, refine
-    )
-    return NormReport(
-        value=value,
-        argmax_eps=argmax,
-        curve=curve,
-        refined=refined,
-        p=gp.p,
-        theta=gp.theta,
-        variant=gp.variant.value,
-    )
+    return _grand_report(np.abs(f.values), gp.grandizer.values, gp, f.domain.cell_volume, refine)
 
 
 def grand_norm_curve(f: GridFunction, gp: GrandParams) -> list[tuple[float, float]]:
     """The full (eps, weighted term) curve, without the max reduction."""
-    _, _, curve, _ = _grand_scan(
+    report = _grand_report(
         np.abs(f.values), gp.grandizer.values, gp, f.domain.cell_volume, refine=False
     )
-    return [(eps, term) for eps, _, term in curve]
+    return [(eps, term) for eps, _, term in report.curve]
 
 
 def holder_grandizer_bound(f: GridFunction, gp: GrandParams, tol: float = 1e-10) -> CheckResult:
@@ -332,14 +389,14 @@ def holder_grandizer_bound(f: GridFunction, gp: GrandParams, tol: float = 1e-10)
     _check_same_domain(f, gp.grandizer, "holder_grandizer_bound")
     p = gp.p
     vol = f.domain.cell_volume
-    absf = np.abs(f.values)
+    absw, aw = _one_window(np.abs(f.values)), _one_window(gp.grandizer.values)
     mass = float(np.sum(gp.grandizer.values) * vol)
-    f_lp = _lp_arrays(absf, None, p, vol)
+    f_lp = float(_lp_rows(absw, None, p, vol)[0])
     rows = []
     worst = None
     ratio_max = 0.0
     for eps in gp.eps_grid.values:
-        lhs = _lp_arrays(absf, gp.weight_power(eps), p - eps, vol)
+        lhs = float(_grand_inner(absw, aw, gp, eps, vol)[0])
         rhs = f_lp * mass ** (eps / (p * (p - eps)))
         margin = (rhs - lhs) / max(rhs, 1e-300)
         rows.append({"case": f"eps={eps:.6g}", "inner_norm": lhs, "bound": rhs, "margin": margin})

@@ -253,3 +253,80 @@ def test_control_csv(tmp_path, box16):
     assert len(lines) == 5
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) == pytest.approx(0.5)
+
+
+# (shape, window side, stride): stride below, at and above the side, in 1-D and
+# 2-D, always with windows clipped at the right edge
+KERNEL_CASES = [
+    ((37,), (8,), (3,)),
+    ((37,), (8,), (8,)),
+    ((37,), (8,), (11,)),
+    ((13, 10), (4, 3), (2, 2)),
+    ((13, 10), (4, 3), (4, 3)),
+    ((13, 10), (4, 3), (5, 7)),
+]
+
+
+def _kernel_input(shape, side):
+    """A random function that vanishes on the first window, and a random weight."""
+    ndim = len(shape)
+    dom = ga.BoxDomain((0.0,) * ndim, (1.0,) * ndim, shape)
+    rng = np.random.default_rng(11)
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    vals[tuple(slice(0, s) for s in side)] = 0.0
+    return ga.GridFunction(dom, vals), ga.Weight(dom, np.exp(rng.normal(size=shape)))
+
+
+def _per_window(f, window, norm):
+    """Reference control values: ``norm`` of the zero-filled restriction to each window."""
+    starts = [range(0, n, s) for n, s in zip(f.domain.shape, window.stride_cells)]
+    out = np.empty(tuple(len(s) for s in starts))
+    for idx in np.ndindex(out.shape):
+        lo = [starts[d][i] for d, i in enumerate(idx)]
+        hi = [a + s for a, s in zip(lo, window.side_cells)]
+        out[idx] = norm(ga.restrict(f, lo, hi))
+    return out
+
+
+@pytest.mark.parametrize("shape, side, stride", KERNEL_CASES)
+@pytest.mark.parametrize("variant", list(ga.Variant))
+@pytest.mark.parametrize("refine", [True, False])
+def test_batched_grand_control_matches_per_window(shape, side, stride, variant, refine):
+    f, a = _kernel_input(shape, side)
+    window = ga.WindowSpec(side, stride)
+    gp = ga.GrandParams(2.7, a, theta=1.3, variant=variant)
+    got = ga.control_function(f, ga.GrandSpace(gp), window, refine).values
+    want = _per_window(f, window, lambda g: ga.grand_norm(g, gp, refine).value)
+    assert want.flat[0] == 0.0  # the all-zero window
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("shape, side, stride", KERNEL_CASES)
+@pytest.mark.parametrize("weighted", [True, False])
+def test_batched_classical_control_matches_per_window(shape, side, stride, weighted):
+    f, a = _kernel_input(shape, side)
+    window = ga.WindowSpec(side, stride)
+    w = a if weighted else None
+    got = ga.control_function(f, ga.ClassicalSpace(2.3, w), window).values
+    want = _per_window(f, window, lambda g: ga.weighted_lp_norm(g, 2.3, w))
+    assert want.flat[0] == 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_one_window_block_is_a_view():
+    from grandamalgam.norms import _one_window
+
+    f, _ = _kernel_input((13, 10), (4, 3))
+    absf = np.abs(f.values)
+    assert np.shares_memory(_one_window(absf), absf)
+
+
+def test_amalgam_norm_reuses_a_given_control_function(box16):
+    gp = ga.GrandParams(2.0, ga.unit_weight(box16))
+    spec = ga.AmalgamSpec(ga.GrandSpace(gp), ga.GrandSpace(gp), ga.WindowSpec(4, 2))
+    f = make_random_function(box16, 3)
+    cf = ga.control_function(f, spec.local_space, spec.window)
+    assert ga.amalgam_norm(f, spec, control=cf) == ga.amalgam_norm(f, spec)
+    other = ga.control_function(f, spec.local_space, ga.WindowSpec(4, 4))
+    with pytest.raises(ValueError, match="window"):
+        ga.amalgam_norm(f, spec, control=other)

@@ -212,3 +212,62 @@ def test_sampler_specs():
     bump = cli.make_sampler("bump:0,1", 1)
     assert float(bump(0.0)) == pytest.approx(1.0)
     assert float(bump(2.0)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["grand", "--eps-count", "abc"], "param.eps_count: expected an integer, got 'abc'"),
+        (["grand", "--theta", "x"], "param.theta: expected a number, got 'x'"),
+        (["amalgam", "--window-side", "2.5"], "param.window_side: expected an integer, got '2.5'"),
+        (["amalgam", "--q", "two"], "param.q: expected a number, got 'two'"),
+    ],
+)
+def test_bad_numeric_value_names_the_parameter(tmp_path, capsys, argv, message):
+    assert cli.main([*argv, "--f", "const:1", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
+
+
+def test_bad_numeric_value_in_config_file_names_the_parameter():
+    with pytest.raises(ConfigError, match="param.eps_min: expected a number, got 'small'"):
+        parse_config("subcommand = grand\ninput = const:1\nparam.eps_min = small\n")
+
+
+def _count_calls(monkeypatch, modules, name):
+    """Wrap ``name`` at every binding site in ``modules``; returns the call log."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_amalgam_command_evaluates_control_function_once(tmp_path, monkeypatch):
+    from grandamalgam import amalgam
+
+    calls = _count_calls(monkeypatch, (amalgam, cli), "control_function")
+    out = tmp_path / "a"
+    assert cli.main(["amalgam", "--f", "gaussian:0.5,0.2", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert (out / "control.csv").exists() and (out / "outer_curve.csv").exists()
+
+
+def test_maximal_probe_reuses_the_maximal_function(tmp_path, monkeypatch):
+    from grandamalgam import maximal
+
+    calls = _count_calls(monkeypatch, (maximal, cli), "maximal_fast")
+    out = tmp_path / "m"
+    argv = ["maximal", "--f", "indicator:-1,1", "--cells", "256", "--probe", "2,4,-7.5"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    dom = ga.BoxDomain(-8.0, 8.0, 256)
+    chi = ga.indicator(dom, -1.0, 1.0)
+    want = ga.maximal_tail_profile(chi, ga.RadiusSet.full(dom), [2.0, 4.0, -7.5])
+    summary = json.loads((out / "maximal_summary.json").read_text())
+    assert [(p["x"], p["mf"]) for p in summary["probes"]] == want

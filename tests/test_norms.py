@@ -264,6 +264,25 @@ def test_golden_section_max_quadratic():
     assert (x, v) == (1.0, 1.0)
 
 
+def test_golden_rows_match_one_row_at_a_time():
+    """Rows with brackets of different widths drop out at different steps;
+    each row must still follow exactly the steps it would take alone."""
+    from grandamalgam.norms import _golden_rows
+
+    peaks = np.array([0.3, 2e-5, 0.77, 1.4])
+    lo = np.array([0.0, 1e-5, 0.5, 1.0])
+    hi = np.array([1.0, 3e-5, 0.8, 2.0])
+
+    def fn(rows, x):
+        t = peaks if rows is None else peaks[rows]
+        return -((x - t) ** 2)
+
+    x, v = _golden_rows(fn, lo, hi, fn(None, lo), fn(None, hi))
+    for r in range(len(peaks)):
+        want = golden_section_max(lambda t: -((t - peaks[r]) ** 2), lo[r], hi[r])
+        assert (x[r], v[r]) == want
+
+
 def test_norm_report_csv(tmp_path, unit_box):
     gp = ga.GrandParams(2.0, ga.unit_weight(unit_box))
     rep = ga.grand_norm(ga.constant(unit_box, 1.0), gp)

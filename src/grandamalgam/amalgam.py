@@ -139,6 +139,13 @@ def _check_space_domain(space: SpaceDescriptor, domain: BoxDomain, what: str) ->
         raise ValueError(f"domain mismatch in {what}: descriptor weight lives on a different grid")
 
 
+def _check_stride(domain: BoxDomain, window: WindowSpec) -> None:
+    """Reject a stride longer than the box: its lattice cell would extend past the box."""
+    for d, (st, n) in enumerate(zip(window.stride_cells, domain.points_per_axis)):
+        if st > n:
+            raise ValueError(f"axis {d}: window stride {st} cells exceeds the {n} cells of the box")
+
+
 def _window_blocks(values: np.ndarray, window: WindowSpec) -> np.ndarray:
     """Every window translate of ``values`` as one row of a (windows, cells) block.
 
@@ -178,6 +185,7 @@ def control_function(
     """
     dom = f.domain
     window = window.for_ndim(dom.ndim)
+    _check_stride(dom, window)
     _check_space_domain(local, dom, "control_function")
     starts = _anchor_starts(dom, window)
     counts = tuple(len(s) for s in starts)
@@ -241,6 +249,7 @@ def amalgam_norm(
     caller already holds it; by default it is computed here.
     """
     window = spec.window.for_ndim(f.domain.ndim)
+    _check_stride(f.domain, window)
     if control is None:
         control = control_function(f, spec.local_space, window, refine)
     elif control.window != window:

@@ -413,27 +413,39 @@ def weight_diagnostics(w: Weight, pair_samples: int = 256, seed: int = 0) -> Wei
     )
 
 
+def _write_cell_csv(path, f: GridFunction, **int_columns: np.ndarray) -> None:
+    """The grid CSV layout of ``f`` with ``int_columns`` appended, one row per cell.
+
+    Columns are zipped from ``tolist()`` and each row is rendered by one
+    %-template; '%d' and '%.17g' give the text of :func:`reporting.fmt`.
+    """
+    dom = f.domain
+    flat = f.values.reshape(-1)
+    header = ["index", *(f"x{d}" for d in range(dom.ndim)), "re", "im", *int_columns]
+    template = ",".join(["%d"] + ["%.17g"] * (dom.ndim + 2) + ["%d"] * len(int_columns))
+    columns = [
+        range(dom.size),
+        *(c.reshape(-1).tolist() for c in dom.center_mesh()),
+        flat.real.tolist(),
+        flat.imag.tolist(),
+        *(c.reshape(-1).tolist() for c in int_columns.values()),
+    ]
+    lines = [",".join(header), *(template % row for row in zip(*columns))]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_grid_csv(f: GridFunction, path) -> None:
     """One row per cell: flat index, center coordinates, re, im."""
-    from .reporting import write_csv
-
-    dom = f.domain
-    mesh = dom.center_mesh()
-    coords = [mesh[d].reshape(-1) for d in range(dom.ndim)]
-    flat = f.values.reshape(-1)
-    header = ["index"] + [f"x{d}" for d in range(dom.ndim)] + ["re", "im"]
-    rows = [
-        [i] + [float(c[i]) for c in coords] + [float(flat[i].real), float(flat[i].imag)]
-        for i in range(flat.size)
-    ]
-    write_csv(path, header, rows)
+    _write_cell_csv(path, f)
 
 
 def read_grid_csv(path) -> GridFunction:
     """Rebuild a grid function from the CSV layout of :func:`write_grid_csv`.
 
     The uniform domain is inferred from the center coordinates; every axis
-    needs at least two distinct centers.
+    needs at least two distinct centers.  The index column must hold each
+    of 0..N-1 exactly once, and every row's coordinates must be the center
+    of the cell its index names (C order in 2-D).
     """
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines:
@@ -442,12 +454,33 @@ def read_grid_csv(path) -> GridFunction:
     ndim = len(header) - 3
     if header[0] != "index" or ndim not in (1, 2):
         raise ValueError(f"{path}: unrecognized grid CSV header {header!r}")
-    rows = sorted(
-        (tuple(float(tok) for tok in ln.split(",")) for ln in lines[1:]),
-        key=lambda r: r[0],
-    )
-    coords = [np.array([r[1 + d] for r in rows]) for d in range(ndim)]
-    vals = np.array([complex(r[ndim + 1], r[ndim + 2]) for r in rows])
+    table = [ln.split(",") for ln in lines[1:]]
+    for lineno, row in enumerate(table, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {lineno} has {len(row)} fields, expected {len(header)}")
+    try:
+        data = np.array(table, dtype=np.float64).reshape(len(table), len(header))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    index = data[:, 0]
+    if not np.array_equal(index, np.floor(index)):
+        bad = index[np.flatnonzero(index != np.floor(index))[0]]
+        raise ValueError(f"{path}: index {bad!r} is not an integer")
+    order = np.argsort(index, kind="stable")
+    data = data[order]
+    index = index[order]
+    dup = np.flatnonzero(index[1:] == index[:-1])
+    if dup.size:
+        raise ValueError(f"{path}: index {int(index[dup[0]])} appears more than once")
+    missing = np.flatnonzero(index != np.arange(index.size))
+    if missing.size:
+        raise ValueError(
+            f"{path}: index {int(missing[0])} is missing; the index column must hold "
+            f"each of 0..{index.size - 1} once"
+        )
+    coords = [data[:, 1 + d] for d in range(ndim)]
+    vals = np.empty(index.size, dtype=np.complex128)
+    vals.real, vals.imag = data[:, ndim + 1], data[:, ndim + 2]
     lower, upper, points = [], [], []
     for ax in coords:
         centers = np.unique(ax)
@@ -463,4 +496,13 @@ def read_grid_csv(path) -> GridFunction:
     dom = BoxDomain(tuple(lower), tuple(upper), tuple(points))
     if vals.size != dom.size:
         raise ValueError(f"{path}: {vals.size} rows do not fill a {dom.shape} grid")
+    off = np.zeros(vals.size, dtype=bool)
+    for ax, mesh, h in zip(coords, dom.center_mesh(), dom.spacing):
+        off |= np.abs(ax - mesh.reshape(-1)) > 1e-9 * max(h, 1.0)
+    if off.any():
+        k = int(np.flatnonzero(off)[0])
+        raise ValueError(
+            f"{path}: the row with index {k} has coordinates "
+            f"{tuple(float(ax[k]) for ax in coords)}, not the center of cell {k}"
+        )
     return GridFunction(dom, vals.reshape(dom.shape))

@@ -5,8 +5,9 @@ the Chebyshev square in 2-D (separable, so prefix sums apply).  Balls are
 clipped to the domain and averaged over the in-domain cells only, which
 keeps every output a true average (so max f bounds Mf).  Two
 implementations share one output contract: a direct-definition oracle and a
-prefix-sum path; any finite radius set makes Mf a lower bound for the
-all-radii supremum.
+prefix-sum path, in which every radius reads slices of one edge-padded
+prefix table and a ball's cell count is the product of its clipped extents;
+any finite radius set makes Mf a lower bound for the all-radii supremum.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gridfn import BoxDomain, GridFunction
-from .reporting import write_csv
+from .gridfn import BoxDomain, GridFunction, _write_cell_csv
 
 __all__ = [
     "RadiusSet",
@@ -111,57 +111,53 @@ def maximal_naive(f: GridFunction, rs: RadiusSet) -> MaximalResult:
     return MaximalResult(GridFunction(f.domain, best.astype(np.complex128)), arg)
 
 
-def _fast_1d(absf: np.ndarray, rs: RadiusSet):
-    n = absf.shape[0]
-    pref = np.concatenate(([0.0], np.cumsum(absf)))
-    cnt = np.concatenate(([0.0], np.cumsum(np.ones_like(absf))))
-    idx = np.arange(n)
-    best, arg = _init_best(absf, rs)
-    for r in rs.radii_cells:
-        lo = np.clip(idx - r, 0, n)
-        hi = np.clip(idx + r + 1, 0, n)
-        avg = (pref[hi] - pref[lo]) / (cnt[hi] - cnt[lo])
-        upd = avg > best
-        best[upd] = avg[upd]
-        arg[upd] = r
-    return best, arg
+def _ball_averages(absf: np.ndarray, rs: RadiusSet):
+    """Best clipped-ball average per cell over ``rs``, and the radius attaining it.
 
-
-def _fast_2d(absf: np.ndarray, rs: RadiusSet):
-    n0, n1 = absf.shape
-    pref = np.zeros((n0 + 1, n1 + 1))
-    pref[1:, 1:] = absf.cumsum(axis=0).cumsum(axis=1)
-    cnt = np.zeros((n0 + 1, n1 + 1))
-    cnt[1:, 1:] = np.ones_like(absf).cumsum(axis=0).cumsum(axis=1)
-    ii, jj = np.meshgrid(np.arange(n0), np.arange(n1), indexing="ij")
+    The prefix table is edge-padded by the largest radius R on each axis, so
+    an index clipped to [0, n] is a plain slice and every radius reads
+    shifted views of one table.  The in-ball cell count is the product of
+    the per-axis clipped extents, read the same way from 0, 1, ..., n.
+    """
+    shape = absf.shape
+    R = rs.radii_cells[-1]
+    pref = absf
+    for axis in range(absf.ndim):
+        pref = pref.cumsum(axis=axis)
+    pref = np.pad(np.pad(pref, [(1, 0)] * absf.ndim), R, mode="edge")
+    edges = [np.pad(np.arange(n + 1, dtype=np.float64), R, mode="edge") for n in shape]
     best, arg = _init_best(absf, rs)
+    avg = np.empty(shape)
+    upd = np.empty(shape, dtype=bool)
     for r in rs.radii_cells:
-        lo0 = np.clip(ii - r, 0, n0)
-        hi0 = np.clip(ii + r + 1, 0, n0)
-        lo1 = np.clip(jj - r, 0, n1)
-        hi1 = np.clip(jj + r + 1, 0, n1)
-        sums = pref[hi0, hi1] - pref[lo0, hi1] - pref[hi0, lo1] + pref[lo0, lo1]
-        counts = cnt[hi0, hi1] - cnt[lo0, hi1] - cnt[hi0, lo1] + cnt[lo0, lo1]
-        avg = sums / counts
-        upd = avg > best
-        best[upd] = avg[upd]
-        arg[upd] = r
+        hi = [slice(R + r + 1, R + r + 1 + n) for n in shape]
+        lo = [slice(R - r, R - r + n) for n in shape]
+        extents = [e[h] - e[l] for e, h, l in zip(edges, hi, lo)]
+        if absf.ndim == 1:
+            np.subtract(pref[hi[0]], pref[lo[0]], out=avg)
+            count = extents[0]
+        else:
+            # P[h,h] - P[l,h] - P[h,l] + P[l,l]; another order changes the last bits of Mf
+            np.subtract(pref[hi[0], hi[1]], pref[lo[0], hi[1]], out=avg)
+            np.subtract(avg, pref[hi[0], lo[1]], out=avg)
+            np.add(avg, pref[lo[0], lo[1]], out=avg)
+            count = np.multiply.outer(*extents)
+        np.divide(avg, count, out=avg)
+        np.greater(avg, best, out=upd)
+        np.copyto(best, avg, where=upd)
+        np.copyto(arg, r, where=upd)
     return best, arg
 
 
 def maximal_fast(f: GridFunction, rs: RadiusSet) -> MaximalResult:
     """Prefix-sum evaluation; same output contract as :func:`maximal_naive`.
 
-    Window sums come from prefix sums along each axis; the in-domain cell
-    counts come from the same prefix machinery applied to the all-ones
-    function.
+    Ball sums are corner differences of one edge-padded prefix table, read
+    as slices; the in-domain cell count of a ball is the product of its
+    clipped extents along the axes.
     """
     rs.validate_for(f.domain)
-    absf = np.abs(f.values)
-    if f.domain.ndim == 1:
-        best, arg = _fast_1d(absf, rs)
-    else:
-        best, arg = _fast_2d(absf, rs)
+    best, arg = _ball_averages(np.abs(f.values), rs)
     return MaximalResult(GridFunction(f.domain, best.astype(np.complex128)), arg)
 
 
@@ -185,16 +181,4 @@ def _sample_profile(result: MaximalResult, sample_points) -> list[tuple[float, f
 
 def write_maximal_csv(result: MaximalResult, path: str | Path) -> None:
     """Grid CSV layout plus the argmax-radius column."""
-    dom = result.mf.domain
-    mesh = dom.center_mesh()
-    coords = [mesh[d].reshape(-1) for d in range(dom.ndim)]
-    flat = result.mf.values.reshape(-1)
-    argf = result.argmax_radius.reshape(-1)
-    header = ["index"] + [f"x{d}" for d in range(dom.ndim)] + ["re", "im", "argmax_radius"]
-    rows = [
-        [i]
-        + [float(c[i]) for c in coords]
-        + [float(flat[i].real), float(flat[i].imag), int(argf[i])]
-        for i in range(flat.size)
-    ]
-    write_csv(path, header, rows)
+    _write_cell_csv(path, result.mf, argmax_radius=result.argmax_radius)

@@ -242,6 +242,32 @@ def test_window_spec_validation():
         ga.WindowSpec((4, 4, 4), (1, 1, 1)).for_ndim(1)
 
 
+def test_stride_longer_than_the_box_is_rejected_1d():
+    dom = ga.BoxDomain(0.0, 1.0, 64)
+    f = ga.constant(dom, 1.0)
+    l2 = ga.ClassicalSpace(2.0)
+    at_extent = ga.AmalgamSpec(l2, l2, ga.WindowSpec(1, 64))
+    assert ga.amalgam_norm(f, at_extent).value == pytest.approx(0.125, rel=1e-14)
+    for stride in (65, 200):
+        window = ga.WindowSpec(1, stride)
+        with pytest.raises(ValueError, match=rf"axis 0: window stride {stride} cells exceeds the 64 cells"):
+            ga.control_function(f, l2, window)
+        with pytest.raises(ValueError, match=rf"axis 0: window stride {stride} cells exceeds the 64 cells"):
+            ga.amalgam_norm(f, ga.AmalgamSpec(l2, l2, window))
+
+
+def test_stride_longer_than_the_box_is_rejected_2d():
+    dom = ga.BoxDomain((0.0, 0.0), (1.0, 1.0), (12, 8))
+    f = ga.constant(dom, 1.0)
+    l2 = ga.ClassicalSpace(2.0)
+    ga.control_function(f, l2, ga.WindowSpec((2, 2), (12, 8)))
+    window = ga.WindowSpec((2, 2), (4, 9))
+    with pytest.raises(ValueError, match="axis 1: window stride 9 cells exceeds the 8 cells"):
+        ga.control_function(f, l2, window)
+    with pytest.raises(ValueError, match="axis 1: window stride 9 cells exceeds the 8 cells"):
+        ga.amalgam_norm(f, ga.AmalgamSpec(l2, l2, window))
+
+
 def test_control_csv(tmp_path, box16):
     from grandamalgam.amalgam import write_control_csv
 

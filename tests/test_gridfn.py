@@ -236,3 +236,65 @@ def test_grid_csv_round_trip_2d(tmp_path):
     np.testing.assert_allclose(g.domain.lower, dom.lower, atol=1e-12)
     np.testing.assert_allclose(g.domain.upper, dom.upper, atol=1e-12)
     np.testing.assert_array_equal(g.values, f.values)
+
+
+def _complex_grid_2d():
+    dom = ga.BoxDomain((-3.0, 1e-3), (1.0, 2.5), (4, 5))
+    vals = np.array([1e300, -1e-300, -0.0, 1.0 / 3.0, 2.5e-308, -1e299, 0.1, 7.0, 1e-5, -2.0,
+                     0.0, 3e-301, -5.5, 1e-12, 42.0, -0.0, 9e307, 1.0, -1.0, 2.0 / 7.0])
+    return ga.GridFunction(dom, [complex(a, b) for a, b in zip(vals, vals[::-1])])
+
+
+def test_grid_csv_matches_generic_writer(tmp_path):
+    from grandamalgam.reporting import write_csv
+
+    f = _complex_grid_2d()
+    ga.write_grid_csv(f, tmp_path / "fast.csv")
+    mesh = f.domain.center_mesh()
+    flat = f.values.reshape(-1)
+    rows = [
+        [i, float(mesh[0].flat[i]), float(mesh[1].flat[i]), float(flat[i].real), float(flat[i].imag)]
+        for i in range(flat.size)
+    ]
+    write_csv(tmp_path / "generic.csv", ["index", "x0", "x1", "re", "im"], rows)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+    g = ga.read_grid_csv(tmp_path / "fast.csv")
+    assert g.values.tobytes() == f.values.tobytes()  # bit-exact, signed zeros included
+
+
+def _rewrite_index(tmp_path, edit):
+    """Write the 2-D test grid, apply ``edit`` to its list of index tokens, return the path."""
+    path = tmp_path / "g.csv"
+    ga.write_grid_csv(_complex_grid_2d(), path)
+    header, *rows = path.read_text().splitlines()
+    fields = [r.split(",") for r in rows]
+    index = edit([r[0] for r in fields])
+    path.write_text("\n".join([header] + [",".join([i] + r[1:]) for i, r in zip(index, fields)]) + "\n")
+    return path
+
+
+def test_read_grid_csv_rejects_duplicate_index(tmp_path):
+    path = _rewrite_index(tmp_path, lambda idx: idx[:7] + ["3"] + idx[8:])
+    with pytest.raises(ValueError, match=r"g\.csv: index 3 appears more than once"):
+        ga.read_grid_csv(path)
+
+
+def test_read_grid_csv_rejects_missing_index(tmp_path):
+    path = _rewrite_index(tmp_path, lambda idx: idx[:5] + ["20"] + idx[6:])
+    with pytest.raises(ValueError, match=r"g\.csv: index 5 is missing"):
+        ga.read_grid_csv(path)
+
+
+def test_read_grid_csv_rejects_swapped_indices(tmp_path):
+    path = _rewrite_index(tmp_path, lambda idx: idx[:6] + [idx[9], idx[7], idx[8], idx[6]] + idx[10:])
+    with pytest.raises(ValueError, match=r"g\.csv: the row with index 6 has coordinates"):
+        ga.read_grid_csv(path)
+
+
+def test_read_grid_csv_places_shuffled_rows_by_index(tmp_path):
+    f = _complex_grid_2d()
+    path = tmp_path / "g.csv"
+    ga.write_grid_csv(f, path)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + rows[::-1]) + "\n")
+    np.testing.assert_array_equal(ga.read_grid_csv(path).values, f.values)

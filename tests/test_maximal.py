@@ -103,6 +103,38 @@ def test_fast_matches_naive_property(seed, nradii):
     assert rel_diff(np.real(a.mf.values), np.real(b.mf.values)) <= 1e-12
 
 
+def _assert_fast_matches_naive(f, rs):
+    a = ga.maximal_naive(f, rs)
+    b = ga.maximal_fast(f, rs)
+    assert rel_diff(np.real(a.mf.values), np.real(b.mf.values)) <= 1e-12
+    np.testing.assert_array_equal(a.argmax_radius, b.argmax_radius)
+
+
+@pytest.mark.parametrize("include_center", [True, False])
+def test_fast_matches_naive_non_square_clipped_on_both_sides(include_center):
+    # radii up to the larger extent clip balls at both ends of both axes
+    dom = ga.BoxDomain((0.0, 0.0), (1.0, 2.0), (20, 33))
+    f = random_function(dom, 31, complex_values=True)
+    rs = ga.RadiusSet((1, 2, 5, 9, 10, 16, 19, 20, 21, 32, 33), include_center)
+    _assert_fast_matches_naive(f, rs)
+
+
+def test_fast_matches_naive_without_center_1d():
+    dom = ga.BoxDomain(0.0, 1.0, 57)
+    f = random_function(dom, 32)
+    _assert_fast_matches_naive(f, ga.RadiusSet.full(dom, include_center=False))
+    _assert_fast_matches_naive(f, ga.RadiusSet((3, 28, 29, 56, 57), include_center=False))
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1), (1, 7), (7, 1)])
+@pytest.mark.parametrize("include_center", [True, False])
+def test_fast_matches_naive_single_cell_axes(shape, include_center):
+    dom = ga.BoxDomain((0.0,) * len(shape), (1.0,) * len(shape), shape)
+    f = random_function(dom, 33)
+    rs = ga.RadiusSet(tuple(range(1, max(shape) + 1)), include_center)
+    _assert_fast_matches_naive(f, rs)
+
+
 def test_sublinearity():
     dom = ga.BoxDomain(-2.0, 2.0, 64)
     rs = ga.RadiusSet.full(dom)
@@ -179,3 +211,24 @@ def test_maximal_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "index,x0,re,im,argmax_radius"
     assert len(lines) == 5
+
+
+def test_maximal_csv_matches_generic_writer(tmp_path):
+    from grandamalgam.maximal import MaximalResult, write_maximal_csv
+    from grandamalgam.reporting import write_csv
+
+    dom = ga.BoxDomain((-1.5, 0.0), (2.0, 1e-3), (3, 4))
+    vals = np.array([1e300, -1e-300, -0.0, 1.0 / 3.0, 2.5e-308, -1.7976931348623157e308,
+                     0.1, 7.0, 1e-5, -2.0, 123456789.0, 0.0])
+    vals = np.array([complex(a, b) for a, b in zip(vals, vals[::-1])])
+    res = MaximalResult(ga.GridFunction(dom, vals), np.arange(12).reshape(3, 4) * 7)
+    write_maximal_csv(res, tmp_path / "fast.csv")
+    mesh = dom.center_mesh()
+    flat = res.mf.values.reshape(-1)
+    rows = [
+        [i, float(mesh[0].flat[i]), float(mesh[1].flat[i]), float(flat[i].real),
+         float(flat[i].imag), int(res.argmax_radius.flat[i])]
+        for i in range(flat.size)
+    ]
+    write_csv(tmp_path / "generic.csv", ["index", "x0", "x1", "re", "im", "argmax_radius"], rows)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()

@@ -2,16 +2,23 @@
 
 Every run is described by a :class:`RunConfig` (subcommand, input function,
 parameter map, output directory, seed), whether it was assembled from flags
-or parsed from a line-oriented ``key = value`` config file.  Validation
-happens before any computation; outputs are CSV/JSON files written with
-fixed 17-significant-digit formatting, so identical configurations produce
-byte-identical artifacts.  Exit codes: 0 success, 1 any FAIL verdict,
-2 configuration error.
+or parsed from a line-oriented ``key = value`` config file.  Each parameter
+is declared once, in one table: ``_PARAMS`` gives each subcommand's keys and
+their default strings, ``_KINDS`` gives each key's kind (float, int, or a
+tuple of allowed words).  Everything else is derived from it: the keys a
+config file accepts and the defaults it gets, the ``--flag`` for each key
+(``eps_count`` becomes ``--eps-count``, unset flags fall through to the same
+defaults), the conversion and word checks of validation, and the grand
+stage defaults of ``amalgam``.  Validation happens before any computation;
+outputs are CSV/JSON files written with fixed 17-significant-digit
+formatting, so identical configurations produce byte-identical artifacts.
+Exit codes: 0 success, 1 any FAIL verdict, 2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -44,29 +51,9 @@ __all__ = [
     "main",
 ]
 
-SUBCOMMANDS = ("norm", "grand", "amalgam", "maximal", "verify")
-
-_KNOWN_PARAMS = {
-    "norm": {"p", "w", "box", "cells"},
-    "grand": {"p", "theta", "variant", "a", "eps_mode", "eps_count", "eps_min", "box", "cells"},
-    "amalgam": {
-        "p",
-        "q",
-        "theta",
-        "a",
-        "b",
-        "local",
-        "global",
-        "window_side",
-        "window_stride",
-        "box",
-        "cells",
-    },
-    "maximal": {"radii", "probe", "include_center", "impl", "box", "cells"},
-    "verify": {"checks", "cells"},
-}
-
-_DEFAULT_PARAMS = {
+# The parameter table, part one.  Per subcommand: every accepted ``param.``
+# key and its default string.
+_PARAMS = {
     "norm": {"p": "2", "w": "const:1", "box": "0,1", "cells": "64"},
     "grand": {
         "p": "2",
@@ -103,9 +90,10 @@ _DEFAULT_PARAMS = {
     "verify": {"checks": "all", "cells": "256"},
 }
 
-
-# Numeric parameters and their types; every one is converted by _number.
-_NUMBER_TYPES = {
+# Part two.  Per key: float, int, or the tuple of allowed words.  Keys not
+# listed (samplers, box, cells, radii, probe, checks) are parsed where they
+# are used.  Numbers come first, so they are checked first.
+_KINDS = {
     "p": float,
     "q": float,
     "theta": float,
@@ -113,7 +101,15 @@ _NUMBER_TYPES = {
     "eps_count": int,
     "window_side": int,
     "window_stride": int,
+    "variant": ("over_p", "full"),
+    "eps_mode": ("geometric", "linear"),
+    "local": ("classical", "grand"),
+    "global": ("classical", "grand"),
+    "impl": ("fast", "naive"),
+    "include_center": ("true", "false"),
 }
+
+SUBCOMMANDS = tuple(_PARAMS)
 
 
 class ConfigError(Exception):
@@ -125,14 +121,17 @@ class RunConfig:
     subcommand: str
     input: str = ""
     parameters: dict = field(default_factory=dict)
+    # The defaults of config files and of --out/--seed alike; only verify reads the seed.
     output_dir: str = "out"
-    seed: int = 0
+    seed: int = 7
 
 
 # ----------------------------------------------------------------------------
 # Config file format:  key = value, one per line, '#' comments;
 # computation parameters under 'param.<name>'.
 # ----------------------------------------------------------------------------
+
+_TOP_KEYS = ("subcommand", "input", "output_dir", "seed")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -150,49 +149,41 @@ def parse_config(text: str) -> RunConfig:
             if name in params:
                 raise ConfigError(f"line {lineno}: duplicate key param.{name}")
             params[name] = value
-        elif key in ("subcommand", "input", "output_dir", "seed"):
+        elif key in _TOP_KEYS:
             if key in top:
                 raise ConfigError(f"line {lineno}: duplicate key {key}")
             top[key] = value
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    missing = [k for k in ("subcommand",) if k not in top]
-    if missing:
-        raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    try:
-        seed = int(top.get("seed", "0"))
-    except ValueError:
-        raise ConfigError(f"seed: expected an integer, got {top.get('seed')!r}")
-    config = RunConfig(
-        subcommand=top["subcommand"],
-        input=top.get("input", ""),
-        parameters=params,
-        output_dir=top.get("output_dir", "out"),
-        seed=seed,
-    )
+    if "subcommand" not in top:
+        raise ConfigError("missing required keys: subcommand")
+    if "seed" in top:
+        try:
+            top["seed"] = int(top["seed"])
+        except ValueError:
+            raise ConfigError(f"seed: expected an integer, got {top['seed']!r}") from None
+    # Top-level keys left out take RunConfig's defaults, as unset flags do.
+    config = RunConfig(parameters=params, **top)
     return validate_config(config)
 
 
 def emit_config(config: RunConfig) -> str:
-    lines = [
-        f"subcommand = {config.subcommand}",
-        f"input = {config.input}",
-        f"output_dir = {config.output_dir}",
-        f"seed = {config.seed}",
-    ]
-    for key in sorted(config.parameters):
-        lines.append(f"param.{key} = {config.parameters[key]}")
+    lines = [f"{key} = {getattr(config, key)}" for key in _TOP_KEYS]
+    lines += [f"param.{key} = {config.parameters[key]}" for key in sorted(config.parameters)]
     return "\n".join(lines) + "\n"
 
 
 def _number(params: dict, key: str):
-    """The numeric parameter ``key`` as its type; a malformed value names the key."""
-    kind = _NUMBER_TYPES[key]
+    """The numeric parameter ``key`` as its kind; a malformed value names the key."""
+    kind = _KINDS[key]
     try:
-        return kind(params[key])
+        value = kind(params[key])
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"param.{key}: expected {noun}, got {params[key]!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"param.{key}: expected a finite number, got {params[key]!r}")
+    return value
 
 
 def _parse_floats(text: str, key: str) -> list[float]:
@@ -233,64 +224,58 @@ def _parse_cells(params: dict, ndim: int) -> tuple[int, ...]:
 
 def validate_config(config: RunConfig) -> RunConfig:
     """Fill defaults and check every invariant before any computation."""
-    if config.subcommand not in SUBCOMMANDS:
-        raise ConfigError(
-            f"subcommand: expected one of {', '.join(SUBCOMMANDS)}, got {config.subcommand!r}"
-        )
-    known = _KNOWN_PARAMS[config.subcommand]
+    sub = config.subcommand
+    if sub not in SUBCOMMANDS:
+        raise ConfigError(f"subcommand: expected one of {', '.join(SUBCOMMANDS)}, got {sub!r}")
     for key in config.parameters:
-        if key not in known:
-            raise ConfigError(f"param.{key}: unknown key for subcommand {config.subcommand}")
-    params = dict(_DEFAULT_PARAMS[config.subcommand])
-    params.update(config.parameters)
+        if key not in _PARAMS[sub]:
+            raise ConfigError(f"param.{key}: unknown key for subcommand {sub}")
+    params = {**_PARAMS[sub], **config.parameters}
     config = replace(config, parameters=params)
 
-    if config.subcommand != "verify":
+    if sub != "verify":
         if not config.input:
             raise ConfigError("input: required (a built-in sampler spec or a grid CSV path)")
         lo, up = _parse_box(params)
         _parse_cells(params, len(lo))
 
-    for key in _NUMBER_TYPES:
-        if params.get(key, "") != "":
+    for key, kind in _KINDS.items():
+        if key not in params:
+            continue
+        if isinstance(kind, tuple):
+            if params[key] not in kind:
+                words = " or ".join(repr(word) for word in kind)
+                raise ConfigError(f"param.{key}: expected {words}")
+        elif params[key] != "":
             _number(params, key)
 
-    def need_positive(key: str, strict_gt: float | None = None):
+    def above(key: str, bound: float) -> float:
         v = _number(params, key)
-        if strict_gt is not None and not v > strict_gt:
-            raise ConfigError(f"param.{key}: invariant {key} > {strict_gt} violated by {v}")
+        if not v > bound:
+            raise ConfigError(f"param.{key}: invariant {key} > {bound} violated by {v}")
         return v
 
-    sub = config.subcommand
+    def classical_exponent(key: str) -> None:
+        if above(key, 0.0) < 1.0:
+            raise ConfigError(f"param.{key}: invariant {key} >= 1 violated")
+
     if sub == "norm":
-        need_positive("p", strict_gt=0.0)
-        if _number(params, "p") < 1.0:
-            raise ConfigError("param.p: invariant p >= 1 violated")
+        classical_exponent("p")
     elif sub == "grand":
-        need_positive("p", strict_gt=1.0)
-        need_positive("theta", strict_gt=0.0)
-        if params["variant"] not in ("over_p", "full"):
-            raise ConfigError("param.variant: expected 'over_p' or 'full'")
-        if params["eps_mode"] not in ("geometric", "linear"):
-            raise ConfigError("param.eps_mode: expected 'geometric' or 'linear'")
+        above("p", 1.0)
+        above("theta", 0.0)
         if _number(params, "eps_count") < 2:
             raise ConfigError("param.eps_count: need at least 2")
     elif sub == "amalgam":
-        for key, kind in (("p", params["local"]), ("q", params["global"])):
-            if kind == "grand":
-                need_positive(key, strict_gt=1.0)
+        for key, stage in (("p", "local"), ("q", "global")):
+            if params[stage] == "grand":
+                above(key, 1.0)
             else:
-                if need_positive(key, strict_gt=0.0) < 1.0:
-                    raise ConfigError(f"param.{key}: invariant {key} >= 1 violated")
-        for kind_key in ("local", "global"):
-            if params[kind_key] not in ("classical", "grand"):
-                raise ConfigError(f"param.{kind_key}: expected 'classical' or 'grand'")
-        need_positive("theta", strict_gt=0.0)
+                classical_exponent(key)
+        above("theta", 0.0)
         if _number(params, "window_side") < 1 or _number(params, "window_stride") < 1:
             raise ConfigError("param.window_side/window_stride: need at least one cell")
     elif sub == "maximal":
-        if params["impl"] not in ("fast", "naive"):
-            raise ConfigError("param.impl: expected 'fast' or 'naive'")
         if params["radii"] not in ("full", "dyadic"):
             for tok in params["radii"].split(","):
                 try:
@@ -298,10 +283,9 @@ def validate_config(config: RunConfig) -> RunConfig:
                         raise ValueError
                 except ValueError:
                     raise ConfigError("param.radii: 'full', 'dyadic', or positive integers")
-        if params["include_center"] not in ("true", "false"):
-            raise ConfigError("param.include_center: expected 'true' or 'false'")
         if params["probe"]:
-            lo, up = _parse_box(params)
+            if len(lo) != 1:
+                raise ConfigError("param.probe: probe points need a 1-D box")
             for x in _parse_floats(params["probe"], "probe"):
                 if not lo[0] <= x <= up[0]:
                     raise ConfigError(f"param.probe: point {x} outside the box")
@@ -385,7 +369,9 @@ def make_sampler(spec: str, ndim: int):
 
 def _load_input(config: RunConfig, domain: BoxDomain) -> GridFunction:
     text = config.input
-    if Path(text).suffix == ".csv" and Path(text).exists():
+    if Path(text).suffix == ".csv":
+        if not Path(text).exists():
+            raise ConfigError(f"input: file not found: {text}")
         return read_grid_csv(text)
     return build(domain, make_sampler(text, domain.ndim))
 
@@ -474,13 +460,8 @@ def _run_amalgam(config: RunConfig, outdir: Path) -> int:
 
     def space(kind: str, exponent_key: str, weight_key: str):
         if kind == "grand":
-            gp = dict(params)
-            gp["p"] = params[exponent_key]
-            gp["a"] = params[weight_key]
-            gp.setdefault("eps_mode", "geometric")
-            gp.setdefault("eps_count", "33")
-            gp.setdefault("eps_min", "")
-            gp.setdefault("variant", "over_p")
+            # The epsilon grid and the variant are grand's defaults.
+            gp = {**_PARAMS["grand"], **params, "p": params[exponent_key], "a": params[weight_key]}
             return GrandSpace(_grand_params_from(gp, f.domain))
         return ClassicalSpace(
             _number(params, exponent_key), _weight_from_spec(params[weight_key], f.domain)
@@ -578,64 +559,56 @@ def run(config: RunConfig) -> int:
 # ----------------------------------------------------------------------------
 
 
-def _add_common(sp, box_default: str, cells_default: str):
-    sp.add_argument("--box", default=box_default, help="lo,up (1-D) or lo0,up0,lo1,up1 (2-D)")
-    sp.add_argument("--cells", default=cells_default, help="cells per axis")
-    sp.add_argument("--out", default="out", help="output directory")
-    sp.add_argument("--seed", type=int, default=0)
+# Help of each subcommand, and of the flags whose name and default do not say enough.
+_HELP = {
+    "norm": "weighted L^p norm",
+    "grand": "grand norm with the epsilon-sup curve",
+    "amalgam": "two-stage amalgam norm",
+    "maximal": "centered Hardy-Littlewood maximal function",
+    "verify": "run proposition checks",
+    "box": "lo,up (1-D) or lo0,up0,lo1,up1 (2-D)",
+    "cells": "cells per axis",
+    "a": "grandizer sampler",
+    "radii": "'full', 'dyadic', or a comma list of cells",
+    "probe": "comma list of probe points",
+}
+
+# Keys set by their own flags: --no-center, and verify's --all/--check.
+_SPECIAL_KEYS = ("include_center", "checks")
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per row of the table, one ``--flag`` per key."""
     ap = argparse.ArgumentParser(
         prog="grandamalgam",
         description="Grand Wiener amalgam norms, maximal operators, and proposition checks",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("norm", help="weighted L^p norm")
-    sp.add_argument("--f", required=True, help="sampler spec (e.g. const:1) or grid CSV path")
-    sp.add_argument("--w", default="const:1")
-    sp.add_argument("--p", default="2")
-    _add_common(sp, "0,1", "64")
-
-    sp = sub.add_parser("grand", help="grand norm with the epsilon-sup curve")
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--a", default="const:1", help="grandizer sampler")
-    sp.add_argument("--p", default="2")
-    sp.add_argument("--theta", default="1")
-    sp.add_argument("--variant", default="over_p", choices=("over_p", "full"))
-    sp.add_argument("--eps-mode", default="geometric", choices=("geometric", "linear"))
-    sp.add_argument("--eps-count", default="33")
-    sp.add_argument("--eps-min", default="")
-    _add_common(sp, "0,1", "64")
-
-    sp = sub.add_parser("amalgam", help="two-stage amalgam norm")
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--local", default="grand", choices=("classical", "grand"))
-    sp.add_argument("--global", dest="global_kind", default="grand", choices=("classical", "grand"))
-    sp.add_argument("--p", default="2")
-    sp.add_argument("--q", default="2")
-    sp.add_argument("--a", default="const:1")
-    sp.add_argument("--b", default="const:1")
-    sp.add_argument("--theta", default="1")
-    sp.add_argument("--window-side", default="4")
-    sp.add_argument("--window-stride", default="4")
-    _add_common(sp, "0,1", "64")
-
-    sp = sub.add_parser("maximal", help="centered Hardy-Littlewood maximal function")
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--radii", default="full", help="'full', 'dyadic', or a comma list of cells")
-    sp.add_argument("--probe", default="", help="comma list of probe points")
-    sp.add_argument("--no-center", action="store_true", help="drop the radius-0 term |f(x)|")
-    sp.add_argument("--impl", default="fast", choices=("fast", "naive"))
-    _add_common(sp, "-8,8", "1024")
-
-    sp = sub.add_parser("verify", help="run proposition checks")
-    sp.add_argument("--all", action="store_true")
-    sp.add_argument("--check", action="append", default=[], help="check name (repeatable)")
-    sp.add_argument("--cells", default="256")
-    sp.add_argument("--out", default="out")
-    sp.add_argument("--seed", type=int, default=7)
+    parsers = {}
+    for name, defaults in _PARAMS.items():
+        sp = parsers[name] = sub.add_parser(name, help=_HELP[name])
+        if name != "verify":
+            sp.add_argument("--f", required=True, help="sampler spec (e.g. const:1) or grid CSV path")
+        for key, default in defaults.items():
+            if key in _SPECIAL_KEYS:
+                continue
+            kind = _KINDS.get(key)
+            sp.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                default=None,
+                choices=kind if isinstance(kind, tuple) else None,
+                help=f"{_HELP.get(key, '')} (default {default!r})".lstrip(),
+            )
+        sp.add_argument("--out", default=RunConfig.output_dir, help="output directory")
+        sp.add_argument("--seed", type=int, default=RunConfig.seed)
+    parsers["maximal"].add_argument(
+        "--no-center", action="store_true", help="drop the radius-0 term |f(x)|"
+    )
+    parsers["verify"].add_argument("--all", action="store_true")
+    parsers["verify"].add_argument(
+        "--check", action="append", default=[], help="check name (repeatable)"
+    )
 
     sp = sub.add_parser("run", help="execute a config file")
     sp.add_argument("--config", required=True, help="path to a key = value config file")
@@ -649,51 +622,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         return parse_config(path.read_text())
-    if sub == "verify":
-        checks = "all" if (args.all or not args.check) else ",".join(args.check)
-        return RunConfig(
-            "verify",
-            "",
-            {"checks": checks, "cells": args.cells},
-            output_dir=args.out,
-            seed=args.seed,
-        )
-    common = {"box": args.box, "cells": args.cells}
-    if sub == "norm":
-        params = {"p": args.p, "w": args.w, **common}
-    elif sub == "grand":
-        params = {
-            "p": args.p,
-            "theta": args.theta,
-            "variant": args.variant,
-            "a": args.a,
-            "eps_mode": args.eps_mode,
-            "eps_count": args.eps_count,
-            "eps_min": args.eps_min,
-            **common,
-        }
-    elif sub == "amalgam":
-        params = {
-            "p": args.p,
-            "q": args.q,
-            "theta": args.theta,
-            "a": args.a,
-            "b": args.b,
-            "local": args.local,
-            "global": args.global_kind,
-            "window_side": args.window_side,
-            "window_stride": args.window_stride,
-            **common,
-        }
-    else:  # maximal
-        params = {
-            "radii": args.radii,
-            "probe": args.probe,
-            "include_center": "false" if args.no_center else "true",
-            "impl": args.impl,
-            **common,
-        }
-    return RunConfig(sub, args.f, params, output_dir=args.out, seed=args.seed)
+    given = vars(args)
+    # Flags left unset are absent here, so validation fills the table's defaults.
+    params = {key: given[key] for key in _PARAMS[sub] if given.get(key) is not None}
+    if sub == "maximal" and args.no_center:
+        params["include_center"] = "false"
+    if sub == "verify" and args.check and not args.all:
+        params["checks"] = ",".join(args.check)
+    return RunConfig(sub, given.get("f", ""), params, output_dir=args.out, seed=args.seed)
 
 
 _COORD_FLAGS = ("--box", "--probe")

@@ -233,6 +233,32 @@ def _finish(name: str, state, tol: float, notes=None, constant=None, report_only
     )
 
 
+def _resolutions(corpus: Corpus, window: WindowSpec | None, *samplers: Callable, factors=(1, 2)):
+    """(factor, corpus, window, weights) on the corpus grid refined by each factor.
+
+    The corpus is realised again on the refined grid, the window is scaled to
+    the same physical size, and each sampler becomes a weight on that grid.
+    """
+    for factor in factors:
+        dom = corpus.domain if factor == 1 else corpus.domain.refine(factor)
+        corp = corpus if factor == 1 else corpus.realized_on(dom)
+        win = None if window is None else window.scaled(factor)
+        yield factor, corp, win, [weight_from(dom, sampler) for sampler in samplers]
+
+
+def _constant_result(name: str, stable: bool, rows: list, constants: list, **notes) -> CheckResult:
+    """An empirical-constant claim: REPORT_ONLY if the constant is stable, else FAIL."""
+    return CheckResult(
+        name=name,
+        verdict=Verdict.REPORT_ONLY if stable else Verdict.FAIL,
+        worst_case=None,
+        estimated_constant=constants[-1],
+        details=tuple(rows),
+        tolerance=None,
+        notes={"constants": constants, **notes},
+    )
+
+
 def _unit_clone(spec: AmalgamSpec, domain: BoxDomain) -> AmalgamSpec:
     """Same exponents, all weights replaced by one (translation branch)."""
 
@@ -437,23 +463,20 @@ def check_inclusion_norm_equivalence(
     builders the constant is recomputed on a doubled grid and flagged if it
     grows by more than ``growth_factor``.
     """
-    state = _margin_state()
 
-    def materialize(spec_or_builder, domain, factor):
+    def materialize(spec_or_builder, domain, win):
         if callable(spec_or_builder):
-            if window is None:
+            if win is None:
                 raise ValueError("spec builders need an explicit window")
-            return spec_or_builder(domain, window.scaled(factor))
+            return spec_or_builder(domain, win)
         return spec_or_builder
 
     refinable = callable(spec_a) and callable(spec_b) and window is not None
+    rows = []
     constants = []
-    factors = (1, 2) if refinable else (1,)
-    for factor in factors:
-        dom = corpus.domain if factor == 1 else corpus.domain.refine(factor)
-        corp = corpus if factor == 1 else corpus.realized_on(dom)
-        sa = materialize(spec_a, dom, factor)
-        sb = materialize(spec_b, dom, factor)
+    for factor, corp, win, _ in _resolutions(corpus, window, factors=(1, 2) if refinable else (1,)):
+        sa = materialize(spec_a, corp.domain, win)
+        sb = materialize(spec_b, corp.domain, win)
         best = 0.0
         for e in corp.entries:
             va = _value(e.gridfn, sa)
@@ -462,27 +485,16 @@ def check_inclusion_norm_equivalence(
                 continue
             ratio = vb / va
             best = max(best, ratio)
-            state["rows"].append(
-                {"case": f"{e.name}@x{factor}", "margin": ratio, "norm_a": va, "norm_b": vb}
-            )
+            rows.append({"case": f"{e.name}@x{factor}", "margin": ratio, "norm_a": va, "norm_b": vb})
         constants.append(best)
 
-    notes = {"constants": constants, "growth_factor": growth_factor}
+    notes = {"growth_factor": growth_factor}
     stable = True
     if len(constants) == 2 and constants[0] > 0:
         trend = constants[1] / constants[0]
         notes["trend"] = trend
         stable = trend <= growth_factor
-    verdict = Verdict.REPORT_ONLY if stable else Verdict.FAIL
-    return CheckResult(
-        name="inclusion_equivalence",
-        verdict=verdict,
-        worst_case=state["worst"],
-        estimated_constant=constants[-1],
-        details=tuple(state["rows"]),
-        tolerance=None,
-        notes=notes,
-    )
+    return _constant_result("inclusion_equivalence", stable, rows, constants, **notes)
 
 
 def check_embedding_classical_into_grand(
@@ -505,12 +517,8 @@ def check_embedding_classical_into_grand(
     constants = {}
     empirical = 0.0
     guards = {}
-    for factor in (1, 2):
-        dom = corpus.domain if factor == 1 else corpus.domain.refine(factor)
-        corp = corpus if factor == 1 else corpus.realized_on(dom)
-        win = window.scaled(factor)
-        aw = weight_from(dom, a)
-        bw = weight_from(dom, b)
+    for factor, corp, win, (aw, bw) in _resolutions(corpus, window, a, b):
+        dom = corp.domain
         gspec = _grand_pair_spec(p, q, aw, bw, win)
         cspec = AmalgamSpec(ClassicalSpace(p), ClassicalSpace(q), win)
         mass_a = float(np.sum(aw.values) * dom.cell_volume)
@@ -588,12 +596,7 @@ def check_nesting_in_p(
         raise ValueError("need p1 <= p2")
     rows = []
     constants = []
-    for factor in (1, 2):
-        dom = corpus.domain if factor == 1 else corpus.domain.refine(factor)
-        corp = corpus if factor == 1 else corpus.realized_on(dom)
-        win = window.scaled(factor)
-        aw = weight_from(dom, a)
-        bw = weight_from(dom, b)
+    for factor, corp, win, (aw, bw) in _resolutions(corpus, window, a, b):
         s1 = _grand_pair_spec(p1, q, aw, bw, win)
         s2 = _grand_pair_spec(p2, q, aw, bw, win)
         best = 0.0
@@ -609,14 +612,8 @@ def check_nesting_in_p(
         constants[0] > 0
         and 1.0 / stability_factor <= constants[1] / constants[0] <= stability_factor
     )
-    return CheckResult(
-        name="nesting_in_p",
-        verdict=Verdict.REPORT_ONLY if stable else Verdict.FAIL,
-        worst_case=None,
-        estimated_constant=constants[-1],
-        details=tuple(rows),
-        tolerance=None,
-        notes={"constants": constants, "stability_factor": stability_factor},
+    return _constant_result(
+        "nesting_in_p", stable, rows, constants, stability_factor=stability_factor
     )
 
 
@@ -636,11 +633,7 @@ def check_pointwise_product(
         raise ValueError("exponent triples must satisfy 1/p3 = 1/p1 + 1/p2 (and likewise in q)")
     rows = []
     constants = []
-    for factor in (1, 2):
-        dom = corpus.domain if factor == 1 else corpus.domain.refine(factor)
-        corp = corpus if factor == 1 else corpus.realized_on(dom)
-        win = window.scaled(factor)
-        aw = weight_from(dom, a)
+    for factor, corp, win, (aw,) in _resolutions(corpus, window, a):
         specs = [
             _grand_pair_spec(pi, qi, aw, aw, win)
             for pi, qi in ((p1, q1), (p2, q2), (p3, q3))
@@ -661,14 +654,8 @@ def check_pointwise_product(
             )
         constants.append(best)
     stable = constants[0] > 0 and constants[1] <= stability_factor * constants[0]
-    return CheckResult(
-        name="pointwise_product",
-        verdict=Verdict.REPORT_ONLY if stable else Verdict.FAIL,
-        worst_case=None,
-        estimated_constant=constants[-1],
-        details=tuple(rows),
-        tolerance=None,
-        notes={"constants": constants, "stability_factor": stability_factor},
+    return _constant_result(
+        "pointwise_product", stable, rows, constants, stability_factor=stability_factor
     )
 
 
@@ -727,15 +714,10 @@ def check_maximal_bounded(
         raise ValueError("need p <= q <= r")
     rows = []
     constants = []
-    for factor in (1, 2):
-        dom = corpus.domain if factor == 1 else corpus.domain.refine(factor)
-        corp = corpus if factor == 1 else corpus.realized_on(dom)
-        win = window.scaled(factor)
-        aw = weight_from(dom, a)
-        bw = weight_from(dom, b)
+    for factor, corp, win, (aw, bw) in _resolutions(corpus, window, a, b):
         target = _grand_pair_spec(p, q, aw, bw, win)
         source = AmalgamSpec(ClassicalSpace(r), ClassicalSpace(q), win)
-        radii = RadiusSet.full(dom)
+        radii = RadiusSet.full(corp.domain)
         best = 0.0
         for e in corp.entries:
             src = _value(e.gridfn, source)
@@ -747,15 +729,9 @@ def check_maximal_bounded(
             rows.append({"case": f"{e.name}@x{factor}", "margin": ratio})
         constants.append(best)
     change = abs(constants[1] - constants[0]) / max(constants[0], _TINY)
-    stable = change <= drift
-    return CheckResult(
-        name="maximal_bounded",
-        verdict=Verdict.REPORT_ONLY if stable else Verdict.FAIL,
-        worst_case=None,
-        estimated_constant=constants[-1],
-        details=tuple(rows),
-        tolerance=None,
-        notes={"constants": constants, "relative_change": change, "drift_allowance": drift},
+    return _constant_result(
+        "maximal_bounded", change <= drift, rows, constants,
+        relative_change=change, drift_allowance=drift,
     )
 
 

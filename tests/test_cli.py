@@ -221,6 +221,11 @@ def test_sampler_specs():
         (["grand", "--theta", "x"], "param.theta: expected a number, got 'x'"),
         (["amalgam", "--window-side", "2.5"], "param.window_side: expected an integer, got '2.5'"),
         (["amalgam", "--q", "two"], "param.q: expected a number, got 'two'"),
+        (["norm", "--p", "inf"], "param.p: expected a finite number, got 'inf'"),
+        (["amalgam", "--q", "nan"], "param.q: expected a finite number, got 'nan'"),
+        (["grand", "--theta", "inf"], "param.theta: expected a finite number, got 'inf'"),
+        (["grand", "--eps-min", "nan"], "param.eps_min: expected a finite number, got 'nan'"),
+        (["grand", "--p", "1e999"], "param.p: expected a finite number, got '1e999'"),
     ],
 )
 def test_bad_numeric_value_names_the_parameter(tmp_path, capsys, argv, message):
@@ -231,6 +236,52 @@ def test_bad_numeric_value_names_the_parameter(tmp_path, capsys, argv, message):
 def test_bad_numeric_value_in_config_file_names_the_parameter():
     with pytest.raises(ConfigError, match="param.eps_min: expected a number, got 'small'"):
         parse_config("subcommand = grand\ninput = const:1\nparam.eps_min = small\n")
+
+
+def _flag_config(monkeypatch, argv):
+    """The validated RunConfig that ``main(argv)`` would run."""
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+    assert cli.main(argv) == 0
+    return cli.validate_config(seen[0])
+
+
+@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+def test_flags_and_config_file_share_defaults(monkeypatch, subcommand):
+    if subcommand == "verify":
+        argv, text = ["verify"], "subcommand = verify\n"
+    else:
+        argv = [subcommand, "--f", "const:1"]
+        text = f"subcommand = {subcommand}\ninput = const:1\n"
+    assert _flag_config(monkeypatch, argv) == parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--all"],
+        ["grand", "--f", "const:1", "--eps-min", "0.01", "--variant", "full"],
+        ["amalgam", "--f", "const:1", "--local", "classical", "--window-side", "8"],
+        ["maximal", "--f", "const:1", "--no-center", "--probe", "-2,3", "--box", "-4,4"],
+    ],
+)
+def test_flag_config_round_trips_through_a_config_file(monkeypatch, argv):
+    config = _flag_config(monkeypatch, argv)
+    assert parse_config(emit_config(config)) == config
+
+
+def test_probe_on_a_2d_box_is_rejected_before_computing(tmp_path, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, (cli,), "maximal_fast")
+    argv = ["maximal", "--f", "const:1", "--box", "-8,8,-8,8", "--cells", "16", "--probe", "2"]
+    assert cli.main([*argv, "--out", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err.startswith("config error: param.probe:")
+    assert calls == []
+
+
+def test_missing_csv_input_is_reported_as_missing(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert cli.main(["norm", "--f", str(missing), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: input: file not found: {missing}"
 
 
 def _count_calls(monkeypatch, modules, name):

@@ -178,10 +178,10 @@ def control_function(
     is what extending f by zero outside the box would give.  Anchors are
     cell indices 0, stride, 2*stride, ...  All windows are evaluated at once
     as the rows of one block: a classical stage is one array pass, a grand
-    stage one array pass per epsilon plus a golden-section refinement run
-    on every window's bracket together.  Windows stay independent (each row
-    is summed along its own cells), so a window's value never depends on
-    the others.
+    stage a few array passes over its epsilon grid plus Newton refinement
+    steps run on every window's bracket together.  Windows stay independent
+    (each row is summed along its own cells), so a window's value never
+    depends on the others.
     """
     dom = f.domain
     window = window.for_ndim(dom.ndim)

@@ -193,6 +193,17 @@ def _parse_floats(text: str, key: str) -> list[float]:
         raise ConfigError(f"param.{key}: expected comma-separated numbers, got {text!r}")
 
 
+def _probe_points(params: dict, lower, upper, what: str) -> list[float]:
+    """The probe points, each checked against the 1-D ``what`` [lower, upper]."""
+    if len(lower) != 1:
+        raise ConfigError(f"param.probe: probe points need a 1-D {what}")
+    points = _parse_floats(params["probe"], "probe")
+    for x in points:
+        if not lower[0] <= x <= upper[0]:
+            raise ConfigError(f"param.probe: point {x} outside the {what} [{lower[0]}, {upper[0]}]")
+    return points
+
+
 def _parse_box(params: dict) -> tuple[tuple[float, ...], tuple[float, ...]]:
     vals = _parse_floats(params["box"], "box")
     if len(vals) == 2:
@@ -283,12 +294,8 @@ def validate_config(config: RunConfig) -> RunConfig:
                         raise ValueError
                 except ValueError:
                     raise ConfigError("param.radii: 'full', 'dyadic', or positive integers")
-        if params["probe"]:
-            if len(lo) != 1:
-                raise ConfigError("param.probe: probe points need a 1-D box")
-            for x in _parse_floats(params["probe"], "probe"):
-                if not lo[0] <= x <= up[0]:
-                    raise ConfigError(f"param.probe: point {x} outside the box")
+        if params["probe"] and not _is_csv(config.input):  # a CSV's grid is checked on load
+            _probe_points(params, lo, up, "box")
     elif sub == "verify":
         if _parse_cells(params, 1)[0] < 16:
             raise ConfigError("param.cells: verify needs at least 16 cells")
@@ -367,9 +374,13 @@ def make_sampler(spec: str, ndim: int):
     raise ConfigError(f"unknown sampler {spec!r}")
 
 
+def _is_csv(text: str) -> bool:
+    return Path(text).suffix == ".csv"
+
+
 def _load_input(config: RunConfig, domain: BoxDomain) -> GridFunction:
     text = config.input
-    if Path(text).suffix == ".csv":
+    if _is_csv(text):
         if not Path(text).exists():
             raise ConfigError(f"input: file not found: {text}")
         return read_grid_csv(text)
@@ -495,6 +506,8 @@ def _run_maximal(config: RunConfig, outdir: Path) -> int:
         rs = RadiusSet.dyadic(f.domain, include_center)
     else:
         rs = RadiusSet(tuple(int(t) for t in params["radii"].split(",")), include_center)
+    if params["probe"]:  # against the grid read from a CSV, before any computation
+        probes = _probe_points(params, f.domain.lower, f.domain.upper, "grid")
     result = maximal_fast(f, rs) if params["impl"] == "fast" else maximal_naive(f, rs)
     write_maximal_csv(result, outdir / "maximal.csv")
     summary = {
@@ -504,7 +517,7 @@ def _run_maximal(config: RunConfig, outdir: Path) -> int:
         "max_value": float(np.max(np.real(result.mf.values))),
     }
     if params["probe"]:
-        probes = _sample_profile(result, _parse_floats(params["probe"], "probe"))
+        probes = _sample_profile(result, probes)
         write_csv(outdir / "probes.csv", ["x", "mf"], probes)
         summary["probes"] = [{"x": x, "mf": v} for x, v in probes]
     write_json(outdir / "maximal_summary.json", summary)

@@ -1,14 +1,15 @@
 """Weighted Lebesgue norms and grand norms with the epsilon-sup optimizer.
 
 A grand norm is a supremum over epsilon in (0, p-1] of epsilon-weighted
-L^(p-eps) norms.  It is evaluated on a finite epsilon grid (geometric by
-default, so the eps -> 0 behavior is resolved) and optionally sharpened by
-one golden-section pass bracketing the discrete argmax.  Both steps run on a
-(windows, cells) block: the grid is one array pass per epsilon over every
-row, and the golden-section refinement runs on all rows' brackets together.
-The grand norm of a whole function is the one-row case (a view of the
-samples, not a copy); the amalgam control function passes one row per
-window.  Two inner weightings are supported:
+L^(p-eps) norms.  With m = max|f| and g = |f| / m, each inner sum is
+m^(p-eps) sum exp(A + eps B), where A = p ln g and B = ln a / p - ln g
+(ln a - ln g for ``EXPONENT_FULL``) are set up once per scan: one exp per
+cell, and no size of |f| overflows or underflows the sums.  The sup is
+taken on an epsilon grid (geometric by default, so eps -> 0 is resolved),
+several epsilons per array pass, then optionally refined by safeguarded
+Newton steps on ln(term).  Both run on a (windows, cells) block, all rows
+at once; a whole function is the one-row case (a view, not a copy).
+Two inner weightings are supported:
 
 * ``EXPONENT_OVER_P``: weight a**(eps/p), outer factor eps**theta;
 * ``EXPONENT_FULL``:   weight a**eps, outer factor eps**(theta/(p-eps)).
@@ -39,13 +40,13 @@ __all__ = [
     "grand_norm_curve",
     "holder_grandizer_bound",
     "compare_variants",
-    "golden_section_max",
     "sup_eps_factor",
     "write_norm_csv",
 ]
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_GRID_BLOCK_CELLS = 1 << 16  # cells of one (rows, eps, cells) block of the grid stage
+_REL_TOL = 1e-12  # refinement stops at this fraction of max(bracket end, 1)
+_MAX_ITER = 96  # refinement passes per row at most
 
 DEFAULT_EPS_COUNT = 33
 DEFAULT_EPS_MIN_FRACTION = 1e-4
@@ -193,83 +194,19 @@ class NormReport:
         }
 
 
-def _golden_rows(fn, lo, hi, f_lo, f_hi, rel_tol: float = 1e-12, max_iter: int = 96):
-    """Golden-section maximization of one function per row, each on its own [lo, hi].
-
-    ``fn(rows, x)`` evaluates the functions of the rows selected by the
-    sorted index array ``rows`` (``None``: every row) at the points ``x``, one
-    per selected row; ``f_lo`` and ``f_hi`` are the values at the bracket
-    ends.  A row drops out once its bracket has shrunk to ``rel_tol`` times
-    max(|lo|, |hi|, 1) or after ``max_iter`` steps.  Returns the best
-    (x, fn(x)) per row over every point evaluated, endpoints included, so the
-    result never undercuts a bracketing grid value.
-    """
-    best_x, best_v = lo, f_lo
-    a, b = lo, hi
-    h = b - a
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc, yd = fn(None, c), fn(None, d)
-    for x, y in ((hi, f_hi), (c, yc), (d, yd)):
-        up = y > best_v
-        best_x, best_v = np.where(up, x, best_x), np.where(up, y, best_v)
-    tol = rel_tol * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
-    for _ in range(max_iter):
-        running = h > tol
-        count = np.count_nonzero(running)
-        if count == 0:
-            break
-        # shrink toward the larger interior value; the kept interior point
-        # becomes the other interior point of the new bracket
-        left = yc > yd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        h = b - a
-        x = a + np.where(left, _INV_PHI2, _INV_PHI) * h
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        if count == len(h):
-            y = fn(None, x)
-        else:  # converged rows are not evaluated again and keep their best
-            rows = np.flatnonzero(running)
-            y = np.full(len(h), -np.inf)
-            y[rows] = fn(rows, x[rows])
-        yc, yd = np.where(left, y, yd), np.where(left, yc, y)
-        up = y > best_v
-        best_x, best_v = np.where(up, x, best_x), np.where(up, y, best_v)
-    return best_x, best_v
-
-
-def golden_section_max(fn, lo: float, hi: float, rel_tol: float = 1e-12, max_iter: int = 96):
-    """Golden-section maximization of a scalar function on [lo, hi].
-
-    Returns the best (x, fn(x)) over every point evaluated, endpoints
-    included, so the result never undercuts a bracketing grid value.
-    """
-    if hi <= lo:
-        return lo, fn(lo)
-    x, v = _golden_rows(
-        lambda rows, xs: np.array([fn(float(xs[0]))]),
-        np.array([float(lo)]),
-        np.array([float(hi)]),
-        np.array([fn(lo)], dtype=float),
-        np.array([fn(hi)], dtype=float),
-        rel_tol,
-        max_iter,
-    )
-    return float(x[0]), float(v[0])
-
-
 def _lp_rows(absw: np.ndarray, wrows: np.ndarray | None, p, cell_volume: float) -> np.ndarray:
     """Weighted L^p norms of the rows of a (windows, cells) block of |f| values.
 
-    ``wrows`` holds the weight of every cell (``None`` means unweighted) and
-    ``p`` is one exponent for all rows or one per row.  Each row is summed
-    along its own cells, so no window's value depends on another's.
+    ``wrows`` holds the weight of every cell (``None`` means unweighted).
+    Rows are scaled by their max, so no power leaves float range, and each is
+    summed along its own cells, so no window's value depends on another's.
     """
-    p = np.asarray(p, dtype=np.float64)
-    t = absw ** (p if p.ndim == 0 else p[:, None])
+    m = absw.max(axis=-1, keepdims=True)
+    t = np.divide(absw, m, out=np.zeros(absw.shape), where=m > 0)
+    t **= p
     if wrows is not None:
         t *= wrows
-    return (t.sum(axis=-1) * cell_volume) ** (1.0 / p)
+    return m[:, 0] * (t.sum(axis=-1) * cell_volume) ** (1.0 / p)
 
 
 def _one_window(values: np.ndarray) -> np.ndarray:
@@ -287,17 +224,110 @@ def weighted_lp_norm(f: GridFunction, p: float, w: Weight | None = None) -> floa
     return float(_lp_rows(_one_window(np.abs(f.values)), wrows, p, f.domain.cell_volume)[0])
 
 
-def _grand_inner(
-    absw: np.ndarray, aw: np.ndarray, gp: GrandParams, eps, cell_volume: float
-) -> np.ndarray:
-    """Inner L^(p-eps) norms of the rows, weighted by a**(eps/p) or a**eps.
+def _log_form(absw: np.ndarray, aw: np.ndarray, gp: GrandParams):
+    """(m, A, B) of a (rows, cells) block; m is the row max of |f| over live cells.
 
-    ``eps`` is one value for all rows or one per row.
+    ln g is ln|f| - ln m, which no span of |f| can underflow.  Dead cells
+    (f = 0 or a = 0, as in a window's zero padding) get A = -inf and B = 0.
     """
-    eps = np.asarray(eps, dtype=np.float64)
-    col = eps if eps.ndim == 0 else eps[:, None]
-    wexp = col / gp.p if gp.variant is Variant.EXPONENT_OVER_P else col
-    return _lp_rows(absw, aw**wexp, gp.p - eps, cell_volume)
+    live = (absw > 0) & (aw > 0)
+    m = np.max(absw, axis=1, initial=0.0, where=live)
+    lnm = np.log(m, out=np.zeros(m.shape), where=m > 0)
+    lng = np.log(absw, out=np.zeros(absw.shape), where=live)
+    np.subtract(lng, lnm[:, None], out=lng, where=live)
+    b = np.log(aw, out=np.zeros(absw.shape), where=live)
+    if gp.variant is Variant.EXPONENT_OVER_P:
+        b /= gp.p
+    b -= lng
+    a = np.multiply(lng, gp.p, out=lng)
+    np.copyto(a, -np.inf, where=~live)
+    return m, a, b
+
+
+def _grid_sums(a: np.ndarray, b: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """sum exp(A + eps B) of every row at every epsilon, as a (rows, eps) array."""
+    t = b[:, None, :] * eps[:, None]
+    t += a[:, None, :]
+    return np.exp(t, out=t).sum(axis=-1)
+
+
+def _moments(a: np.ndarray, b: np.ndarray, x: np.ndarray):
+    """sum E, sum B E and sum B^2 E of every row, E = exp(A + x B), one x per row."""
+    e = b * x[:, None]
+    e += a
+    s0 = np.exp(e, out=e).sum(axis=-1)
+    e *= b
+    s1 = e.sum(axis=-1)
+    e *= b
+    return s0, s1, e.sum(axis=-1)
+
+
+def _newton_rows(a, b, m, gp: GrandParams, cell_volume: float, grid, k, value, inner):
+    """Refine each row's grid argmax by safeguarded Newton steps on phi = ln(term).
+
+    phi' and phi'' come from S_j = sum B^j exp(A + eps B), j = 0, 1, 2, of
+    one pass.  The first pass, at the argmax, keeps the half of its grid
+    neighbourhood that phi' points into.  Where phi' points out of the grid
+    at an end, the row instead restarts from the far end of the grid
+    interval at that end and goes on only if its Newton step stays inside
+    (an interior maximum beside an end one).  Steps outside the bracket or with
+    phi'' >= 0 bisect.  A row stops when its step or bracket is within
+    _REL_TOL * max(bracket end, 1), or after _MAX_ITER passes.  Returns the
+    best (eps, term, inner norm) per row, replaced only on strict increase.
+    """
+    p, h, last = gp.p, cell_volume, grid.size - 1
+    t_out, t_in = (gp.theta, 0.0) if gp.variant is Variant.EXPONENT_OVER_P else (0.0, gp.theta)
+    x = grid[k]
+    lo, hi = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, last)]
+    tol = _REL_TOL * np.maximum(hi, 1.0)
+    best_x, best_v, best_in = x.copy(), value.copy(), inner.copy()
+    restarted = np.zeros(x.size, dtype=bool)
+    running = value > 0  # a zero row has no logarithm; its value stays 0
+    for it in range(_MAX_ITER):
+        sel = np.flatnonzero(running)
+        if sel.size == 0:
+            break
+        xs = x[sel]
+        # while every row is still running, use the block itself: no copy
+        s0, s1, s2 = _moments(a, b, xs) if sel.size == x.size else _moments(a[sel], b[sel], xs)
+        r = 1.0 / (p - xs)
+        inner_s = m[sel] * (s0 * h) ** r
+        if it:  # the first pass is at the grid argmax, already counted
+            v = gp.prefactor(xs) * inner_s
+            up = v > best_v[sel]
+            won = sel[up]
+            best_x[won], best_v[won], best_in[won] = xs[up], v[up], inner_s[up]
+        live = s0 > 0  # an underflowed sum has no logarithm: its row stops
+        if not live.all():
+            running[sel[~live]] = False
+            sel, xs, r, s0, s1, s2 = (arr[live] for arr in (sel, xs, r, s0, s1, s2))
+        mu = s1 / s0
+        ix = 1.0 / xs
+        u = t_in * ix + mu + r * (t_in * np.log(xs) + np.log(s0 * h))
+        d1 = t_out * ix + r * u
+        d2 = r * (s2 / s0 - mu * mu - t_in * ix * ix + 2.0 * r * u) - t_out * ix * ix
+        lo_s = np.where(d1 >= 0.0, xs, lo[sel])
+        hi_s = np.where(d1 <= 0.0, xs, hi[sel])
+        newton = d2 < 0.0
+        step = np.divide(d1, d2, out=np.zeros_like(d1), where=newton)
+        nxt = xs - step
+        inside = newton & (nxt > lo_s) & (nxt < hi_s)
+        nxt = np.where(inside, nxt, 0.5 * (lo_s + hi_s))
+        t = tol[sel]
+        done = newton & (np.abs(step) <= t)  # even a step that rounds onto x itself
+        if it == 0:
+            ks = k[sel]
+            end = ((ks == last) & (d1 >= 0.0)) | ((ks == 0) & (d1 <= 0.0))
+            restarted[sel] = end
+            done &= ~end
+            lo_s, hi_s = np.where(end, lo[sel], lo_s), np.where(end, hi[sel], hi_s)
+            nxt = np.where(end, np.where(ks == last, lo_s, hi_s), nxt)
+        lo[sel], hi[sel], x[sel] = lo_s, hi_s, nxt
+        go = ~done & (hi_s - lo_s > t) & (np.abs(nxt - xs) > t)
+        if it == 1:
+            go &= inside | ~restarted[sel]
+        running[sel] = go
+    return best_x, best_v, best_in
 
 
 def _grand_scan(
@@ -305,54 +335,42 @@ def _grand_scan(
 ):
     """Epsilon scan of every row of a (windows, cells) block at once.
 
-    The grid stage makes one array pass per epsilon over all rows.  With
-    ``refine``, each row's grid argmax is bracketed by its grid neighbours
-    (at either end of the grid, the adjacent grid interval: geometric grids
-    are coarse near p-1, where window-measure < 1 curves peak) and golden
-    section runs on all brackets together.  Returns (value, argmax, inner,
-    terms, probe): per-row values and maximizers, the (rows, grid) inner
-    norms and weighted terms, and the golden-section best (x, term) per row,
-    or ``None`` when no refinement ran.
+    The grid stage takes as many epsilons per array pass as fit in
+    ``_GRID_BLOCK_CELLS`` cells (at least one); ``refine`` adds
+    :func:`_newton_rows` within the argmax's grid neighbours.  Returns
+    (value, argmax, inner, terms, peak): per-row values and maximizers, the
+    (rows, grid) inner norms and terms, and the inner norm at each maximizer.
     """
-    eps_values = gp.eps_grid.values
-    inner = np.stack([_grand_inner(absw, aw, gp, eps, cell_volume) for eps in eps_values], axis=1)
-    terms = inner * np.array([gp.prefactor(eps) for eps in eps_values])
-    grid = np.array(eps_values)
+    m, a, b = _log_form(absw, aw, gp)
+    grid = np.array(gp.eps_grid.values)
+    n = max(1, _GRID_BLOCK_CELLS // a.size)  # epsilons per pass
+    sums = np.hstack([_grid_sums(a, b, grid[i : i + n]) for i in range(0, grid.size, n)])
+    inner = m[:, None] * (sums * cell_volume) ** (1.0 / (gp.p - grid))
+    terms = inner * gp.prefactor(grid)
     k = np.argmax(terms, axis=1)  # first maximum: ties break toward the lowest eps
     rows = np.arange(len(terms))
-    value, argmax = terms[rows, k], grid[k]
-    if not refine or grid.size < 2:
-        return value, argmax, inner, terms, None
-
-    def term(sel: np.ndarray | None, eps: np.ndarray) -> np.ndarray:
-        # while every row is still running, use the block itself: no copy
-        blocks = (absw, aw) if sel is None else (absw[sel], aw[sel])
-        return gp.prefactor(eps) * _grand_inner(*blocks, gp, eps, cell_volume)
-
-    lo, hi = np.maximum(k - 1, 0), np.minimum(k + 1, grid.size - 1)
-    probe = _golden_rows(term, grid[lo], grid[hi], terms[rows, lo], terms[rows, hi])
-    better = probe[1] > value
-    value, argmax = np.where(better, probe[1], value), np.where(better, probe[0], argmax)
-    return value, argmax, inner, terms, probe
+    value, argmax, peak = terms[rows, k], grid[k], inner[rows, k]
+    if refine and grid.size > 1:
+        argmax, value, peak = _newton_rows(a, b, m, gp, cell_volume, grid, k, value, peak)
+    return value, argmax, inner, terms, peak
 
 
 def _grand_report(
     absf: np.ndarray, avals: np.ndarray, gp: GrandParams, cell_volume: float, refine: bool
 ) -> NormReport:
     """One-window grand norm of ``absf`` with its curve, through the batched scan."""
-    absw, aw = _one_window(absf), _one_window(avals)
-    value, argmax, inner, terms, probe = _grand_scan(absw, aw, gp, cell_volume, refine)
+    value, argmax, inner, terms, peak = _grand_scan(
+        _one_window(absf), _one_window(avals), gp, cell_volume, refine
+    )
     rows = list(zip(gp.eps_grid.values, inner[0].tolist(), terms[0].tolist()))
-    if probe is not None:
-        x, v = float(probe[0][0]), float(probe[1][0])
-        if all(abs(x - r[0]) > 1e-15 for r in rows):
-            rows.append((x, float(_grand_inner(absw, aw, gp, x, cell_volume)[0]), v))
-            rows.sort(key=lambda r: r[0])
+    x = float(argmax[0])
+    if all(abs(x - r[0]) > 1e-15 for r in rows):
+        rows = sorted(rows + [(x, float(peak[0]), float(value[0]))])
     return NormReport(
         value=float(value[0]),
-        argmax_eps=float(argmax[0]),
+        argmax_eps=x,
         curve=tuple(rows),
-        refined=probe is not None,
+        refined=refine and gp.eps_grid.count > 1,
         p=gp.p,
         theta=gp.theta,
         variant=gp.variant.value,
@@ -362,8 +380,8 @@ def _grand_report(
 def grand_norm(f: GridFunction, gp: GrandParams, refine: bool = True) -> NormReport:
     """Grand norm of ``f``: sup over the epsilon grid, optionally refined.
 
-    Refinement never decreases the value: the golden-section pass only
-    replaces the grid maximum when it finds a larger term.
+    Refinement never decreases the value: the Newton steps from the grid
+    argmax only replace the grid maximum when they find a larger term.
     """
     _check_same_domain(f, gp.grandizer, "grand_norm")
     return _grand_report(np.abs(f.values), gp.grandizer.values, gp, f.domain.cell_volume, refine)
@@ -392,11 +410,11 @@ def holder_grandizer_bound(f: GridFunction, gp: GrandParams, tol: float = 1e-10)
     absw, aw = _one_window(np.abs(f.values)), _one_window(gp.grandizer.values)
     mass = float(np.sum(gp.grandizer.values) * vol)
     f_lp = float(_lp_rows(absw, None, p, vol)[0])
+    inner = _grand_scan(absw, aw, gp, vol, refine=False)[2][0].tolist()
     rows = []
     worst = None
     ratio_max = 0.0
-    for eps in gp.eps_grid.values:
-        lhs = float(_grand_inner(absw, aw, gp, eps, vol)[0])
+    for eps, lhs in zip(gp.eps_grid.values, inner):
         rhs = f_lp * mass ** (eps / (p * (p - eps)))
         margin = (rhs - lhs) / max(rhs, 1e-300)
         rows.append({"case": f"eps={eps:.6g}", "inner_norm": lhs, "bound": rhs, "margin": margin})

@@ -278,6 +278,33 @@ def test_probe_on_a_2d_box_is_rejected_before_computing(tmp_path, capsys, monkey
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "domain, probe, message",
+    [
+        (ga.BoxDomain(0.0, 1.0, 16), "5", "point 5.0 outside the grid [0.0, 1.0]"),
+        (ga.BoxDomain((0.0, 0.0), (1.0, 1.0), (4, 4)), "0.5", "probe points need a 1-D grid"),
+    ],
+)
+def test_probe_is_checked_against_the_csv_grid(tmp_path, capsys, monkeypatch, domain, probe,
+                                               message):
+    path = tmp_path / "f.csv"
+    ga.write_grid_csv(ga.constant(domain, 1.0), path)
+    calls = _count_calls(monkeypatch, (cli,), "maximal_fast")
+    argv = ["maximal", "--f", str(path), "--probe", probe, "--out", str(tmp_path / "m")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.strip() == f"config error: param.probe: {message}"
+    assert calls == []
+
+
+def test_probe_inside_a_csv_grid_outside_the_box_is_accepted(tmp_path):
+    path = tmp_path / "f.csv"
+    ga.write_grid_csv(ga.constant(ga.BoxDomain(10.0, 20.0, 16), 1.0), path)
+    out = tmp_path / "m"
+    assert cli.main(["maximal", "--f", str(path), "--probe", "15", "--out", str(out)]) == 0
+    summary = json.loads((out / "maximal_summary.json").read_text())
+    assert summary["probes"] == [{"x": 15.0, "mf": pytest.approx(1.0, rel=1e-12)}]
+
+
 def test_missing_csv_input_is_reported_as_missing(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert cli.main(["norm", "--f", str(missing), "--out", str(tmp_path / "o")]) == 2

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 import grandamalgam as ga
-from grandamalgam.norms import EpsGrid, golden_section_max
+from grandamalgam import norms
+from grandamalgam.norms import EpsGrid, _grand_scan
 from grandamalgam.reporting import Verdict
 
 
@@ -255,32 +256,135 @@ def test_eps_grid_with_extra():
     assert grid.with_extra(grid.values[2]) is grid
 
 
-def test_golden_section_max_quadratic():
-    x, v = golden_section_max(lambda t: -((t - 0.3) ** 2), 0.0, 1.0)
-    assert x == pytest.approx(0.3, abs=1e-9)
-    assert v == pytest.approx(0.0, abs=1e-15)
-    # endpoint maxima are caught because endpoints are evaluated
-    x, v = golden_section_max(lambda t: t, 0.0, 1.0)
-    assert (x, v) == (1.0, 1.0)
+def random_block(rng, rows, cells):
+    """|f| and a = exp(N(0, sigma)) with sigma up to 8, a tenth of the |f| cells zero."""
+    absw = np.exp(rng.normal(0.0, rng.uniform(0.1, 8.0), (rows, cells)))
+    absw[rng.random(absw.shape) < 0.1] = 0.0
+    aw = np.exp(rng.normal(0.0, rng.uniform(0.1, 8.0), (rows, cells)))
+    return absw, aw
 
 
-def test_golden_rows_match_one_row_at_a_time():
-    """Rows with brackets of different widths drop out at different steps;
-    each row must still follow exactly the steps it would take alone."""
-    from grandamalgam.norms import _golden_rows
+def block_params(rng, variant):
+    p, theta = rng.uniform(1.2, 6.0), rng.uniform(0.2, 3.0)
+    a = ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4))  # the scan reads no grandizer
+    return ga.GrandParams(p, a, theta=theta, variant=variant)
 
-    peaks = np.array([0.3, 2e-5, 0.77, 1.4])
-    lo = np.array([0.0, 1e-5, 0.5, 1.0])
-    hi = np.array([1.0, 3e-5, 0.8, 2.0])
 
-    def fn(rows, x):
-        t = peaks if rows is None else peaks[rows]
-        return -((x - t) ** 2)
+@pytest.mark.parametrize("variant", list(ga.Variant))
+def test_grid_inner_norms_match_the_power_formula(variant):
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        gp = block_params(rng, variant)
+        absw, aw = random_block(rng, 6, 40)
+        absw[4:, 25:] = aw[4:, 25:] = 0.0  # the zero padding of clipped windows
+        absw[5] = 0.0
+        h = 1.0 / 64
+        inner = _grand_scan(absw, aw, gp, h, refine=False)[2]
+        p = gp.p
+        for j, eps in enumerate(gp.eps_grid.values):
+            w = aw ** (eps / p) if variant is ga.Variant.EXPONENT_OVER_P else aw**eps
+            want = (np.sum(absw ** (p - eps) * w, axis=1) * h) ** (1.0 / (p - eps))
+            np.testing.assert_allclose(inner[:, j], want, rtol=1e-13, atol=0.0)
 
-    x, v = _golden_rows(fn, lo, hi, fn(None, lo), fn(None, hi))
-    for r in range(len(peaks)):
-        want = golden_section_max(lambda t: -((t - peaks[r]) ** 2), lo[r], hi[r])
-        assert (x[r], v[r]) == want
+
+def test_grid_inner_norms_of_rows_spanning_600_decades():
+    absw = np.array([[1e300, 1e-300, 0.0, 1.0], [1e-300, 2e-300, 1e-310, 0.0]])
+    aw = np.array([[1e-200, 1e250, 1.0, 1.0], [1e300, 1.0, 1e-300, 1.0]])
+    gp = block_params(np.random.default_rng(0), ga.Variant.EXPONENT_OVER_P)
+    inner = _grand_scan(absw, aw, gp, 0.25, refine=False)[2]
+    p = gp.p
+    for j, eps in enumerate(gp.eps_grid.values):
+        for r in range(2):
+            logs = [(p - eps) * math.log(f) + eps / p * math.log(a)
+                    for f, a in zip(absw[r], aw[r]) if f > 0]
+            top = max(logs)
+            log_sum = top + math.log(math.fsum(math.exp(v - top) for v in logs) * 0.25)
+            assert inner[r, j] == pytest.approx(math.exp(log_sum / (p - eps)), rel=1e-12)
+
+
+def test_batched_scan_rows_match_rows_scanned_alone():
+    """Rows converge after different numbers of Newton steps; each row must
+    still come out exactly as it does when it is scanned on its own."""
+    rng = np.random.default_rng(11)
+    for trial in range(50):
+        gp = block_params(rng, list(ga.Variant)[trial % 2])
+        rows, cells = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+        absw, aw = random_block(rng, rows, cells)
+        value, argmax, inner, _, _ = _grand_scan(absw, aw, gp, 1.0 / cells, True)
+        for r in range(rows):
+            v, x, row, _, _ = _grand_scan(absw[r : r + 1], aw[r : r + 1], gp, 1.0 / cells, True)
+            assert (value[r], argmax[r]) == (v[0], x[0])
+            assert np.array_equal(inner[r], row[0])
+
+
+@pytest.mark.parametrize("cells_per_block", [1, 1 << 30])
+def test_grid_block_size_changes_no_bit(monkeypatch, cells_per_block):
+    rng = np.random.default_rng(3)
+    for variant in ga.Variant:
+        gp = block_params(rng, variant)
+        absw, aw = random_block(rng, 9, 21)
+        want = _grand_scan(absw, aw, gp, 0.1, True)
+        with monkeypatch.context() as patch:
+            patch.setattr(norms, "_GRID_BLOCK_CELLS", cells_per_block)
+            got = _grand_scan(absw, aw, gp, 0.1, True)
+        for a, b in zip(want, got):
+            assert np.array_equal(a, b)
+
+
+def test_refinement_takes_few_derivative_passes(monkeypatch, unit_box):
+    passes = []
+    moments = norms._moments
+    monkeypatch.setattr(norms, "_moments", lambda *args: passes.append(1) or moments(*args))
+    f = ga.build(unit_box, lambda x: np.exp(-40.0 * (x - 0.3) ** 2))
+    gp = ga.GrandParams(3.0, ga.weight_from(unit_box, lambda x: np.exp(-3.0 * x)))
+    rep = ga.grand_norm(f, gp)
+    assert rep.argmax_eps not in gp.eps_grid.values  # an interior maximum
+    assert rep.value == pytest.approx(dense_grand_oracle(f, gp), rel=1e-12)
+    assert 1 <= len(passes) <= 12
+
+
+def test_an_interior_maximum_beside_an_end_maximum_is_found():
+    """Two maxima in the last grid interval: the grid argmax is p - 1, where
+    the term still rises, and a higher one lies inside the interval."""
+    rng = np.random.default_rng(12345)
+    for _ in range(257):
+        p, theta = rng.uniform(1.2, 6.0), rng.uniform(0.2, 3.0)
+        sf, sa = rng.uniform(0.1, 8.0), rng.uniform(0.1, 8.0)
+        absf = np.exp(rng.normal(0.0, sf, 64))
+        absf[rng.random(64) < 0.1] = 0.0
+        a = np.exp(rng.normal(0.0, sa, 64))
+    dom = ga.BoxDomain(0.0, 1.0, 64)
+    gp = ga.GrandParams(p, ga.Weight(dom, a), theta=theta)
+    rep = ga.grand_norm(ga.GridFunction(dom, absf), gp)
+    eps = np.linspace(gp.eps_grid.values[-2], p - 1.0, 4001)
+    sums = np.sum(absf[:, None] ** (p - eps) * a[:, None] ** (eps / p), axis=0) / 64
+    scan = eps**theta * sums ** (1.0 / (p - eps))
+    assert scan.argmax() not in (0, eps.size - 1) and scan.max() > scan[-1] * 1.005
+    assert rep.value >= scan.max() * (1 - 1e-12)
+    assert rep.argmax_eps < p - 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-300, 300), st.integers(0, 10_000))
+def test_norms_scale_exactly_across_float_range(k, seed):
+    dom = ga.BoxDomain(0.0, 1.0, 32)
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.5, 2.0, 32) * np.exp(2j * np.pi * rng.random(32))
+    vals[rng.random(32) < 0.1] = 0.0
+    f = ga.GridFunction(dom, vals)
+    c = 10.0**k
+    w = ga.weight_from(dom, lambda x: 1.0 + x)
+    gp = ga.GrandParams(2.5, w)
+    window = ga.WindowSpec(4, 4)
+    classical = ga.AmalgamSpec(ga.ClassicalSpace(2.0, w), ga.ClassicalSpace(3.0), window)
+    grand = ga.AmalgamSpec(ga.GrandSpace(gp), ga.GrandSpace(gp), window)
+    for norm in (
+        lambda g: ga.weighted_lp_norm(g, 2.5, w),
+        lambda g: ga.grand_norm(g, gp).value,
+        lambda g: ga.amalgam_norm(g, classical).value,
+        lambda g: ga.amalgam_norm(g, grand).value,
+    ):
+        assert norm(ga.scale(f, c)) == pytest.approx(c * norm(f), rel=1e-12)
 
 
 def test_norm_report_csv(tmp_path, unit_box):

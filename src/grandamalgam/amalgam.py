@@ -21,7 +21,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .gridfn import BoxDomain, GridFunction, Weight, _int_vector
-from .norms import GrandParams, NormReport, _grand_report, _grand_scan, _lp_rows, _one_window
+from .norms import (
+    GrandParams,
+    NormReport,
+    _classical_rows,
+    _grand_form,
+    _grand_report,
+    _grand_scan,
+    _inner_norms,
+    _one_window,
+)
 from .reporting import write_csv
 
 __all__ = [
@@ -127,15 +136,9 @@ def _lattice_domain(domain: BoxDomain, window: WindowSpec, counts: tuple[int, ..
     return BoxDomain(domain.lower, upper, counts)
 
 
-def _space_weight_domain(space: SpaceDescriptor) -> BoxDomain | None:
-    if isinstance(space, ClassicalSpace):
-        return None if space.weight is None else space.weight.domain
-    return space.params.grandizer.domain
-
-
 def _check_space_domain(space: SpaceDescriptor, domain: BoxDomain, what: str) -> None:
-    wdom = _space_weight_domain(space)
-    if wdom is not None and wdom != domain:
+    w = space.weight if isinstance(space, ClassicalSpace) else space.params.grandizer
+    if w is not None and w.domain != domain:
         raise ValueError(f"domain mismatch in {what}: descriptor weight lives on a different grid")
 
 
@@ -177,11 +180,10 @@ def control_function(
     Windows hanging over the right boundary are clipped (zero fill), which
     is what extending f by zero outside the box would give.  Anchors are
     cell indices 0, stride, 2*stride, ...  All windows are evaluated at once
-    as the rows of one block: a classical stage is one array pass, a grand
-    stage a few array passes over its epsilon grid plus Newton refinement
-    steps run on every window's bracket together.  Windows stay independent
-    (each row is summed along its own cells), so a window's value never
-    depends on the others.
+    as the rows of one block by the log-sum-exp kernel of :mod:`.norms`: at
+    one exponent for a classical stage, over the epsilon grid plus Newton
+    steps on every window's bracket together for a grand one.  Each row has
+    its own shift and sums, so a window's value never depends on the others.
     """
     dom = f.domain
     window = window.for_ndim(dom.ndim)
@@ -192,11 +194,10 @@ def control_function(
     blocks = _window_blocks(np.abs(f.values), window)
     if isinstance(local, ClassicalSpace):
         wrows = None if local.weight is None else _window_blocks(local.weight.values, window)
-        out = _lp_rows(blocks, wrows, local.p, dom.cell_volume)
+        out = _classical_rows(blocks, wrows, local.p, dom.cell_volume)
     else:
         arows = _window_blocks(local.params.grandizer.values, window)
         out = _grand_scan(blocks, arows, local.params, dom.cell_volume, refine)[0]
-
     lattice = _lattice_domain(dom, window, counts)
     return ControlFunction(
         gridfn=GridFunction(lattice, out.reshape(counts).astype(np.complex128)),
@@ -205,9 +206,7 @@ def control_function(
     )
 
 
-def lattice_weight(
-    w: Weight, window: WindowSpec, domain: BoxDomain, lattice: BoxDomain | None = None
-) -> Weight:
+def lattice_weight(w: Weight, window: WindowSpec, domain: BoxDomain) -> Weight:
     """Reduce a fine-grid weight to the anchor lattice.
 
     Each lattice cell takes the fine-grid value at the cell containing its
@@ -219,18 +218,11 @@ def lattice_weight(
         raise ValueError("lattice_weight: weight lives on a different grid")
     starts = _anchor_starts(domain, window)
     counts = tuple(len(s) for s in starts)
-    if lattice is None:
-        lattice = _lattice_domain(domain, window, counts)
-    idxs = []
-    for d in range(domain.ndim):
-        k = np.arange(counts[d])
-        fine = np.floor((k + 0.5) * window.stride_cells[d]).astype(int)
-        idxs.append(np.clip(fine, 0, domain.points_per_axis[d] - 1))
-    if domain.ndim == 1:
-        vals = w.values[idxs[0]]
-    else:
-        vals = w.values[np.ix_(*idxs)]
-    return Weight(lattice, vals)
+    idxs = [
+        np.clip(np.floor((np.arange(c) + 0.5) * st).astype(int), 0, n - 1)
+        for c, st, n in zip(counts, window.stride_cells, domain.points_per_axis)
+    ]
+    return Weight(_lattice_domain(domain, window, counts), w.values[np.ix_(*idxs)])
 
 
 def amalgam_norm(
@@ -259,27 +251,19 @@ def amalgam_norm(
     _check_space_domain(glob, f.domain, "amalgam_norm")
     absg = np.abs(g.values)
     if isinstance(glob, ClassicalSpace):
-        wrows = (
-            None
-            if glob.weight is None
-            else _one_window(lattice_weight(glob.weight, window, f.domain, g.domain).values)
-        )
-        value = float(_lp_rows(_one_window(absg), wrows, glob.p, g.domain.cell_volume)[0])
-        return NormReport(
-            value=value, argmax_eps=None, curve=(), refined=False, p=glob.p, variant="classical"
-        )
-    params = glob.params.with_grandizer(
-        lattice_weight(glob.params.grandizer, window, f.domain, g.domain)
-    )
-    return _grand_report(absg, params.grandizer.values, params, g.domain.cell_volume, refine)
+        w = glob.weight and _one_window(lattice_weight(glob.weight, window, f.domain).values)
+        value = _classical_rows(_one_window(absg), w, glob.p, g.domain.cell_volume)[0]
+        return NormReport(float(value), None, (), False, p=glob.p, variant="classical")
+    b = lattice_weight(glob.params.grandizer, window, f.domain)
+    return _grand_report(absg, b.values, glob.params, g.domain.cell_volume, refine)
 
 
 def mixed_norm_family(f: GridFunction, spec: AmalgamSpec, eps: float, eta: float) -> float:
-    """Classical-classical member W(L^(p-eps), L^(q-eta)) with derived weights.
+    """Member W(L^(p-eps)(a^(eps/p)), L^(q-eta)(b^(eta/q))) of the grand family.
 
-    Both stages of ``spec`` must be grand; the local weight is the grandizer
-    raised per the local variant (a**(eps/p) or a**eps), and likewise for
-    the global stage with eta.
+    Both stages must be grand, with grandizers a and b (a^eps, b^eta for
+    ``EXPONENT_FULL``): the grand kernel's inner norms at eps over the
+    windows, then at eta over the lattice, with b reduced to it.
     """
     if not isinstance(spec.local_space, GrandSpace) or not isinstance(spec.global_space, GrandSpace):
         raise ValueError("mixed_norm_family needs grand local and global stages")
@@ -289,14 +273,16 @@ def mixed_norm_family(f: GridFunction, spec: AmalgamSpec, eps: float, eta: float
         raise ValueError(f"eps = {eps} outside (0, p - 1] with p = {lp.p}")
     if not 0.0 < eta <= gq.p - 1.0 + 1e-12:
         raise ValueError(f"eta = {eta} outside (0, q - 1] with q = {gq.p}")
-    local_w = Weight(f.domain, lp.weight_power(eps))
-    global_w = Weight(f.domain, gq.weight_power(eta))
-    classical = AmalgamSpec(
-        local_space=ClassicalSpace(lp.p - eps, local_w),
-        global_space=ClassicalSpace(gq.p - eta, global_w),
-        window=spec.window,
-    )
-    return amalgam_norm(f, classical).value
+    dom = f.domain
+    window = spec.window.for_ndim(dom.ndim)
+    _check_stride(dom, window)
+    _check_space_domain(spec.local_space, dom, "mixed_norm_family")
+    blocks = _window_blocks(np.abs(f.values), window)
+    form = _grand_form(blocks, _window_blocks(lp.grandizer.values, window), lp)
+    local = _inner_norms(form, lp.p, np.array([eps]), dom.cell_volume).reshape(1, -1)
+    b = lattice_weight(gq.grandizer, window, dom)
+    form = _grand_form(local, _one_window(b.values), gq)
+    return float(_inner_norms(form, gq.p, np.array([eta]), b.domain.cell_volume)[0, 0])
 
 
 def write_control_csv(cf: ControlFunction, path: str | Path) -> None:

@@ -185,10 +185,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    @property
-    def real_values(self) -> np.ndarray:
-        return np.real(self.values)
-
 
 @dataclass(frozen=True, eq=False)
 class Weight:

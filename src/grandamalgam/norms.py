@@ -1,14 +1,14 @@
 """Weighted Lebesgue norms and grand norms with the epsilon-sup optimizer.
 
 A grand norm is a supremum over epsilon in (0, p-1] of epsilon-weighted
-L^(p-eps) norms.  With m = max|f| and g = |f| / m, each inner sum is
-m^(p-eps) sum exp(A + eps B), where A = p ln g and B = ln a / p - ln g
-(ln a - ln g for ``EXPONENT_FULL``) are set up once per scan: one exp per
-cell, and no size of |f| overflows or underflows the sums.  The sup is
-taken on an epsilon grid (geometric by default, so eps -> 0 is resolved),
-several epsilons per array pass, then optionally refined by safeguarded
-Newton steps on ln(term).  Both run on a (windows, cells) block, all rows
-at once; a whole function is the one-row case (a view, not a copy).
+L^(p-eps) norms.  With m = max|f| and g = |f| / m, every inner sum is
+m^(p-eps) sum exp(A + eps B), A = p ln g, B = ln a / p - ln g (ln a - ln g
+for ``EXPONENT_FULL``), summed as a log-sum-exp shifted by its row max: no
+|f| or grandizer overflows or underflows it.  A classical L^q(w) norm is
+the ``EXPONENT_FULL`` inner norm at p = q + 1, eps = 1.  The sup is taken
+on an epsilon grid (geometric by default, so eps -> 0 is resolved), then
+optionally refined by safeguarded Newton steps on ln(term), for all rows
+of a (windows, cells) block at once; a function is the one-row case.
 Two inner weightings are supported:
 
 * ``EXPONENT_OVER_P``: weight a**(eps/p), outer factor eps**theta;
@@ -21,7 +21,7 @@ observed empirically (see :func:`compare_variants`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -184,34 +184,69 @@ class NormReport:
     variant: str | None = None
 
     def summary(self) -> dict:
-        return {
-            "value": self.value,
-            "argmax_eps": self.argmax_eps,
-            "refined": self.refined,
-            "p": self.p,
-            "theta": self.theta,
-            "variant": self.variant,
-        }
-
-
-def _lp_rows(absw: np.ndarray, wrows: np.ndarray | None, p, cell_volume: float) -> np.ndarray:
-    """Weighted L^p norms of the rows of a (windows, cells) block of |f| values.
-
-    ``wrows`` holds the weight of every cell (``None`` means unweighted).
-    Rows are scaled by their max, so no power leaves float range, and each is
-    summed along its own cells, so no window's value depends on another's.
-    """
-    m = absw.max(axis=-1, keepdims=True)
-    t = np.divide(absw, m, out=np.zeros(absw.shape), where=m > 0)
-    t **= p
-    if wrows is not None:
-        t *= wrows
-    return m[:, 0] * (t.sum(axis=-1) * cell_volume) ** (1.0 / p)
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "curve"}
 
 
 def _one_window(values: np.ndarray) -> np.ndarray:
     """The whole grid as a (1, cells) block; a view, never a copy."""
     return values.reshape(1, -1)
+
+
+def _log_form(absw: np.ndarray, p: float, aw=None, root: float = 1.0):
+    """(ln m, A, B) of a (rows, cells) block: A = p ln g, B = ln(a) / root - ln g.
+
+    a is the grandizer or weight (``None``: 1), m the row max of |f| over live cells, and
+    ln g = ln|f| - ln m.  Dead cells (|f| or a zero) get A = -inf, B = 0; a row with no live
+    cell gets ln m = -inf, A = B = 0.
+    """
+    live = absw > 0 if aw is None else (absw > 0) & (aw > 0)
+    m = np.max(absw, axis=1, initial=0.0, where=live)
+    lnm = np.log(m, out=np.full(m.shape, -np.inf), where=m > 0)
+    lng = np.log(absw, out=np.zeros(absw.shape), where=live)
+    np.subtract(lng, lnm[:, None], out=lng, where=live)
+    b = np.zeros(absw.shape) if aw is None else np.log(aw, out=np.zeros(absw.shape), where=live)
+    b /= root
+    b -= lng
+    a = np.multiply(lng, p, out=lng)
+    np.copyto(a, -np.inf, where=~live & (m > 0)[:, None])
+    return lnm, a, b
+
+
+def _grand_form(absw: np.ndarray, aw: np.ndarray, gp: GrandParams):
+    """Log form of a grand stage: weight a**(eps/p), or a**eps for ``EXPONENT_FULL``."""
+    return _log_form(absw, gp.p, aw, gp.p if gp.variant is Variant.EXPONENT_OVER_P else 1.0)
+
+
+def _shifted_sums(t: np.ndarray, axis: int):
+    """(c, sum exp(t - c)) along ``axis``, c the max there: ln sum exp(t) = c + ln of a sum
+    of at least 1, for any ``t``.  ``t`` becomes exp(t - c)."""
+    c = t.max(axis=axis, keepdims=True)
+    t -= c
+    return c.squeeze(axis), np.exp(t, out=t).sum(axis=axis)
+
+
+def _inner_norms(form, p: float, eps: np.ndarray, cell_volume: float) -> np.ndarray:
+    """(rows, eps) inner norms exp(ln m + (ln S + ln h) / (p - eps)).
+
+    A pass takes as many epsilons as fit ``_GRID_BLOCK_CELLS`` cells, cells first, so its max
+    and sums reduce over the leading axis in cell order (pairwise for a lone row and eps).
+    """
+    lnm, a, b = form
+    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    n = max(1, _GRID_BLOCK_CELLS // a.size)
+    lns = np.empty((eps.size, a.shape[0]))
+    for i in range(0, eps.size, n):
+        t = bt[:, None, :] * eps[i : i + n, None]
+        t += at[:, None, :]
+        c, s = _shifted_sums(t, 0)
+        lns[i : i + n] = c + np.log(s)
+    return np.exp(lnm + (lns + math.log(cell_volume)) / (p - eps)[:, None]).T
+
+
+def _classical_rows(absw: np.ndarray, wrows, q: float, cell_volume: float) -> np.ndarray:
+    """Weighted L^q norms of the rows (``wrows=None``: unweighted): L^q(w) is the
+    full-weighting member L^(p-eps)(w^eps) at p = q + 1, eps = 1."""
+    return _inner_norms(_log_form(absw, q + 1.0, wrows), q + 1.0, np.ones(1), cell_volume)[:, 0]
 
 
 def weighted_lp_norm(f: GridFunction, p: float, w: Weight | None = None) -> float:
@@ -221,53 +256,26 @@ def weighted_lp_norm(f: GridFunction, p: float, w: Weight | None = None) -> floa
     if w is not None:
         _check_same_domain(f, w, "weighted_lp_norm")
     wrows = None if w is None else _one_window(w.values)
-    return float(_lp_rows(_one_window(np.abs(f.values)), wrows, p, f.domain.cell_volume)[0])
-
-
-def _log_form(absw: np.ndarray, aw: np.ndarray, gp: GrandParams):
-    """(m, A, B) of a (rows, cells) block; m is the row max of |f| over live cells.
-
-    ln g is ln|f| - ln m, which no span of |f| can underflow.  Dead cells
-    (f = 0 or a = 0, as in a window's zero padding) get A = -inf and B = 0.
-    """
-    live = (absw > 0) & (aw > 0)
-    m = np.max(absw, axis=1, initial=0.0, where=live)
-    lnm = np.log(m, out=np.zeros(m.shape), where=m > 0)
-    lng = np.log(absw, out=np.zeros(absw.shape), where=live)
-    np.subtract(lng, lnm[:, None], out=lng, where=live)
-    b = np.log(aw, out=np.zeros(absw.shape), where=live)
-    if gp.variant is Variant.EXPONENT_OVER_P:
-        b /= gp.p
-    b -= lng
-    a = np.multiply(lng, gp.p, out=lng)
-    np.copyto(a, -np.inf, where=~live)
-    return m, a, b
-
-
-def _grid_sums(a: np.ndarray, b: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """sum exp(A + eps B) of every row at every epsilon, as a (rows, eps) array."""
-    t = b[:, None, :] * eps[:, None]
-    t += a[:, None, :]
-    return np.exp(t, out=t).sum(axis=-1)
+    return float(_classical_rows(_one_window(np.abs(f.values)), wrows, p, f.domain.cell_volume)[0])
 
 
 def _moments(a: np.ndarray, b: np.ndarray, x: np.ndarray):
-    """sum E, sum B E and sum B^2 E of every row, E = exp(A + x B), one x per row."""
+    """ln S_0, S_1 / S_0, S_2 / S_0 per row, S_j = sum B^j exp(A + x B), one x per row.
+    Rows stay rows: each sums its own cells pairwise, whatever else is in the block."""
     e = b * x[:, None]
     e += a
-    s0 = np.exp(e, out=e).sum(axis=-1)
+    c, s0 = _shifted_sums(e, -1)
     e *= b
     s1 = e.sum(axis=-1)
     e *= b
-    return s0, s1, e.sum(axis=-1)
+    return c + np.log(s0), s1 / s0, e.sum(axis=-1) / s0
 
 
-def _newton_rows(a, b, m, gp: GrandParams, cell_volume: float, grid, k, value, inner):
+def _newton_rows(lnm, a, b, gp: GrandParams, cell_volume: float, grid, k, value, inner):
     """Refine each row's grid argmax by safeguarded Newton steps on phi = ln(term).
 
-    phi' and phi'' come from S_j = sum B^j exp(A + eps B), j = 0, 1, 2, of
-    one pass.  The first pass, at the argmax, keeps the half of its grid
-    neighbourhood that phi' points into.  Where phi' points out of the grid
+    phi' and phi'' come from one :func:`_moments` pass.  The first pass, at
+    the argmax, keeps the half of its grid neighbourhood that phi' points into.  Where phi' points out of the grid
     at an end, the row instead restarts from the far end of the grid
     interval at that end and goes on only if its Newton step stays inside
     (an interior maximum beside an end one).  Steps outside the bracket or with
@@ -275,7 +283,7 @@ def _newton_rows(a, b, m, gp: GrandParams, cell_volume: float, grid, k, value, i
     _REL_TOL * max(bracket end, 1), or after _MAX_ITER passes.  Returns the
     best (eps, term, inner norm) per row, replaced only on strict increase.
     """
-    p, h, last = gp.p, cell_volume, grid.size - 1
+    p, lnh, last = gp.p, math.log(cell_volume), grid.size - 1
     t_out, t_in = (gp.theta, 0.0) if gp.variant is Variant.EXPONENT_OVER_P else (0.0, gp.theta)
     x = grid[k]
     lo, hi = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, last)]
@@ -289,23 +297,19 @@ def _newton_rows(a, b, m, gp: GrandParams, cell_volume: float, grid, k, value, i
             break
         xs = x[sel]
         # while every row is still running, use the block itself: no copy
-        s0, s1, s2 = _moments(a, b, xs) if sel.size == x.size else _moments(a[sel], b[sel], xs)
+        lns, mu, m2 = _moments(a, b, xs) if sel.size == x.size else _moments(a[sel], b[sel], xs)
+        lns += lnh
         r = 1.0 / (p - xs)
-        inner_s = m[sel] * (s0 * h) ** r
         if it:  # the first pass is at the grid argmax, already counted
+            inner_s = np.exp(lnm[sel] + r * lns)
             v = gp.prefactor(xs) * inner_s
             up = v > best_v[sel]
             won = sel[up]
             best_x[won], best_v[won], best_in[won] = xs[up], v[up], inner_s[up]
-        live = s0 > 0  # an underflowed sum has no logarithm: its row stops
-        if not live.all():
-            running[sel[~live]] = False
-            sel, xs, r, s0, s1, s2 = (arr[live] for arr in (sel, xs, r, s0, s1, s2))
-        mu = s1 / s0
         ix = 1.0 / xs
-        u = t_in * ix + mu + r * (t_in * np.log(xs) + np.log(s0 * h))
+        u = t_in * ix + mu + r * (t_in * np.log(xs) + lns)
         d1 = t_out * ix + r * u
-        d2 = r * (s2 / s0 - mu * mu - t_in * ix * ix + 2.0 * r * u) - t_out * ix * ix
+        d2 = r * (m2 - mu * mu - t_in * ix * ix + 2.0 * r * u) - t_out * ix * ix
         lo_s = np.where(d1 >= 0.0, xs, lo[sel])
         hi_s = np.where(d1 <= 0.0, xs, hi[sel])
         newton = d2 < 0.0
@@ -335,23 +339,21 @@ def _grand_scan(
 ):
     """Epsilon scan of every row of a (windows, cells) block at once.
 
-    The grid stage takes as many epsilons per array pass as fit in
-    ``_GRID_BLOCK_CELLS`` cells (at least one); ``refine`` adds
-    :func:`_newton_rows` within the argmax's grid neighbours.  Returns
-    (value, argmax, inner, terms, peak): per-row values and maximizers, the
-    (rows, grid) inner norms and terms, and the inner norm at each maximizer.
+    The grid stage is :func:`_inner_norms` over the epsilon grid;
+    ``refine`` adds :func:`_newton_rows` within the argmax's grid
+    neighbours.  Returns (value, argmax, inner, terms, peak): per-row values
+    and maximizers, the (rows, grid) inner norms and terms, and the inner
+    norm at each maximizer.
     """
-    m, a, b = _log_form(absw, aw, gp)
+    form = _grand_form(absw, aw, gp)
     grid = np.array(gp.eps_grid.values)
-    n = max(1, _GRID_BLOCK_CELLS // a.size)  # epsilons per pass
-    sums = np.hstack([_grid_sums(a, b, grid[i : i + n]) for i in range(0, grid.size, n)])
-    inner = m[:, None] * (sums * cell_volume) ** (1.0 / (gp.p - grid))
+    inner = _inner_norms(form, gp.p, grid, cell_volume)
     terms = inner * gp.prefactor(grid)
     k = np.argmax(terms, axis=1)  # first maximum: ties break toward the lowest eps
     rows = np.arange(len(terms))
     value, argmax, peak = terms[rows, k], grid[k], inner[rows, k]
     if refine and grid.size > 1:
-        argmax, value, peak = _newton_rows(a, b, m, gp, cell_volume, grid, k, value, peak)
+        argmax, value, peak = _newton_rows(*form, gp, cell_volume, grid, k, value, peak)
     return value, argmax, inner, terms, peak
 
 
@@ -389,10 +391,7 @@ def grand_norm(f: GridFunction, gp: GrandParams, refine: bool = True) -> NormRep
 
 def grand_norm_curve(f: GridFunction, gp: GrandParams) -> list[tuple[float, float]]:
     """The full (eps, weighted term) curve, without the max reduction."""
-    report = _grand_report(
-        np.abs(f.values), gp.grandizer.values, gp, f.domain.cell_volume, refine=False
-    )
-    return [(eps, term) for eps, _, term in report.curve]
+    return [(eps, term) for eps, _, term in grand_norm(f, gp, refine=False).curve]
 
 
 def holder_grandizer_bound(f: GridFunction, gp: GrandParams, tol: float = 1e-10) -> CheckResult:
@@ -407,10 +406,10 @@ def holder_grandizer_bound(f: GridFunction, gp: GrandParams, tol: float = 1e-10)
     _check_same_domain(f, gp.grandizer, "holder_grandizer_bound")
     p = gp.p
     vol = f.domain.cell_volume
-    absw, aw = _one_window(np.abs(f.values)), _one_window(gp.grandizer.values)
     mass = float(np.sum(gp.grandizer.values) * vol)
-    f_lp = float(_lp_rows(absw, None, p, vol)[0])
-    inner = _grand_scan(absw, aw, gp, vol, refine=False)[2][0].tolist()
+    # the eps = 0 inner norm is ||f||_p
+    form = _grand_form(_one_window(np.abs(f.values)), _one_window(gp.grandizer.values), gp)
+    f_lp, *inner = _inner_norms(form, p, np.array((0.0,) + gp.eps_grid.values), vol)[0].tolist()
     rows = []
     worst = None
     ratio_max = 0.0

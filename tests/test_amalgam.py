@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grandamalgam as ga
 from grandamalgam.amalgam import lattice_weight
@@ -192,6 +193,22 @@ def test_mixed_norm_family_range_checks(box16):
         ga.mixed_norm_family(ga.constant(box16, 1.0), spec_c, 0.5, 0.5)
 
 
+
+# 50-digit sums at the binary values of the inputs: float(1.6) is
+# 1.6000000000000000888..., which moves the 14th digit
+@pytest.mark.parametrize(
+    "eps, want", [(1.6, 9.5666850599323733e-230), (1.7, 9.5465003676080042e-263)]
+)
+def test_mixed_norm_family_where_the_derived_weight_leaves_float_range(box16, eps, want):
+    """a = 1e-200 with full weighting: a**1.6 = 1e-320 is subnormal and
+    a**1.7 underflows to 0, yet the member itself is a normal float."""
+    full = ga.Variant.EXPONENT_FULL
+    local = ga.GrandParams(3.0, ga.Weight(box16, np.full(16, 1e-200)), variant=full)
+    glob = ga.GrandParams(3.0, ga.unit_weight(box16), variant=full)
+    spec = ga.AmalgamSpec(ga.GrandSpace(local), ga.GrandSpace(glob), ga.WindowSpec(4, 2))
+    got = ga.mixed_norm_family(ga.constant(box16, 1.0), spec, eps, 1.0)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
 def test_mixed_bound_with_augmented_grid(box16):
     """eps^theta eta^theta * mixed <= grand amalgam when (eps, eta) are on the grids."""
     w = ga.weight_from(box16, lambda x: np.exp(-x))
@@ -356,3 +373,35 @@ def test_amalgam_norm_reuses_a_given_control_function(box16):
     other = ga.control_function(f, spec.local_space, ga.WindowSpec(4, 4))
     with pytest.raises(ValueError, match="window"):
         ga.amalgam_norm(f, spec, control=other)
+
+
+@st.composite
+def _windowed_case(draw):
+    """A 1-D or 2-D box with any window side and stride from 1 to its cell count."""
+    shape = draw(st.one_of(
+        st.tuples(st.integers(1, 24)), st.tuples(st.integers(1, 7), st.integers(1, 7))
+    ))
+    side = tuple(draw(st.integers(1, n)) for n in shape)
+    stride = tuple(draw(st.integers(1, n)) for n in shape)
+    return shape, ga.WindowSpec(side, stride)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_windowed_case(), st.booleans(), st.sampled_from(list(ga.Variant)), st.integers(0, 2**16))
+def test_control_values_match_each_window_restriction(case, weighted, variant, seed):
+    """Classical and grand local stages, on any window against the domain."""
+    shape, window = case
+    ndim = len(shape)
+    dom = ga.BoxDomain((0.0,) * ndim, (1.0,) * ndim, shape)
+    rng = np.random.default_rng(seed)
+    f = ga.GridFunction(dom, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    a = ga.Weight(dom, np.exp(rng.normal(size=shape)))
+    classical = ga.ClassicalSpace(2.3, a if weighted else None)
+    gp = ga.GrandParams(2.7, a, theta=1.3, variant=variant)
+    for local, norm in (
+        (classical, lambda g: ga.weighted_lp_norm(g, classical.p, classical.weight)),
+        (ga.GrandSpace(gp), lambda g: ga.grand_norm(g, gp).value),
+    ):
+        got = ga.control_function(f, local, window).values
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, _per_window(f, window, norm), rtol=1e-12, atol=0.0)

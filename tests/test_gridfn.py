@@ -238,6 +238,33 @@ def test_grid_csv_round_trip_2d(tmp_path):
     np.testing.assert_array_equal(g.values, f.values)
 
 
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.tuples(st.integers(2, 12)), st.tuples(st.integers(2, 6), st.integers(2, 6))),
+    st.data(),
+)
+def test_grid_csv_round_trip_is_bit_exact(tmp_path_factory, shape, data):
+    """Any finite complex 1-D or 2-D grid, subnormals and signed zeros included."""
+    n = int(np.prod(shape))
+    parts = data.draw(st.lists(_FINITE, min_size=2 * n, max_size=2 * n))
+    lower = tuple(data.draw(st.floats(-10.0, 10.0)) for _ in shape)
+    width = tuple(data.draw(st.floats(0.5, 10.0)) for _ in shape)
+    dom = ga.BoxDomain(lower, tuple(lo + w for lo, w in zip(lower, width)), shape)
+    vals = np.empty(n, dtype=np.complex128)
+    vals.real, vals.imag = parts[:n], parts[n:]  # signed zeros kept as drawn
+    f = ga.GridFunction(dom, vals.reshape(shape))
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    ga.write_grid_csv(f, path)
+    g = ga.read_grid_csv(path)
+    assert g.domain.points_per_axis == dom.points_per_axis
+    np.testing.assert_allclose(g.domain.lower, dom.lower, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(g.domain.upper, dom.upper, rtol=0.0, atol=1e-9)
+    assert g.values.tobytes() == f.values.tobytes()
+
 def _complex_grid_2d():
     dom = ga.BoxDomain((-3.0, 1e-3), (1.0, 2.5), (4, 5))
     vals = np.array([1e300, -1e-300, -0.0, 1.0 / 3.0, 2.5e-308, -1e299, 0.1, 7.0, 1e-5, -2.0,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp
 
 import grandamalgam as ga
 from grandamalgam import norms
@@ -362,6 +363,65 @@ def test_an_interior_maximum_beside_an_end_maximum_is_found():
     assert scan.argmax() not in (0, eps.size - 1) and scan.max() > scan[-1] * 1.005
     assert rep.value >= scan.max() * (1 - 1e-12)
     assert rep.argmax_eps < p - 1.0
+
+
+def test_grand_norm_of_a_grandizer_beyond_float_range():
+    """a^eps reaches 1e600 in one cell; the sup, at eps = p - 1 = 2, is
+    2 * 0.25 * 1e-300 * 1e600 = 5.0e299 (a 50-digit sum gives
+    5.0000000000000006503e299 at the binary values of the inputs)."""
+    dom = ga.BoxDomain(0.0, 1.0, 4)
+    f = ga.GridFunction(dom, [1e-300, 2e-300, 1e-310, 0.0])
+    a = ga.Weight(dom, [1e300, 1.0, 1e-300, 1.0])
+    rep = ga.grand_norm(f, ga.GrandParams(3.0, a, variant=ga.Variant.EXPONENT_FULL))
+    assert rep.value == pytest.approx(5.0e299, rel=1e-12)
+    assert rep.argmax_eps == 2.0
+
+
+_TINY_LOG, _HUGE_LOG = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+
+
+def _log_inner(absf, lnw, q, h):
+    """ln (sum |f|^q w h)^(1/q) over the live cells, from scipy's logsumexp."""
+    live = absf > 0
+    return (logsumexp(q * np.log(absf[live]) + lnw[live]) + math.log(h)) / q
+
+
+def _assert_matches_in_range(got, log_want):
+    """Where the reference norm is a normal float, the value is that float."""
+    if _TINY_LOG < log_want < _HUGE_LOG:
+        assert np.isfinite(got) and got > 0.0
+        assert got == pytest.approx(math.exp(log_want), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.one_of(st.none(), st.floats(-30.0, 30.0)), st.floats(-300.0, 300.0)),
+        min_size=1,
+        max_size=12,
+    ).filter(lambda cells: any(f is not None for f, _ in cells)),
+    st.floats(1.2, 6.0),
+    st.sampled_from(list(ga.Variant)),
+)
+def test_inner_norms_match_a_log_space_reference_across_float_range(cells, p, variant):
+    """Grandizers and weights spanning 1e+-300: every grid inner norm and
+    weighted_lp_norm that is a normal float is right to 1e-12; out of range
+    they may be inf or 0.  |f| spans 1e+-30 with some cells 0: the rounding
+    of a log-domain term grows with |ln|f||, and |f| across 600 decades has
+    its own test above."""
+    dom = ga.BoxDomain(0.0, 1.0, len(cells))
+    absf = np.array([0.0 if d is None else 10.0**d for d, _ in cells])
+    a = np.array([10.0**d for _, d in cells])
+    f, w = ga.GridFunction(dom, absf), ga.Weight(dom, a)
+    gp = ga.GrandParams(p, w, variant=variant)
+    root = p if variant is ga.Variant.EXPONENT_OVER_P else 1.0
+    with np.errstate(over="ignore"):  # a norm beyond float range is inf
+        curve = ga.grand_norm(f, gp, refine=False).curve
+        lp = ga.weighted_lp_norm(f, p, w)
+    h = dom.cell_volume
+    for eps, inner, _ in curve:
+        _assert_matches_in_range(inner, _log_inner(absf, eps / root * np.log(a), p - eps, h))
+    _assert_matches_in_range(lp, _log_inner(absf, np.log(a), p, h))
 
 
 @settings(max_examples=30, deadline=None)

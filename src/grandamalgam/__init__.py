@@ -47,6 +47,7 @@ from .amalgam import (
     GrandSpace,
     WindowSpec,
     amalgam_norm,
+    amalgam_norms,
     control_function,
     lattice_weight,
     mixed_norm_family,

@@ -7,7 +7,8 @@ windows evaluated together as the rows of one (windows, cells) block; the
 amalgam norm is then a global norm of the control function over the anchor
 lattice, whose cells carry measure stride * h per axis so that the
 one-window configuration reproduces the plain norm exactly.  Local and
-global stages can each be classical weighted L^p or grand.
+global stages can each be classical weighted L^p or grand.  A stack of
+functions on one grid goes through the same stages as one block.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .norms import (
 )
 from .reporting import write_csv
 
+_STACK_CELLS = 1 << 12  # grid cells of the functions one stacked block holds at most
+
 __all__ = [
     "WindowSpec",
     "ClassicalSpace",
@@ -42,6 +45,7 @@ __all__ = [
     "ControlFunction",
     "control_function",
     "amalgam_norm",
+    "amalgam_norms",
     "mixed_norm_family",
     "lattice_weight",
     "write_control_csv",
@@ -122,42 +126,47 @@ class ControlFunction:
         return np.real(self.gridfn.values)
 
 
-def _anchor_starts(domain: BoxDomain, window: WindowSpec) -> tuple[np.ndarray, ...]:
-    return tuple(
-        np.arange(0, n, s) for n, s in zip(domain.points_per_axis, window.stride_cells)
-    )
-
-
-def _lattice_domain(domain: BoxDomain, window: WindowSpec, counts: tuple[int, ...]) -> BoxDomain:
+def _lattice(domain: BoxDomain, window: WindowSpec) -> tuple[tuple[np.ndarray, ...], BoxDomain]:
+    """Anchor cell indices per axis, and the anchor lattice as a box of stride-sized cells."""
+    starts = tuple(np.arange(0, n, s) for n, s in zip(domain.points_per_axis, window.stride_cells))
+    counts = tuple(len(s) for s in starts)
     upper = tuple(
         lo + c * s * h
         for lo, c, s, h in zip(domain.lower, counts, window.stride_cells, domain.spacing)
     )
-    return BoxDomain(domain.lower, upper, counts)
+    return starts, BoxDomain(domain.lower, upper, counts)
+
+
+def _weight_of(space: SpaceDescriptor) -> Weight | None:
+    return space.weight if isinstance(space, ClassicalSpace) else space.params.grandizer
 
 
 def _check_space_domain(space: SpaceDescriptor, domain: BoxDomain, what: str) -> None:
-    w = space.weight if isinstance(space, ClassicalSpace) else space.params.grandizer
+    w = _weight_of(space)
     if w is not None and w.domain != domain:
         raise ValueError(f"domain mismatch in {what}: descriptor weight lives on a different grid")
 
 
-def _check_stride(domain: BoxDomain, window: WindowSpec) -> None:
-    """Reject a stride longer than the box: its lattice cell would extend past the box."""
+def _window_on(domain: BoxDomain, window: WindowSpec) -> WindowSpec:
+    """``window`` for the dimension of ``domain``; a stride longer than the box is rejected,
+    since its lattice cell would extend past the box."""
+    window = window.for_ndim(domain.ndim)
     for d, (st, n) in enumerate(zip(window.stride_cells, domain.points_per_axis)):
         if st > n:
             raise ValueError(f"axis {d}: window stride {st} cells exceeds the {n} cells of the box")
+    return window
 
 
 def _window_blocks(values: np.ndarray, window: WindowSpec) -> np.ndarray:
-    """Every window translate of ``values`` as one row of a (windows, cells) block.
+    """Every window translate of each grid of a (k, *shape) stack as one row of a
+    (k * windows, cells) block, rows by function, then by anchor in C order.
 
-    Rows follow the anchor lattice in C order.  A window is at most as wide
-    as the box; one hanging over the right edge reads zeros from a padded
-    copy, which is what extending the function by zero outside the box
-    gives.  In 1-D the block is a view of ``values`` (or of its padded copy).
+    A window is at most as wide as the box; one hanging over the right edge
+    reads zeros from a padded copy, which is what extending the function by
+    zero outside the box gives.  In 1-D the block of a stack of one is a
+    view of ``values`` (or of its padded copy).
     """
-    shape = values.shape
+    k, shape = values.shape[0], values.shape[1:]
     side = tuple(min(s, n) for s, n in zip(window.side_cells, shape))
     counts = tuple(-(-n // st) for n, st in zip(shape, window.stride_cells))
     pad = tuple(
@@ -165,11 +174,39 @@ def _window_blocks(values: np.ndarray, window: WindowSpec) -> np.ndarray:
         for c, st, s, n in zip(counts, window.stride_cells, side, shape)
     )
     if any(hi for _, hi in pad):
-        values = np.pad(values, pad)
-    anchors = tuple(slice(None, None, st) for st in window.stride_cells)
-    return sliding_window_view(values, side)[anchors].reshape(
-        int(np.prod(counts)), int(np.prod(side))
+        values = np.pad(values, ((0, 0),) + pad)
+    anchors = (slice(None),) + tuple(slice(None, None, st) for st in window.stride_cells)
+    return sliding_window_view(values, side, axis=tuple(range(1, values.ndim)))[anchors].reshape(
+        k * int(np.prod(counts)), int(np.prod(side))
     )
+
+
+def _local_stage(
+    absf: np.ndarray, local: SpaceDescriptor, window: WindowSpec, cell_volume: float, refine: bool
+) -> np.ndarray:
+    """(k, anchors) control values of a (k, *shape) stack of |f|, every window of every
+    function a row of one block."""
+    k = len(absf)
+    w = _weight_of(local)  # the weight's windows once per function, like the functions'
+    wrows = w and _window_blocks(np.broadcast_to(w.values, absf.shape), window)
+    blocks = _window_blocks(absf, window)
+    if isinstance(local, GrandSpace):
+        return _grand_scan(blocks, wrows, local.params, cell_volume, refine)[0].reshape(k, -1)
+    return _classical_rows(blocks, wrows, local.p, cell_volume).reshape(k, -1)
+
+
+def _outer_stage(
+    absg: np.ndarray, glob: SpaceDescriptor, window: WindowSpec, domain: BoxDomain, refine: bool
+) -> list[NormReport]:
+    """Global norm of each row of a (k, anchors) block of control values, as one block."""
+    w = _weight_of(glob)
+    if w is not None:  # one lattice weight row, read by every control row
+        w = np.broadcast_to(lattice_weight(w, window, domain).values.reshape(1, -1), absg.shape)
+    vol = _lattice(domain, window)[1].cell_volume
+    if isinstance(glob, GrandSpace):
+        return _grand_report(absg, w, glob.params, vol, refine)
+    values = _classical_rows(absg, w, glob.p, vol).tolist()
+    return [NormReport(v, None, (), False, p=glob.p, variant="classical") for v in values]
 
 
 def control_function(
@@ -180,27 +217,15 @@ def control_function(
     Windows hanging over the right boundary are clipped (zero fill), which
     is what extending f by zero outside the box would give.  Anchors are
     cell indices 0, stride, 2*stride, ...  All windows are evaluated at once
-    as the rows of one block by the log-sum-exp kernel of :mod:`.norms`: at
-    one exponent for a classical stage, over the epsilon grid plus Newton
-    steps on every window's bracket together for a grand one.  Each row has
-    its own shift and sums, so a window's value never depends on the others.
+    as the rows of one block (the local stage of a stack of one).
     """
     dom = f.domain
-    window = window.for_ndim(dom.ndim)
-    _check_stride(dom, window)
+    window = _window_on(dom, window)
     _check_space_domain(local, dom, "control_function")
-    starts = _anchor_starts(dom, window)
-    counts = tuple(len(s) for s in starts)
-    blocks = _window_blocks(np.abs(f.values), window)
-    if isinstance(local, ClassicalSpace):
-        wrows = None if local.weight is None else _window_blocks(local.weight.values, window)
-        out = _classical_rows(blocks, wrows, local.p, dom.cell_volume)
-    else:
-        arows = _window_blocks(local.params.grandizer.values, window)
-        out = _grand_scan(blocks, arows, local.params, dom.cell_volume, refine)[0]
-    lattice = _lattice_domain(dom, window, counts)
+    starts, lattice = _lattice(dom, window)
+    out = _local_stage(np.abs(f.values)[None], local, window, dom.cell_volume, refine)
     return ControlFunction(
-        gridfn=GridFunction(lattice, out.reshape(counts).astype(np.complex128)),
+        gridfn=GridFunction(lattice, out.reshape(lattice.shape).astype(np.complex128)),
         anchor_starts=starts,
         window=window,
     )
@@ -216,13 +241,39 @@ def lattice_weight(w: Weight, window: WindowSpec, domain: BoxDomain) -> Weight:
     window = window.for_ndim(domain.ndim)
     if w.domain != domain:
         raise ValueError("lattice_weight: weight lives on a different grid")
-    starts = _anchor_starts(domain, window)
-    counts = tuple(len(s) for s in starts)
+    lattice = _lattice(domain, window)[1]
     idxs = [
         np.clip(np.floor((np.arange(c) + 0.5) * st).astype(int), 0, n - 1)
-        for c, st, n in zip(counts, window.stride_cells, domain.points_per_axis)
+        for c, st, n in zip(lattice.points_per_axis, window.stride_cells, domain.points_per_axis)
     ]
-    return Weight(_lattice_domain(domain, window, counts), w.values[np.ix_(*idxs)])
+    return Weight(lattice, w.values[np.ix_(*idxs)])
+
+
+def amalgam_norms(fs: list[GridFunction], spec: AmalgamSpec, refine: bool = True) -> list[NormReport]:
+    """Two-stage amalgam norms of a stack of functions on one grid, one report each.
+
+    Blocks of at most ``_STACK_CELLS`` grid cells (one function at least) go
+    through one local and one outer stage each.  A grand global stage
+    reports its outer epsilon curve, a classical one an empty curve.  A
+    report equals the function's own bit for bit, except where its outer
+    row, alone, would be summed at one eps in a pass (always so for a
+    classical global stage): then it may differ by a few ulp (see ``_inner_norms``).
+    """
+    if not fs:
+        return []
+    dom = fs[0].domain
+    if any(f.domain != dom for f in fs):
+        raise ValueError("amalgam_norms: the functions live on different grids")
+    window = _window_on(dom, spec.window)
+    _check_space_domain(spec.local_space, dom, "amalgam_norms")
+    _check_space_domain(spec.global_space, dom, "amalgam_norms")
+    per = max(1, _STACK_CELLS // dom.size)
+    reports = []
+    for i in range(0, len(fs), per):
+        absf = np.stack([np.abs(f.values) for f in fs[i : i + per]])
+        ctrl = _local_stage(absf, spec.local_space, window, dom.cell_volume, refine)
+        reports += _outer_stage(ctrl, spec.global_space, window, dom, refine)
+    return reports
 
 
 def amalgam_norm(
@@ -232,30 +283,20 @@ def amalgam_norm(
     *,
     control: ControlFunction | None = None,
 ) -> NormReport:
-    """Two-stage amalgam norm: global norm of the control function.
+    """Two-stage amalgam norm of one function: the stages of :func:`amalgam_norms` on a
+    stack of one.
 
-    The anchor lattice carries cell measure stride * h per axis.  When the
-    global stage is grand, the report carries the outer epsilon curve;
-    classical global stages report an empty curve.  ``control`` is the
-    control function of ``f`` for ``spec``'s local stage and window when the
-    caller already holds it; by default it is computed here.
+    ``control`` is the control function of ``f`` for ``spec``'s local stage
+    and window when the caller already holds it; by default it is computed here.
     """
-    window = spec.window.for_ndim(f.domain.ndim)
-    _check_stride(f.domain, window)
+    window = _window_on(f.domain, spec.window)
     if control is None:
         control = control_function(f, spec.local_space, window, refine)
     elif control.window != window:
         raise ValueError("amalgam_norm: the control function was made with a different window")
-    g = control.gridfn
-    glob = spec.global_space
-    _check_space_domain(glob, f.domain, "amalgam_norm")
-    absg = np.abs(g.values)
-    if isinstance(glob, ClassicalSpace):
-        w = glob.weight and _one_window(lattice_weight(glob.weight, window, f.domain).values)
-        value = _classical_rows(_one_window(absg), w, glob.p, g.domain.cell_volume)[0]
-        return NormReport(float(value), None, (), False, p=glob.p, variant="classical")
-    b = lattice_weight(glob.params.grandizer, window, f.domain)
-    return _grand_report(absg, b.values, glob.params, g.domain.cell_volume, refine)
+    _check_space_domain(spec.global_space, f.domain, "amalgam_norm")
+    absg = np.abs(control.gridfn.values).reshape(1, -1)
+    return _outer_stage(absg, spec.global_space, window, f.domain, refine)[0]
 
 
 def mixed_norm_family(f: GridFunction, spec: AmalgamSpec, eps: float, eta: float) -> float:
@@ -274,11 +315,10 @@ def mixed_norm_family(f: GridFunction, spec: AmalgamSpec, eps: float, eta: float
     if not 0.0 < eta <= gq.p - 1.0 + 1e-12:
         raise ValueError(f"eta = {eta} outside (0, q - 1] with q = {gq.p}")
     dom = f.domain
-    window = spec.window.for_ndim(dom.ndim)
-    _check_stride(dom, window)
+    window = _window_on(dom, spec.window)
     _check_space_domain(spec.local_space, dom, "mixed_norm_family")
-    blocks = _window_blocks(np.abs(f.values), window)
-    form = _grand_form(blocks, _window_blocks(lp.grandizer.values, window), lp)
+    blocks = _window_blocks(np.abs(f.values)[None], window)
+    form = _grand_form(blocks, _window_blocks(lp.grandizer.values[None], window), lp)
     local = _inner_norms(form, lp.p, np.array([eps]), dom.cell_volume).reshape(1, -1)
     b = lattice_weight(gq.grandizer, window, dom)
     form = _grand_form(local, _one_window(b.values), gq)

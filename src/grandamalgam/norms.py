@@ -44,7 +44,7 @@ __all__ = [
     "write_norm_csv",
 ]
 
-_GRID_BLOCK_CELLS = 1 << 16  # cells of one (rows, eps, cells) block of the grid stage
+_GRID_BLOCK_CELLS = 1 << 14  # cells of one (rows, eps, cells) block of the grid stage (128 KiB)
 _REL_TOL = 1e-12  # refinement stops at this fraction of max(bracket end, 1)
 _MAX_ITER = 96  # refinement passes per row at most
 
@@ -230,6 +230,8 @@ def _inner_norms(form, p: float, eps: np.ndarray, cell_volume: float) -> np.ndar
 
     A pass takes as many epsilons as fit ``_GRID_BLOCK_CELLS`` cells, cells first, so its max
     and sums reduce over the leading axis in cell order (pairwise for a lone row and eps).
+    So a row summed alone at one eps (as a classical row always is) may differ by a few ulp
+    from that row summed in a block of several; otherwise no row depends on the block.
     """
     lnm, a, b = form
     at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
@@ -358,25 +360,18 @@ def _grand_scan(
 
 
 def _grand_report(
-    absf: np.ndarray, avals: np.ndarray, gp: GrandParams, cell_volume: float, refine: bool
-) -> NormReport:
-    """One-window grand norm of ``absf`` with its curve, through the batched scan."""
-    value, argmax, inner, terms, peak = _grand_scan(
-        _one_window(absf), _one_window(avals), gp, cell_volume, refine
-    )
-    rows = list(zip(gp.eps_grid.values, inner[0].tolist(), terms[0].tolist()))
-    x = float(argmax[0])
-    if all(abs(x - r[0]) > 1e-15 for r in rows):
-        rows = sorted(rows + [(x, float(peak[0]), float(value[0]))])
-    return NormReport(
-        value=float(value[0]),
-        argmax_eps=x,
-        curve=tuple(rows),
-        refined=refine and gp.eps_grid.count > 1,
-        p=gp.p,
-        theta=gp.theta,
-        variant=gp.variant.value,
-    )
+    absw: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volume: float, refine: bool
+) -> list[NormReport]:
+    """Grand norm of every row of a (rows, cells) block with its curve, from one batched scan."""
+    scan = _grand_scan(absw, aw, gp, cell_volume, refine)
+    refined = refine and gp.eps_grid.count > 1
+    reports = []
+    for v, x, row_inner, row_terms, pk in zip(*(a.tolist() for a in scan)):
+        rows = list(zip(gp.eps_grid.values, row_inner, row_terms))
+        if all(abs(x - r[0]) > 1e-15 for r in rows):
+            rows = sorted(rows + [(x, pk, v)])
+        reports.append(NormReport(v, x, tuple(rows), refined, gp.p, gp.theta, gp.variant.value))
+    return reports
 
 
 def grand_norm(f: GridFunction, gp: GrandParams, refine: bool = True) -> NormReport:
@@ -386,7 +381,8 @@ def grand_norm(f: GridFunction, gp: GrandParams, refine: bool = True) -> NormRep
     argmax only replace the grid maximum when they find a larger term.
     """
     _check_same_domain(f, gp.grandizer, "grand_norm")
-    return _grand_report(np.abs(f.values), gp.grandizer.values, gp, f.domain.cell_volume, refine)
+    absf, avals = _one_window(np.abs(f.values)), _one_window(gp.grandizer.values)
+    return _grand_report(absf, avals, gp, f.domain.cell_volume, refine)[0]
 
 
 def grand_norm_curve(f: GridFunction, gp: GrandParams) -> list[tuple[float, float]]:

@@ -23,6 +23,7 @@ from .amalgam import (
     GrandSpace,
     WindowSpec,
     amalgam_norm,
+    amalgam_norms,
     control_function,
     lattice_weight,
     mixed_norm_family,
@@ -200,8 +201,14 @@ def build_corpus(domain: BoxDomain, seed: int = 7) -> Corpus:
 # ----------------------------------------------------------------------------
 
 
-def _value(f: GridFunction, spec: AmalgamSpec) -> float:
-    return amalgam_norm(f, spec).value
+def _functions(corpus: Corpus) -> list[GridFunction]:
+    return [e.gridfn for e in corpus.entries]
+
+
+def _norms(spec: AmalgamSpec, *groups: Sequence[GridFunction]) -> list[list[float]]:
+    """Amalgam norms of every group of functions, all groups evaluated as one stack."""
+    values = iter([r.value for r in amalgam_norms([f for g in groups for f in g], spec)])
+    return [[next(values) for _ in g] for g in groups]
 
 
 def _margin_state():
@@ -216,15 +223,11 @@ def _push(state, case: str, margin: float, **extra) -> None:
         state["worst"] = (case, margin)
 
 
-def _finish(name: str, state, tol: float, notes=None, constant=None, report_only=False) -> CheckResult:
+def _finish(name: str, state, tol: float, notes=None, constant=None) -> CheckResult:
     ok = state["worst"] is None or state["worst"][1] >= -tol
-    if report_only:
-        verdict = Verdict.REPORT_ONLY if ok else Verdict.FAIL
-    else:
-        verdict = Verdict.PASS if ok else Verdict.FAIL
     return CheckResult(
         name=name,
-        verdict=verdict,
+        verdict=Verdict.PASS if ok else Verdict.FAIL,
         worst_case=state["worst"],
         estimated_constant=constant,
         details=tuple(state["rows"]),
@@ -246,8 +249,33 @@ def _resolutions(corpus: Corpus, window: WindowSpec | None, *samplers: Callable,
         yield factor, corp, win, [weight_from(dom, sampler) for sampler in samplers]
 
 
-def _constant_result(name: str, stable: bool, rows: list, constants: list, **notes) -> CheckResult:
-    """An empirical-constant claim: REPORT_ONLY if the constant is stable, else FAIL."""
+def _constant_check(
+    name: str, resolutions, rule: Callable, fields: Callable = lambda n, d: {}
+) -> CheckResult:
+    """An empirical constant: the best numerator / denominator ratio at each resolution.
+
+    ``resolutions`` yields (factor, cases, numerator, denominator) per resolution.
+    Each side is a list of (functions, spec) stacks whose norms multiply case by case; a
+    case whose denominator is at most ``_TINY`` is skipped.  ``rule(constants)`` gives the
+    stability verdict and notes: REPORT_ONLY if the constant is stable, else FAIL.
+    ``fields(numerator, denominator)`` adds columns to each row.
+    """
+
+    def products(stacks):
+        return [math.prod(v) for v in zip(*(_norms(spec, fs)[0] for fs, spec in stacks))]
+
+    rows = []
+    constants = []
+    for factor, cases, num, den in resolutions:
+        nums, dens = products(num), products(den)
+        best = 0.0
+        for case, n, d in zip(cases, nums, dens):
+            if d <= _TINY:
+                continue
+            best = max(best, n / d)
+            rows.append({"case": f"{case}@x{factor}", "margin": n / d, **fields(n, d)})
+        constants.append(best)
+    stable, notes = rule(constants)
     return CheckResult(
         name=name,
         verdict=Verdict.REPORT_ONLY if stable else Verdict.FAIL,
@@ -313,30 +341,26 @@ def _curve_guard(report) -> float:
 def check_norm_axioms(corpus: Corpus, spec: AmalgamSpec, tol: float = 1e-10) -> CheckResult:
     """Non-negativity, definiteness, homogeneity, and the triangle inequality."""
     state = _margin_state()
-    zero = constant(corpus.domain, 0.0)
-    zero_norm = _value(zero, spec)
+    entries = corpus.entries
+    n = len(entries)
+    fs = _functions(corpus)
+    pairs = [(i, (i + 1) % n) for i in range(n)][:12]
+    groups = [[constant(corpus.domain, 0.0)], fs, [scale(f, 3.0) for f in fs]]
+    (zero_norm,), values, homs, sums = _norms(spec, *groups, [fs[i] + fs[j] for i, j in pairs])
     _push(state, "zero-function", -abs(zero_norm), value=zero_norm)
 
-    values = {}
-    for e in corpus.entries:
-        v = _value(e.gridfn, spec)
-        values[e.name] = v
+    for e, v, hom in zip(entries, values, homs):
         _push(state, f"nonneg:{e.name}", v, value=v)
         if np.any(e.gridfn.values != 0):
             # definiteness: nonzero samples must give a strictly positive norm
             _push(state, f"definite:{e.name}", v if v > 0.0 else -1.0, value=v)
-        hom = _value(scale(e.gridfn, 3.0), spec)
         dev = abs(hom - 3.0 * v) / max(3.0 * v, _TINY)
         _push(state, f"homogeneity:{e.name}", tol - dev, ratio=hom / max(3.0 * v, _TINY))
 
-    names = list(values)
-    pairs = [(names[i], names[(i + 1) % len(names)]) for i in range(len(names))]
-    for na, nb in pairs[:12]:
-        fa = next(e.gridfn for e in corpus.entries if e.name == na)
-        fb = next(e.gridfn for e in corpus.entries if e.name == nb)
-        s = _value(fa + fb, spec)
-        scale_ = max(values[na] + values[nb], _TINY)
-        _push(state, f"triangle:{na}+{nb}", (values[na] + values[nb] - s) / scale_, sum_norm=s)
+    for (i, j), s in zip(pairs, sums):
+        na, nb = entries[i].name, entries[j].name
+        scale_ = max(values[i] + values[j], _TINY)
+        _push(state, f"triangle:{na}+{nb}", (values[i] + values[j] - s) / scale_, sum_norm=s)
 
     return _finish("norm_axioms", state, tol)
 
@@ -350,39 +374,29 @@ def check_solidity_and_monotone(
     dom = corpus.domain
     lo, up = dom.lower[0], dom.upper[0]
     mid = 0.5 * (lo + up)
+    left = indicator(dom, lo, mid)
+    radii = (0.5 * (up - lo) * j / n_truncations for j in range(1, n_truncations + 1))
+    rings = [indicator(dom, mid - r, mid + r) for r in radii]
 
-    for e in corpus.entries:
-        base = _value(e.gridfn, spec)
-        scale_ = max(base, _TINY)
-
-        half = _value(scale(e.gridfn, 0.5), spec)
-        _push(state, f"half-scale:{e.name}", 1e-10 - abs(half / scale_ - 0.5), ratio=half / scale_)
-
+    groups = []  # per entry: f, f / 2, masked f, left half of f, |f|, then its truncations
+    for f in _functions(corpus):
         mask = GridFunction(dom, rng.uniform(0.0, 1.0, dom.shape))
-        masked = _value(pointwise_product(e.gridfn, mask), spec)
+        fa = pointwise_abs(f)
+        groups.append([f, scale(f, 0.5), pointwise_product(f, mask), pointwise_product(f, left), fa]
+                      + [pointwise_product(fa, ring) for ring in rings])
+
+    norms = _norms(spec, *groups)
+    for e, (base, half, masked, left_v, full, *truncated) in zip(corpus.entries, norms):
+        scale_ = max(base, _TINY)
+        _push(state, f"half-scale:{e.name}", 1e-10 - abs(half / scale_ - 0.5), ratio=half / scale_)
         _push(state, f"solidity-mask:{e.name}", (base - masked) / scale_ + tol, value=masked)
-
-        left = pointwise_product(e.gridfn, indicator(dom, lo, mid))
-        _push(state, f"solidity-left:{e.name}", (base - _value(left, spec)) / scale_ + tol)
-
-        fa = pointwise_abs(e.gridfn)
-        full = _value(fa, spec)
+        _push(state, f"solidity-left:{e.name}", (base - left_v) / scale_ + tol)
         prev = -np.inf
-        last = None
-        for j in range(1, n_truncations + 1):
-            radius = 0.5 * (up - lo) * j / n_truncations
-            fj = pointwise_product(fa, indicator(dom, mid - radius, mid + radius))
-            vj = _value(fj, spec)
+        for j, vj in enumerate(truncated, 1):
             _push(state, f"monotone:{e.name}:{j}", (vj - prev) / max(full, _TINY) + tol, value=vj)
             prev = vj
-            last = vj
-        _push(
-            state,
-            f"limit:{e.name}",
-            tol - abs(last - full) / max(full, _TINY),
-            final=last,
-            full=full,
-        )
+        margin = tol - abs(prev - full) / max(full, _TINY)
+        _push(state, f"limit:{e.name}", margin, final=prev, full=full)
 
     return _finish("solidity_monotone", state, tol)
 
@@ -407,41 +421,28 @@ def check_invariance(
     stride = uspec.window.for_ndim(dom.ndim).stride_cells[0]
     quarter = dom.points_per_axis[0] // 4
     shifts = sorted({stride, 2 * stride, max(stride, (quarter // stride) * stride)})
+    moves = [sgn * s for s in shifts for sgn in (+1, -1)]
 
-    for e in corpus.compact():
-        base = _value(e.gridfn, uspec)
+    compact = corpus.compact()
+    groups = [[e.gridfn] + [translate(e.gridfn, m) for m in moves] for e in compact]
+    for e, (base, *moved) in zip(compact, _norms(uspec, *groups)):
         scale_ = max(base, _TINY)
-        for s in shifts:
-            for sgn in (+1, -1):
-                moved = _value(translate(e.gridfn, sgn * s), uspec)
-                _push(
-                    state,
-                    f"translate:{e.name}:{sgn * s}",
-                    tol_translation - abs(moved - base) / scale_,
-                    shifted=moved,
-                    base=base,
-                )
+        for m, v in zip(moves, moved):
+            margin = tol_translation - abs(v - base) / scale_
+            _push(state, f"translate:{e.name}:{m}", margin, shifted=v, base=base)
 
     rng = np.random.default_rng(corpus.seed + 2)
     entries = corpus.entries
-    for k in range(n_modulation):
-        e = entries[k % len(entries)]
-        xi = float(rng.uniform(-4.0 * math.pi, 4.0 * math.pi))
-        base = _value(e.gridfn, spec)
-        modded = _value(modulate(e.gridfn, xi), spec)
-        _push(
-            state,
-            f"modulate:{e.name}:{k}",
-            tol_modulation - abs(modded - base) / max(base, _TINY),
-            xi=xi,
-        )
+    n = len(entries)
+    xis = [float(rng.uniform(-4.0 * math.pi, 4.0 * math.pi)) for _ in range(n_modulation)]
+    modulated = [modulate(entries[k % n].gridfn, xi) for k, xi in enumerate(xis)]
+    bases, values = _norms(spec, _functions(corpus), modulated)
+    for k, (xi, modded) in enumerate(zip(xis, values)):
+        margin = tol_modulation - abs(modded - bases[k % n]) / max(bases[k % n], _TINY)
+        _push(state, f"modulate:{entries[k % n].name}:{k}", margin, xi=xi)
 
-    return _finish(
-        "invariance",
-        state,
-        0.0,
-        notes={"tol_translation": tol_translation, "tol_modulation": tol_modulation},
-    )
+    notes = {"tol_translation": tol_translation, "tol_modulation": tol_modulation}
+    return _finish("invariance", state, 0.0, notes=notes)
 
 
 # ----------------------------------------------------------------------------
@@ -471,30 +472,23 @@ def check_inclusion_norm_equivalence(
             return spec_or_builder(domain, win)
         return spec_or_builder
 
-    refinable = callable(spec_a) and callable(spec_b) and window is not None
-    rows = []
-    constants = []
-    for factor, corp, win, _ in _resolutions(corpus, window, factors=(1, 2) if refinable else (1,)):
-        sa = materialize(spec_a, corp.domain, win)
-        sb = materialize(spec_b, corp.domain, win)
-        best = 0.0
-        for e in corp.entries:
-            va = _value(e.gridfn, sa)
-            vb = _value(e.gridfn, sb)
-            if va <= _TINY:
-                continue
-            ratio = vb / va
-            best = max(best, ratio)
-            rows.append({"case": f"{e.name}@x{factor}", "margin": ratio, "norm_a": va, "norm_b": vb})
-        constants.append(best)
+    def rule(constants):
+        notes = {"growth_factor": growth_factor}
+        if len(constants) == 2 and constants[0] > 0:
+            notes["trend"] = constants[1] / constants[0]
+            return notes["trend"] <= growth_factor, notes
+        return True, notes
 
-    notes = {"growth_factor": growth_factor}
-    stable = True
-    if len(constants) == 2 and constants[0] > 0:
-        trend = constants[1] / constants[0]
-        notes["trend"] = trend
-        stable = trend <= growth_factor
-    return _constant_result("inclusion_equivalence", stable, rows, constants, **notes)
+    def resolutions():
+        factors = (1, 2) if callable(spec_a) and callable(spec_b) and window is not None else (1,)
+        for factor, corp, win, _ in _resolutions(corpus, window, factors=factors):
+            fs = _functions(corp)
+            sa, sb = (materialize(s, corp.domain, win) for s in (spec_a, spec_b))
+            yield factor, [e.name for e in corp.entries], [(fs, sb)], [(fs, sa)]
+
+    return _constant_check(
+        "inclusion_equivalence", resolutions(), rule, lambda n, d: {"norm_a": d, "norm_b": n}
+    )
 
 
 def check_embedding_classical_into_grand(
@@ -526,31 +520,26 @@ def check_embedding_classical_into_grand(
         mass_b = float(np.sum(blat.values) * blat.domain.cell_volume)
         c_h = sup_eps_factor(mass_a, p) * sup_eps_factor(mass_b, q)
         constants[f"x{factor}"] = c_h
-        for e in corp.entries:
-            lhs = _value(e.gridfn, gspec)
-            cls = _value(e.gridfn, cspec)
+        fs = _functions(corp)
+        grand = amalgam_norms(fs, gspec)
+        for e, rep, cls in zip(corp.entries, grand, _norms(cspec, fs)[0]):
+            lhs = rep.value
             rhs = c_h * cls
             margin = (rhs - lhs) / max(rhs, _TINY)
             _push(state, f"{e.name}@x{factor}", margin, grand=lhs, classical=cls, bound=rhs)
             if cls > _TINY:
                 empirical = max(empirical, lhs / cls)
-        first = corp.entries[0].gridfn
         params = GrandParams(p, aw)
-        eps_probe = (params.eps_grid.values[len(params.eps_grid.values) // 2],
-                     params.eps_grid.values[-1])
-        guards[f"two_stage@x{factor}"] = _two_stage_excess(first, params, win, eps_probe)
-        guards[f"outer_curve@x{factor}"] = _curve_guard(amalgam_norm(first, gspec))
+        grid = params.eps_grid.values
+        probe = (grid[len(grid) // 2], grid[-1])
+        guards[f"two_stage@x{factor}"] = _two_stage_excess(fs[0], params, win, probe)
+        guards[f"outer_curve@x{factor}"] = _curve_guard(grand[0])
 
     guard_worst = max(guards.values())
     if guard_worst > 1e-12:
         _push(state, "sup-definition-guard", -guard_worst)
-    return _finish(
-        "embedding_classical_grand",
-        state,
-        tol,
-        notes={"holder_constant": constants, "empirical_constant": empirical, "guards": guards},
-        constant=empirical,
-    )
+    notes = {"holder_constant": constants, "empirical_constant": empirical, "guards": guards}
+    return _finish("embedding_classical_grand", state, tol, notes=notes, constant=empirical)
 
 
 def check_embedding_grand_into_mixed(
@@ -566,19 +555,14 @@ def check_embedding_grand_into_mixed(
     lp = spec.local_space.params
     gq = spec.global_space.params
     augmented = AmalgamSpec(
-        GrandSpace(lp.with_extra_eps(eps)),
-        GrandSpace(gq.with_extra_eps(eta)),
-        spec.window,
+        GrandSpace(lp.with_extra_eps(eps)), GrandSpace(gq.with_extra_eps(eta)), spec.window
     )
     state = _margin_state()
-    for e in corpus.entries:
+    for e, rhs in zip(corpus.entries, _norms(augmented, _functions(corpus))[0]):
         mixed = mixed_norm_family(e.gridfn, augmented, eps, eta)
         lhs = (eps**lp.theta) * (eta**gq.theta) * mixed
-        rhs = _value(e.gridfn, augmented)
         _push(state, e.name, (rhs - lhs) / max(rhs, _TINY), mixed=mixed, grand=rhs)
-    return _finish(
-        "embedding_grand_mixed", state, tol, notes={"eps": eps, "eta": eta}
-    )
+    return _finish("embedding_grand_mixed", state, tol, notes={"eps": eps, "eta": eta})
 
 
 def check_nesting_in_p(
@@ -594,27 +578,19 @@ def check_nesting_in_p(
     """Empirical constant of W(grand p2) -> W(grand p1) for p1 <= p2."""
     if p1 > p2:
         raise ValueError("need p1 <= p2")
-    rows = []
-    constants = []
-    for factor, corp, win, (aw, bw) in _resolutions(corpus, window, a, b):
-        s1 = _grand_pair_spec(p1, q, aw, bw, win)
-        s2 = _grand_pair_spec(p2, q, aw, bw, win)
-        best = 0.0
-        for e in corp.entries:
-            v2 = _value(e.gridfn, s2)
-            if v2 <= _TINY:
-                continue
-            v1 = _value(e.gridfn, s1)
-            best = max(best, v1 / v2)
-            rows.append({"case": f"{e.name}@x{factor}", "margin": v1 / v2, "p1": v1, "p2": v2})
-        constants.append(best)
-    stable = (
-        constants[0] > 0
-        and 1.0 / stability_factor <= constants[1] / constants[0] <= stability_factor
-    )
-    return _constant_result(
-        "nesting_in_p", stable, rows, constants, stability_factor=stability_factor
-    )
+
+    def rule(constants):
+        c0, c1 = constants
+        stable = c0 > 0 and 1.0 / stability_factor <= c1 / c0 <= stability_factor
+        return stable, {"stability_factor": stability_factor}
+
+    def resolutions():
+        for factor, corp, win, (aw, bw) in _resolutions(corpus, window, a, b):
+            fs = _functions(corp)
+            s1, s2 = (_grand_pair_spec(pk, q, aw, bw, win) for pk in (p1, p2))
+            yield factor, [e.name for e in corp.entries], [(fs, s1)], [(fs, s2)]
+
+    return _constant_check("nesting_in_p", resolutions(), rule, lambda n, d: {"p1": n, "p2": d})
 
 
 def check_pointwise_product(
@@ -631,31 +607,23 @@ def check_pointwise_product(
     q1, q2, q3 = q_triple
     if abs(1.0 / p3 - 1.0 / p1 - 1.0 / p2) > 1e-9 or abs(1.0 / q3 - 1.0 / q1 - 1.0 / q2) > 1e-9:
         raise ValueError("exponent triples must satisfy 1/p3 = 1/p1 + 1/p2 (and likewise in q)")
-    rows = []
-    constants = []
-    for factor, corp, win, (aw,) in _resolutions(corpus, window, a):
-        specs = [
-            _grand_pair_spec(pi, qi, aw, aw, win)
-            for pi, qi in ((p1, q1), (p2, q2), (p3, q3))
-        ]
-        entries = corp.entries
-        pairs = [(entries[i], entries[(i + 1) % len(entries)]) for i in range(len(entries))]
-        best = 0.0
-        for ef, eg in pairs[:max_pairs]:
-            vf = _value(ef.gridfn, specs[0])
-            vg = _value(eg.gridfn, specs[1])
-            if vf * vg <= _TINY:
-                continue
-            vfg = _value(pointwise_product(ef.gridfn, eg.gridfn), specs[2])
-            ratio = vfg / (vf * vg)
-            best = max(best, ratio)
-            rows.append(
-                {"case": f"{ef.name}*{eg.name}@x{factor}", "margin": ratio, "product_norm": vfg}
-            )
-        constants.append(best)
-    stable = constants[0] > 0 and constants[1] <= stability_factor * constants[0]
-    return _constant_result(
-        "pointwise_product", stable, rows, constants, stability_factor=stability_factor
+
+    def rule(constants):
+        c0, c1 = constants
+        return c0 > 0 and c1 <= stability_factor * c0, {"stability_factor": stability_factor}
+
+    def resolutions():
+        for factor, corp, win, (aw,) in _resolutions(corpus, window, a):
+            entries = corp.entries
+            pairs = list(zip(entries, entries[1:] + entries[:1]))[:max_pairs]
+            fs, gs = [ef.gridfn for ef, _ in pairs], [eg.gridfn for _, eg in pairs]
+            s1, s2, s3 = (_grand_pair_spec(*pq, aw, aw, win) for pq in zip(p_triple, q_triple))
+            products = [pointwise_product(f, g) for f, g in zip(fs, gs)]
+            cases = [f"{ef.name}*{eg.name}" for ef, eg in pairs]
+            yield factor, cases, [(products, s3)], [(fs, s1), (gs, s2)]
+
+    return _constant_check(
+        "pointwise_product", resolutions(), rule, lambda n, d: {"product_norm": n}
     )
 
 
@@ -675,7 +643,7 @@ def check_vanishing_limit(
     top = min(lp.p, gq.p) - 1.0
     grid = EpsGrid.geometric(top + 1.0, count=lp.eps_grid.count)
     values = [(eps, eps * mixed_norm_family(f, spec, eps, eps)) for eps in grid.values]
-    full = _value(f, spec)
+    full = amalgam_norm(f, spec).value
     state = _margin_state()
     for eps, v in values:
         state["rows"].append({"case": f"eps={eps:.6g}", "margin": v, "curve_value": v})
@@ -712,27 +680,21 @@ def check_maximal_bounded(
     """
     if not (p <= q <= r):
         raise ValueError("need p <= q <= r")
-    rows = []
-    constants = []
-    for factor, corp, win, (aw, bw) in _resolutions(corpus, window, a, b):
-        target = _grand_pair_spec(p, q, aw, bw, win)
-        source = AmalgamSpec(ClassicalSpace(r), ClassicalSpace(q), win)
-        radii = RadiusSet.full(corp.domain)
-        best = 0.0
-        for e in corp.entries:
-            src = _value(e.gridfn, source)
-            if src <= _TINY:
-                continue
-            mf = maximal_fast(e.gridfn, radii).mf
-            ratio = _value(mf, target) / src
-            best = max(best, ratio)
-            rows.append({"case": f"{e.name}@x{factor}", "margin": ratio})
-        constants.append(best)
-    change = abs(constants[1] - constants[0]) / max(constants[0], _TINY)
-    return _constant_result(
-        "maximal_bounded", change <= drift, rows, constants,
-        relative_change=change, drift_allowance=drift,
-    )
+
+    def rule(constants):
+        change = abs(constants[1] - constants[0]) / max(constants[0], _TINY)
+        return change <= drift, {"relative_change": change, "drift_allowance": drift}
+
+    def resolutions():
+        for factor, corp, win, (aw, bw) in _resolutions(corpus, window, a, b):
+            radii = RadiusSet.full(corp.domain)
+            fs = _functions(corp)
+            mfs = [maximal_fast(f, radii).mf for f in fs]
+            target = _grand_pair_spec(p, q, aw, bw, win)
+            source = AmalgamSpec(ClassicalSpace(r), ClassicalSpace(q), win)
+            yield factor, [e.name for e in corp.entries], [(mfs, target)], [(fs, source)]
+
+    return _constant_check("maximal_bounded", resolutions(), rule)
 
 
 def _omega_notes(dom: BoxDomain, q: float, omega: Callable | None) -> dict:

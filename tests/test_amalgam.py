@@ -405,3 +405,44 @@ def test_control_values_match_each_window_restriction(case, weighted, variant, s
         got = ga.control_function(f, local, window).values
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, _per_window(f, window, norm), rtol=1e-12, atol=0.0)
+
+
+def _stage(kind, p, weight):
+    if kind == "classical":
+        return ga.ClassicalSpace(p, weight)
+    return ga.GrandSpace(ga.GrandParams(p, weight))
+
+
+@pytest.mark.parametrize("shape, side, stride", [((600,), (64,), (24,)), ((26, 25), (8, 6), (5, 4))])
+@pytest.mark.parametrize("local_kind", ["classical", "grand"])
+@pytest.mark.parametrize("global_kind", ["classical", "grand"])
+def test_stacked_norms_match_norms_one_at_a_time(shape, side, stride, local_kind, global_kind):
+    """A stack of one, a zero function, and a stack spanning two blocks of several functions."""
+    from grandamalgam.amalgam import _STACK_CELLS
+
+    ndim = len(shape)
+    dom = ga.BoxDomain((-1.0,) * ndim, (2.0,) * ndim, shape)
+    rng = np.random.default_rng(5)
+    a, b = (ga.Weight(dom, np.exp(rng.normal(size=shape))) for _ in range(2))
+    spec = ga.AmalgamSpec(
+        _stage(local_kind, 2.5, a), _stage(global_kind, 3.0, b), ga.WindowSpec(side, stride)
+    )
+    per_block = _STACK_CELLS // dom.size
+    assert 2 <= per_block < 16
+    fs = [make_random_function(dom, s) for s in range(per_block + 1)] + [ga.constant(dom, 0.0)]
+    want = [ga.amalgam_norm(f, spec) for f in fs]
+    assert want[-1].value == 0.0
+    for stack, expected in ((fs, want), (fs[:1], want[:1])):
+        got = ga.amalgam_norms(stack, spec)
+        assert len(got) == len(expected)
+        for g, w in zip(got, expected):
+            if global_kind == "grand":
+                assert g == w  # value, argmax and the whole outer curve, bit for bit
+            else:
+                # a lone classical row is summed pairwise, a stacked one in sequence
+                np.testing.assert_array_max_ulp(g.value, w.value, maxulp=4)
+                assert (g.argmax_eps, g.curve, g.p, g.variant) == (None, (), w.p, w.variant)
+    assert ga.amalgam_norms([], spec) == []
+    other = ga.constant(ga.BoxDomain((0.0,) * ndim, (1.0,) * ndim, shape), 1.0)
+    with pytest.raises(ValueError, match="different grids"):
+        ga.amalgam_norms([fs[0], other], spec)

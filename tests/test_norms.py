@@ -300,7 +300,7 @@ def test_grid_inner_norms_of_rows_spanning_600_decades():
                     for f, a in zip(absw[r], aw[r]) if f > 0]
             top = max(logs)
             log_sum = top + math.log(math.fsum(math.exp(v - top) for v in logs) * 0.25)
-            assert inner[r, j] == pytest.approx(math.exp(log_sum / (p - eps)), rel=1e-12)
+            assert inner[r, j] == pytest.approx(math.exp(log_sum / (p - eps)), rel=1e-12, abs=0.0)
 
 
 def test_batched_scan_rows_match_rows_scanned_alone():
@@ -444,7 +444,7 @@ def test_norms_scale_exactly_across_float_range(k, seed):
         lambda g: ga.amalgam_norm(g, classical).value,
         lambda g: ga.amalgam_norm(g, grand).value,
     ):
-        assert norm(ga.scale(f, c)) == pytest.approx(c * norm(f), rel=1e-12)
+        assert norm(ga.scale(f, c)) == pytest.approx(c * norm(f), rel=1e-12, abs=0.0)
 
 
 def test_norm_report_csv(tmp_path, unit_box):

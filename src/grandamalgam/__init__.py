@@ -35,7 +35,6 @@ from .norms import (
     Variant,
     compare_variants,
     grand_norm,
-    grand_norm_curve,
     holder_grandizer_bound,
     sup_eps_factor,
     weighted_lp_norm,

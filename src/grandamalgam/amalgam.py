@@ -182,7 +182,7 @@ def _window_blocks(values: np.ndarray, window: WindowSpec) -> np.ndarray:
 
 
 def _local_stage(
-    absf: np.ndarray, local: SpaceDescriptor, window: WindowSpec, cell_volume: float, refine: bool
+    absf: np.ndarray, local: SpaceDescriptor, window: WindowSpec, cell_volume: float
 ) -> np.ndarray:
     """(k, anchors) control values of a (k, *shape) stack of |f|, every window of every
     function a row of one block."""
@@ -191,12 +191,12 @@ def _local_stage(
     wrows = w and _window_blocks(np.broadcast_to(w.values, absf.shape), window)
     blocks = _window_blocks(absf, window)
     if isinstance(local, GrandSpace):
-        return _grand_scan(blocks, wrows, local.params, cell_volume, refine)[0].reshape(k, -1)
+        return _grand_scan(blocks, wrows, local.params, cell_volume)[0].reshape(k, -1)
     return _classical_rows(blocks, wrows, local.p, cell_volume).reshape(k, -1)
 
 
 def _outer_stage(
-    absg: np.ndarray, glob: SpaceDescriptor, window: WindowSpec, domain: BoxDomain, refine: bool
+    absg: np.ndarray, glob: SpaceDescriptor, window: WindowSpec, domain: BoxDomain
 ) -> list[NormReport]:
     """Global norm of each row of a (k, anchors) block of control values, as one block."""
     w = _weight_of(glob)
@@ -204,14 +204,12 @@ def _outer_stage(
         w = np.broadcast_to(lattice_weight(w, window, domain).values.reshape(1, -1), absg.shape)
     vol = _lattice(domain, window)[1].cell_volume
     if isinstance(glob, GrandSpace):
-        return _grand_report(absg, w, glob.params, vol, refine)
+        return _grand_report(absg, w, glob.params, vol)
     values = _classical_rows(absg, w, glob.p, vol).tolist()
-    return [NormReport(v, None, (), False, p=glob.p, variant="classical") for v in values]
+    return [NormReport(v, None, (), p=glob.p, variant="classical") for v in values]
 
 
-def control_function(
-    f: GridFunction, local: SpaceDescriptor, window: WindowSpec, refine: bool = True
-) -> ControlFunction:
+def control_function(f: GridFunction, local: SpaceDescriptor, window: WindowSpec) -> ControlFunction:
     """Evaluate the local norm of f restricted to every window translate.
 
     Windows hanging over the right boundary are clipped (zero fill), which
@@ -223,7 +221,7 @@ def control_function(
     window = _window_on(dom, window)
     _check_space_domain(local, dom, "control_function")
     starts, lattice = _lattice(dom, window)
-    out = _local_stage(np.abs(f.values)[None], local, window, dom.cell_volume, refine)
+    out = _local_stage(np.abs(f.values)[None], local, window, dom.cell_volume)
     return ControlFunction(
         gridfn=GridFunction(lattice, out.reshape(lattice.shape).astype(np.complex128)),
         anchor_starts=starts,
@@ -236,9 +234,9 @@ def lattice_weight(w: Weight, window: WindowSpec, domain: BoxDomain) -> Weight:
 
     Each lattice cell takes the fine-grid value at the cell containing its
     center (lower cell on boundary ties): deterministic, and the identity
-    when stride is one cell.
+    when stride is one cell.  A stride longer than the box is rejected.
     """
-    window = window.for_ndim(domain.ndim)
+    window = _window_on(domain, window)
     if w.domain != domain:
         raise ValueError("lattice_weight: weight lives on a different grid")
     lattice = _lattice(domain, window)[1]
@@ -249,7 +247,7 @@ def lattice_weight(w: Weight, window: WindowSpec, domain: BoxDomain) -> Weight:
     return Weight(lattice, w.values[np.ix_(*idxs)])
 
 
-def amalgam_norms(fs: list[GridFunction], spec: AmalgamSpec, refine: bool = True) -> list[NormReport]:
+def amalgam_norms(fs: list[GridFunction], spec: AmalgamSpec) -> list[NormReport]:
     """Two-stage amalgam norms of a stack of functions on one grid, one report each.
 
     Blocks of at most ``_STACK_CELLS`` grid cells (one function at least) go
@@ -271,17 +269,13 @@ def amalgam_norms(fs: list[GridFunction], spec: AmalgamSpec, refine: bool = True
     reports = []
     for i in range(0, len(fs), per):
         absf = np.stack([np.abs(f.values) for f in fs[i : i + per]])
-        ctrl = _local_stage(absf, spec.local_space, window, dom.cell_volume, refine)
-        reports += _outer_stage(ctrl, spec.global_space, window, dom, refine)
+        ctrl = _local_stage(absf, spec.local_space, window, dom.cell_volume)
+        reports += _outer_stage(ctrl, spec.global_space, window, dom)
     return reports
 
 
 def amalgam_norm(
-    f: GridFunction,
-    spec: AmalgamSpec,
-    refine: bool = True,
-    *,
-    control: ControlFunction | None = None,
+    f: GridFunction, spec: AmalgamSpec, *, control: ControlFunction | None = None
 ) -> NormReport:
     """Two-stage amalgam norm of one function: the stages of :func:`amalgam_norms` on a
     stack of one.
@@ -291,12 +285,12 @@ def amalgam_norm(
     """
     window = _window_on(f.domain, spec.window)
     if control is None:
-        control = control_function(f, spec.local_space, window, refine)
+        control = control_function(f, spec.local_space, window)
     elif control.window != window:
         raise ValueError("amalgam_norm: the control function was made with a different window")
     _check_space_domain(spec.global_space, f.domain, "amalgam_norm")
     absg = np.abs(control.gridfn.values).reshape(1, -1)
-    return _outer_stage(absg, spec.global_space, window, f.domain, refine)[0]
+    return _outer_stage(absg, spec.global_space, window, f.domain)[0]
 
 
 def mixed_norm_family(f: GridFunction, spec: AmalgamSpec, eps: float, eta: float) -> float:

@@ -28,7 +28,6 @@ import numpy as np
 from .amalgam import (
     AmalgamSpec,
     ClassicalSpace,
-    ControlFunction,
     GrandSpace,
     WindowSpec,
     amalgam_norm,
@@ -37,8 +36,8 @@ from .amalgam import (
 )
 from .gridfn import BoxDomain, GridFunction, build, read_grid_csv, weight_from
 from .maximal import RadiusSet, _sample_profile, maximal_fast, maximal_naive, write_maximal_csv
-from .norms import EpsGrid, GrandParams, NormReport, Variant, grand_norm, weighted_lp_norm, write_norm_csv
-from .reporting import CheckResult, write_check_csv, write_check_json, write_csv, write_json
+from .norms import EpsGrid, GrandParams, Variant, grand_norm, weighted_lp_norm, write_norm_csv
+from .reporting import write_check_csv, write_check_json, write_csv, write_json
 from . import verify as verify_mod
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "emit_config",
-    "emit_plotdata",
     "run",
     "main",
 ]
@@ -402,32 +400,6 @@ def _weight_from_spec(spec: str, domain: BoxDomain):
 # ----------------------------------------------------------------------------
 
 
-def emit_plotdata(obj, outdir, stem: str) -> Path:
-    """Write the plot-ready CSV for a report object; returns the file path.
-
-    Norm reports give (eps, inner_norm, weighted_term) rows, control
-    functions (x, control_value), growth-style check results (T, log_T,
-    norm), and other check results their per-case table.  An empty curve
-    produces a header-only file.
-    """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{stem}.csv"
-    if isinstance(obj, NormReport):
-        write_norm_csv(obj, path)
-    elif isinstance(obj, ControlFunction):
-        write_control_csv(obj, path)
-    elif isinstance(obj, CheckResult):
-        if obj.details and "T" in obj.details[0]:
-            rows = [(row["T"], row["log_T"], row["norm"]) for row in obj.details]
-            write_csv(path, ["T", "log_T", "norm"], rows)
-        else:
-            write_check_csv(obj, path)
-    else:
-        raise TypeError(f"no plot data emitter for {type(obj).__name__}")
-    return path
-
-
 def _run_norm(config: RunConfig, outdir: Path) -> int:
     params = config.parameters
     domain = _domain_from(params)
@@ -458,7 +430,7 @@ def _run_grand(config: RunConfig, outdir: Path) -> int:
     domain = _domain_from(params)
     f = _load_input(config, domain)
     report = grand_norm(f, _grand_params_from(params, f.domain))
-    emit_plotdata(report, outdir, "grand_curve")
+    write_norm_csv(report, outdir / "grand_curve.csv")
     write_json(outdir / "grand_summary.json", report.summary())
     return 0
 
@@ -484,9 +456,9 @@ def _run_amalgam(config: RunConfig, outdir: Path) -> int:
         window=window,
     )
     cf = control_function(f, spec.local_space, spec.window)
-    emit_plotdata(cf, outdir, "control")
+    write_control_csv(cf, outdir / "control.csv")
     report = amalgam_norm(f, spec, control=cf)
-    emit_plotdata(report, outdir, "outer_curve")
+    write_norm_csv(report, outdir / "outer_curve.csv")
     summary = report.summary()
     summary.update(
         {"local": params["local"], "global": params["global"], "q": _number(params, "q")}
@@ -536,7 +508,8 @@ def _run_verify(config: RunConfig, outdir: Path) -> int:
         write_check_json(result, outdir / f"{result.name}.json")
         write_check_csv(result, outdir / f"{result.name}.csv")
         if result.name == "maximal_unbounded":
-            emit_plotdata(result, outdir, "growth_curve")
+            rows = [(row["T"], row["log_T"], row["norm"]) for row in result.details]
+            write_csv(outdir / "growth_curve.csv", ["T", "log_T", "norm"], rows)
         summary_rows.append(
             {
                 "name": result.name,

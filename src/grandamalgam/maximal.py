@@ -161,11 +161,9 @@ def maximal_fast(f: GridFunction, rs: RadiusSet) -> MaximalResult:
     return MaximalResult(GridFunction(f.domain, best.astype(np.complex128)), arg)
 
 
-def maximal_tail_profile(
-    f: GridFunction, rs: RadiusSet, sample_points, use_fast: bool = True
-) -> list[tuple[float, float]]:
+def maximal_tail_profile(f: GridFunction, rs: RadiusSet, sample_points) -> list[tuple[float, float]]:
     """Mf at the cells nearest the sample points; points must be in-domain."""
-    return _sample_profile(maximal_fast(f, rs) if use_fast else maximal_naive(f, rs), sample_points)
+    return _sample_profile(maximal_fast(f, rs), sample_points)
 
 
 def _sample_profile(result: MaximalResult, sample_points) -> list[tuple[float, float]]:

@@ -7,8 +7,8 @@ for ``EXPONENT_FULL``), summed as a log-sum-exp shifted by its row max: no
 |f| or grandizer overflows or underflows it.  A classical L^q(w) norm is
 the ``EXPONENT_FULL`` inner norm at p = q + 1, eps = 1.  The sup is taken
 on an epsilon grid (geometric by default, so eps -> 0 is resolved), then
-optionally refined by safeguarded Newton steps on ln(term), for all rows
-of a (windows, cells) block at once; a function is the one-row case.
+refined by safeguarded Newton steps on ln(term), for all rows of a
+(windows, cells) block at once; a function is the one-row case.
 Two inner weightings are supported:
 
 * ``EXPONENT_OVER_P``: weight a**(eps/p), outer factor eps**theta;
@@ -37,7 +37,6 @@ __all__ = [
     "NormReport",
     "weighted_lp_norm",
     "grand_norm",
-    "grand_norm_curve",
     "holder_grandizer_bound",
     "compare_variants",
     "sup_eps_factor",
@@ -63,7 +62,6 @@ class Variant(Enum):
 class EpsGrid:
     """Strictly increasing epsilon values in (0, p-1], ending exactly at p-1."""
 
-    mode: str
     values: tuple[float, ...]
 
     def __post_init__(self):
@@ -85,7 +83,9 @@ class EpsGrid:
         return self.values[0]
 
     @staticmethod
-    def geometric(p: float, count: int = DEFAULT_EPS_COUNT, min_eps: float | None = None) -> "EpsGrid":
+    def _span(p: float, count: int, min_eps: float | None) -> tuple[float, float]:
+        """Checked (min_eps, p - 1) of a generated grid of ``count`` points: one check,
+        so every generator gives the same errors."""
         top = p - 1.0
         if top <= 0.0:
             raise ValueError("need p > 1")
@@ -95,24 +95,25 @@ class EpsGrid:
             min_eps = top * DEFAULT_EPS_MIN_FRACTION
         if not 0.0 < min_eps < top:
             raise ValueError("need 0 < min_eps < p - 1")
+        return min_eps, top
+
+    @staticmethod
+    def geometric(p: float, count: int = DEFAULT_EPS_COUNT, min_eps: float | None = None) -> "EpsGrid":
+        min_eps, top = EpsGrid._span(p, count, min_eps)
         ratio = (min_eps / top) ** (1.0 / (count - 1))
         vals = [top * ratio ** (count - 1 - k) for k in range(count - 1)] + [top]
-        return EpsGrid("geometric", tuple(vals))
+        return EpsGrid(tuple(vals))
 
     @staticmethod
     def linear(p: float, count: int = DEFAULT_EPS_COUNT, min_eps: float | None = None) -> "EpsGrid":
-        top = p - 1.0
-        if top <= 0.0:
-            raise ValueError("need p > 1")
-        if min_eps is None:
-            min_eps = top * DEFAULT_EPS_MIN_FRACTION
+        min_eps, top = EpsGrid._span(p, count, min_eps)
         vals = np.linspace(min_eps, top, count)
         vals[-1] = top
-        return EpsGrid("linear", tuple(float(v) for v in vals))
+        return EpsGrid(tuple(vals))
 
     @staticmethod
     def explicit(values) -> "EpsGrid":
-        return EpsGrid("explicit", tuple(float(v) for v in values))
+        return EpsGrid(tuple(values))
 
     def validate_for(self, p: float) -> None:
         top = p - 1.0
@@ -126,7 +127,7 @@ class EpsGrid:
         """Union with one more epsilon value (used to make sup bounds exact)."""
         if any(abs(eps - v) <= 1e-15 for v in self.values):
             return self
-        return EpsGrid("explicit", tuple(sorted(self.values + (float(eps),))))
+        return EpsGrid(tuple(sorted(self.values + (float(eps),))))
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,6 @@ class NormReport:
     value: float
     argmax_eps: float | None
     curve: tuple[tuple[float, float, float], ...]
-    refined: bool
     p: float | None = None
     theta: float | None = None
     variant: str | None = None
@@ -336,16 +336,14 @@ def _newton_rows(lnm, a, b, gp: GrandParams, cell_volume: float, grid, k, value,
     return best_x, best_v, best_in
 
 
-def _grand_scan(
-    absw: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volume: float, refine: bool
-):
+def _grand_scan(absw: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volume: float):
     """Epsilon scan of every row of a (windows, cells) block at once.
 
-    The grid stage is :func:`_inner_norms` over the epsilon grid;
-    ``refine`` adds :func:`_newton_rows` within the argmax's grid
-    neighbours.  Returns (value, argmax, inner, terms, peak): per-row values
-    and maximizers, the (rows, grid) inner norms and terms, and the inner
-    norm at each maximizer.
+    The grid stage is :func:`_inner_norms` over the epsilon grid; a grid of
+    more than one point is refined by :func:`_newton_rows` within the
+    argmax's grid neighbours.  Returns (value, argmax, inner, terms, peak):
+    per-row values and maximizers, the (rows, grid) inner norms and terms,
+    and the inner norm at each maximizer.
     """
     form = _grand_form(absw, aw, gp)
     grid = np.array(gp.eps_grid.values)
@@ -354,40 +352,36 @@ def _grand_scan(
     k = np.argmax(terms, axis=1)  # first maximum: ties break toward the lowest eps
     rows = np.arange(len(terms))
     value, argmax, peak = terms[rows, k], grid[k], inner[rows, k]
-    if refine and grid.size > 1:
+    if grid.size > 1:
         argmax, value, peak = _newton_rows(*form, gp, cell_volume, grid, k, value, peak)
     return value, argmax, inner, terms, peak
 
 
 def _grand_report(
-    absw: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volume: float, refine: bool
+    absw: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volume: float
 ) -> list[NormReport]:
     """Grand norm of every row of a (rows, cells) block with its curve, from one batched scan."""
-    scan = _grand_scan(absw, aw, gp, cell_volume, refine)
-    refined = refine and gp.eps_grid.count > 1
+    scan = _grand_scan(absw, aw, gp, cell_volume)
     reports = []
     for v, x, row_inner, row_terms, pk in zip(*(a.tolist() for a in scan)):
         rows = list(zip(gp.eps_grid.values, row_inner, row_terms))
         if all(abs(x - r[0]) > 1e-15 for r in rows):
             rows = sorted(rows + [(x, pk, v)])
-        reports.append(NormReport(v, x, tuple(rows), refined, gp.p, gp.theta, gp.variant.value))
+        reports.append(NormReport(v, x, tuple(rows), gp.p, gp.theta, gp.variant.value))
     return reports
 
 
-def grand_norm(f: GridFunction, gp: GrandParams, refine: bool = True) -> NormReport:
-    """Grand norm of ``f``: sup over the epsilon grid, optionally refined.
+def grand_norm(f: GridFunction, gp: GrandParams) -> NormReport:
+    """Grand norm of ``f``: sup over the epsilon grid, refined between grid points.
 
     Refinement never decreases the value: the Newton steps from the grid
-    argmax only replace the grid maximum when they find a larger term.
+    argmax only replace the grid maximum when they find a larger term.  The
+    curve has a row at every grid point, and one more at the maximizer when
+    that is not a grid point.
     """
     _check_same_domain(f, gp.grandizer, "grand_norm")
     absf, avals = _one_window(np.abs(f.values)), _one_window(gp.grandizer.values)
-    return _grand_report(absf, avals, gp, f.domain.cell_volume, refine)[0]
-
-
-def grand_norm_curve(f: GridFunction, gp: GrandParams) -> list[tuple[float, float]]:
-    """The full (eps, weighted term) curve, without the max reduction."""
-    return [(eps, term) for eps, _, term in grand_norm(f, gp, refine=False).curve]
+    return _grand_report(absf, avals, gp, f.domain.cell_volume)[0]
 
 
 def holder_grandizer_bound(f: GridFunction, gp: GrandParams, tol: float = 1e-10) -> CheckResult:

@@ -697,15 +697,13 @@ def check_maximal_bounded(
     return _constant_check("maximal_bounded", resolutions(), rule)
 
 
-def _omega_notes(dom: BoxDomain, q: float, omega: Callable | None) -> dict:
+def _omega_notes(dom: BoxDomain, q: float) -> dict:
     """Hypothesis diagnostics for the weighted global stage (recorded, not asserted)."""
     r_conj = q / (q - 1.0)
     variants: dict[str, Callable] = {
         "unit": lambda x: np.ones_like(np.asarray(x, dtype=float)),
         "exp_decay": lambda x: np.exp(-np.abs(np.asarray(x, dtype=float))),
     }
-    if omega is not None:
-        variants["custom"] = omega
     out = {}
     for name, sampler in variants.items():
         w = weight_from(dom, sampler)
@@ -725,7 +723,6 @@ def check_maximal_unbounded(
     E_halfwidth: float = 1.0,
     T_list: Sequence[float] = (4.0, 8.0, 16.0, 32.0, 64.0),
     q: float = 2.0,
-    omega: Callable | None = None,
     points_per_unit: int = 16,
     pad: float = 2.0,
     slope_lower: float = 0.8,
@@ -782,7 +779,7 @@ def check_maximal_unbounded(
             "expected_slope": expected,
             "normalized_slope": normalized,
             "indicator_mass_drift": mass_drift,
-            "omega_diagnostics": _omega_notes(dom, q, omega),
+            "omega_diagnostics": _omega_notes(dom, q),
         },
     )
 

@@ -237,6 +237,16 @@ def test_lattice_weight_2d():
     np.testing.assert_array_equal(lat.values, w.values[np.ix_([2, 6], [2, 6])])
 
 
+def test_lattice_weight_rejects_a_stride_longer_than_the_box():
+    dom = ga.BoxDomain(0.0, 1.0, 8)
+    w = ga.weight_from(dom, lambda x: 1.0 + x)
+    window = ga.WindowSpec(1, 100)
+    with pytest.raises(ValueError, match="stride 100 cells exceeds the 8 cells"):
+        lattice_weight(w, window, dom)
+    with pytest.raises(ValueError, match="stride 100 cells exceeds the 8 cells"):
+        ga.control_function(ga.constant(dom, 1.0), ga.ClassicalSpace(2.0), window)
+
+
 def test_control_function_2d():
     dom = ga.BoxDomain((0.0, 0.0), (1.0, 1.0), (8, 8))
     f = ga.constant(dom, 1.0)
@@ -333,13 +343,12 @@ def _per_window(f, window, norm):
 
 @pytest.mark.parametrize("shape, side, stride", KERNEL_CASES)
 @pytest.mark.parametrize("variant", list(ga.Variant))
-@pytest.mark.parametrize("refine", [True, False])
-def test_batched_grand_control_matches_per_window(shape, side, stride, variant, refine):
+def test_batched_grand_control_matches_per_window(shape, side, stride, variant):
     f, a = _kernel_input(shape, side)
     window = ga.WindowSpec(side, stride)
     gp = ga.GrandParams(2.7, a, theta=1.3, variant=variant)
-    got = ga.control_function(f, ga.GrandSpace(gp), window, refine).values
-    want = _per_window(f, window, lambda g: ga.grand_norm(g, gp, refine).value)
+    got = ga.control_function(f, ga.GrandSpace(gp), window).values
+    want = _per_window(f, window, lambda g: ga.grand_norm(g, gp).value)
     assert want.flat[0] == 0.0  # the all-zero window
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 

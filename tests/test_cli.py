@@ -76,6 +76,7 @@ def test_cli_grand_closed_form(tmp_path):
     )
     assert code == 0
     summary = json.loads((out / "grand_summary.json").read_text())
+    assert sorted(summary) == sorted(["value", "argmax_eps", "variant", "p", "theta"])  # README
     assert summary["value"] == pytest.approx(1.0, rel=1e-9)
     assert summary["argmax_eps"] == pytest.approx(1.0)
     curve = (out / "grand_curve.csv").read_text().splitlines()
@@ -119,6 +120,8 @@ def test_cli_amalgam_one_window(tmp_path):
     summary = json.loads((out / "amalgam_summary.json").read_text())
     assert summary["value"] == pytest.approx(1.0, rel=1e-12)
     assert (out / "control.csv").exists()
+    # a classical global stage has no epsilon curve: a header-only file
+    assert (out / "outer_curve.csv").read_text() == "eps,inner_norm,weighted_term\n"
 
 
 def test_cli_input_from_csv(tmp_path):
@@ -176,28 +179,6 @@ def test_cli_verify_subset_deterministic(tmp_path):
         outs.append(out)
     for fname in ("summary.json", "norm_axioms.json", "norm_axioms.csv"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
-
-
-def test_emit_plotdata_contract(tmp_path):
-    dom = ga.BoxDomain(0.0, 1.0, 64)
-    # grand curve of a constant: exactly the default 33-point grid
-    rep = ga.grand_norm(ga.constant(dom, 1.0), ga.GrandParams(2.0, ga.unit_weight(dom)))
-    path = cli.emit_plotdata(rep, tmp_path, "curve")
-    assert len(path.read_text().splitlines()) == 1 + 33
-    # empty curve (classical outer stage): header-only file
-    spec = ga.AmalgamSpec(ga.ClassicalSpace(2.0), ga.ClassicalSpace(2.0), ga.WindowSpec(4, 4))
-    empty = ga.amalgam_norm(ga.constant(dom, 1.0), spec)
-    path = cli.emit_plotdata(empty, tmp_path, "empty")
-    assert path.read_text() == "eps,inner_norm,weighted_term\n"
-    # growth experiment: one row per truncation length
-    from grandamalgam.verify import check_maximal_unbounded
-
-    growth = check_maximal_unbounded(points_per_unit=4)
-    path = cli.emit_plotdata(growth, tmp_path, "growth")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "T,log_T,norm" and len(lines) == 6
-    with pytest.raises(TypeError):
-        cli.emit_plotdata(object(), tmp_path, "nope")
 
 
 def test_sampler_specs():

@@ -7,7 +7,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
 import grandamalgam as ga
-from grandamalgam import norms
+from grandamalgam import cli, norms
 from grandamalgam.norms import EpsGrid, _grand_scan
 from grandamalgam.reporting import Verdict
 
@@ -146,13 +146,19 @@ def test_grand_norm_sup_definition(unit_box):
         assert matches and matches[0] == rep.value
 
 
+def _grid_rows(rep, gp):
+    """The rows of a report's curve at the points of the epsilon grid."""
+    return [row for row in rep.curve if row[0] in gp.eps_grid.values]
+
+
 def test_grand_norm_curve(unit_box):
     gp = ga.GrandParams(2.0, ga.unit_weight(unit_box), eps_grid=EpsGrid.explicit([0.1, 0.5, 1.0]))
-    curve = ga.grand_norm_curve(ga.constant(unit_box, 1.0), gp)
+    rep = ga.grand_norm(ga.constant(unit_box, 1.0), gp)
+    curve = [(eps, term) for eps, _, term in _grid_rows(rep, gp)]
     assert curve[0] == (0.1, pytest.approx(0.1, rel=1e-14))
-    assert ga.grand_norm_curve(ga.constant(unit_box, 0.0), gp) == [(0.1, 0.0), (0.5, 0.0), (1.0, 0.0)]
-    # curve max equals the unrefined norm value
-    rep = ga.grand_norm(ga.constant(unit_box, 1.0), gp, refine=False)
+    zero = ga.grand_norm(ga.constant(unit_box, 0.0), gp)
+    assert [(eps, term) for eps, _, term in _grid_rows(zero, gp)] == [(0.1, 0.0), (0.5, 0.0), (1.0, 0.0)]
+    # the grid maximum is the norm value: eps * 1 rises to its end at p - 1
     assert max(t for _, t in curve) == rep.value
 
 
@@ -249,6 +255,30 @@ def test_eps_grid_validation():
         ga.GrandParams(2.0, ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4)), theta=0.0)
 
 
+@pytest.mark.parametrize("mode", ["geometric", "linear"])
+def test_eps_grid_constructors_share_one_check(mode, capsys, tmp_path):
+    make = getattr(EpsGrid, mode)
+    grid = make(3.0, count=5, min_eps=0.5)
+    assert grid.count == 5 and grid.values[-1] == 2.0
+    assert grid.min_eps == pytest.approx(0.5, rel=1e-12)
+    for kwargs, message in [
+        ({"count": 0}, "need at least two grid points"),
+        ({"count": 1}, "need at least two grid points"),
+        ({"min_eps": 0.0}, r"need 0 < min_eps < p - 1"),
+        ({"min_eps": 1.0}, r"need 0 < min_eps < p - 1"),
+        ({"min_eps": 1.5}, r"need 0 < min_eps < p - 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            make(2.0, **kwargs)
+    with pytest.raises(ValueError, match="need p > 1"):
+        make(1.0)
+    # the CLI reports the same error for either mode
+    args = ["grand", "--f", "const:1", "--p", "2", "--eps-mode", mode, "--eps-min", "1.5",
+            "--out", str(tmp_path)]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == "config error: need 0 < min_eps < p - 1\n"
+
+
 def test_eps_grid_with_extra():
     grid = EpsGrid.geometric(2.0, count=5)
     grid2 = grid.with_extra(0.123)
@@ -280,7 +310,7 @@ def test_grid_inner_norms_match_the_power_formula(variant):
         absw[4:, 25:] = aw[4:, 25:] = 0.0  # the zero padding of clipped windows
         absw[5] = 0.0
         h = 1.0 / 64
-        inner = _grand_scan(absw, aw, gp, h, refine=False)[2]
+        inner = _grand_scan(absw, aw, gp, h)[2]
         p = gp.p
         for j, eps in enumerate(gp.eps_grid.values):
             w = aw ** (eps / p) if variant is ga.Variant.EXPONENT_OVER_P else aw**eps
@@ -292,7 +322,7 @@ def test_grid_inner_norms_of_rows_spanning_600_decades():
     absw = np.array([[1e300, 1e-300, 0.0, 1.0], [1e-300, 2e-300, 1e-310, 0.0]])
     aw = np.array([[1e-200, 1e250, 1.0, 1.0], [1e300, 1.0, 1e-300, 1.0]])
     gp = block_params(np.random.default_rng(0), ga.Variant.EXPONENT_OVER_P)
-    inner = _grand_scan(absw, aw, gp, 0.25, refine=False)[2]
+    inner = _grand_scan(absw, aw, gp, 0.25)[2]
     p = gp.p
     for j, eps in enumerate(gp.eps_grid.values):
         for r in range(2):
@@ -311,9 +341,9 @@ def test_batched_scan_rows_match_rows_scanned_alone():
         gp = block_params(rng, list(ga.Variant)[trial % 2])
         rows, cells = int(rng.integers(1, 12)), int(rng.integers(1, 40))
         absw, aw = random_block(rng, rows, cells)
-        value, argmax, inner, _, _ = _grand_scan(absw, aw, gp, 1.0 / cells, True)
+        value, argmax, inner, _, _ = _grand_scan(absw, aw, gp, 1.0 / cells)
         for r in range(rows):
-            v, x, row, _, _ = _grand_scan(absw[r : r + 1], aw[r : r + 1], gp, 1.0 / cells, True)
+            v, x, row, _, _ = _grand_scan(absw[r : r + 1], aw[r : r + 1], gp, 1.0 / cells)
             assert (value[r], argmax[r]) == (v[0], x[0])
             assert np.array_equal(inner[r], row[0])
 
@@ -324,10 +354,10 @@ def test_grid_block_size_changes_no_bit(monkeypatch, cells_per_block):
     for variant in ga.Variant:
         gp = block_params(rng, variant)
         absw, aw = random_block(rng, 9, 21)
-        want = _grand_scan(absw, aw, gp, 0.1, True)
+        want = _grand_scan(absw, aw, gp, 0.1)
         with monkeypatch.context() as patch:
             patch.setattr(norms, "_GRID_BLOCK_CELLS", cells_per_block)
-            got = _grand_scan(absw, aw, gp, 0.1, True)
+            got = _grand_scan(absw, aw, gp, 0.1)
         for a, b in zip(want, got):
             assert np.array_equal(a, b)
 
@@ -416,7 +446,7 @@ def test_inner_norms_match_a_log_space_reference_across_float_range(cells, p, va
     gp = ga.GrandParams(p, w, variant=variant)
     root = p if variant is ga.Variant.EXPONENT_OVER_P else 1.0
     with np.errstate(over="ignore"):  # a norm beyond float range is inf
-        curve = ga.grand_norm(f, gp, refine=False).curve
+        curve = _grid_rows(ga.grand_norm(f, gp), gp)
         lp = ga.weighted_lp_norm(f, p, w)
     h = dom.cell_volume
     for eps, inner, _ in curve:

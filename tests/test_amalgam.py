@@ -343,10 +343,11 @@ def _per_window(f, window, norm):
 
 @pytest.mark.parametrize("shape, side, stride", KERNEL_CASES)
 @pytest.mark.parametrize("variant", list(ga.Variant))
-def test_batched_grand_control_matches_per_window(shape, side, stride, variant):
+@pytest.mark.parametrize("p", [1.4, 2.7])  # a grid ending below and above eps = 1
+def test_batched_grand_control_matches_per_window(shape, side, stride, variant, p):
     f, a = _kernel_input(shape, side)
     window = ga.WindowSpec(side, stride)
-    gp = ga.GrandParams(2.7, a, theta=1.3, variant=variant)
+    gp = ga.GrandParams(p, a, theta=1.3, variant=variant)
     got = ga.control_function(f, ga.GrandSpace(gp), window).values
     want = _per_window(f, window, lambda g: ga.grand_norm(g, gp).value)
     assert want.flat[0] == 0.0  # the all-zero window

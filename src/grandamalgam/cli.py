@@ -202,6 +202,33 @@ def _probe_points(params: dict, lower, upper, what: str) -> list[float]:
     return points
 
 
+def _explicit_radii(params: dict) -> RadiusSet | None:
+    """The comma list of ``param.radii`` as a radius set; None for 'full' or 'dyadic'."""
+    if params["radii"] in ("full", "dyadic"):
+        return None
+    try:
+        radii = tuple(int(tok) for tok in params["radii"].split(","))
+    except ValueError:
+        raise ConfigError("param.radii: 'full', 'dyadic', or positive integers") from None
+    try:
+        return RadiusSet(radii, params["include_center"] == "true")
+    except ValueError as exc:  # a radius below one cell, or a repeated one
+        raise ConfigError(f"param.radii: {exc}") from None
+
+
+def _radius_set(params: dict, domain: BoxDomain) -> RadiusSet:
+    """``param.radii`` on ``domain``, whose extent bounds explicit radii."""
+    rs = _explicit_radii(params)
+    if rs is None:
+        named = RadiusSet.full if params["radii"] == "full" else RadiusSet.dyadic
+        return named(domain, params["include_center"] == "true")
+    try:
+        rs.validate_for(domain)
+    except ValueError as exc:
+        raise ConfigError(f"param.radii: {exc}") from None
+    return rs
+
+
 def _parse_box(params: dict) -> tuple[tuple[float, ...], tuple[float, ...]]:
     vals = _parse_floats(params["box"], "box")
     if len(vals) == 2:
@@ -271,10 +298,13 @@ def validate_config(config: RunConfig) -> RunConfig:
     if sub == "norm":
         classical_exponent("p")
     elif sub == "grand":
-        above("p", 1.0)
+        top = above("p", 1.0) - 1.0
         above("theta", 0.0)
         if _number(params, "eps_count") < 2:
             raise ConfigError("param.eps_count: need at least 2")
+        eps_min = _number(params, "eps_min") if params["eps_min"] else None
+        if eps_min is not None and not 0.0 < eps_min < top:
+            raise ConfigError(f"param.eps_min: need 0 < eps_min < p - 1 = {top}, got {eps_min}")
     elif sub == "amalgam":
         for key, stage in (("p", "local"), ("q", "global")):
             if params[stage] == "grand":
@@ -285,15 +315,12 @@ def validate_config(config: RunConfig) -> RunConfig:
         if _number(params, "window_side") < 1 or _number(params, "window_stride") < 1:
             raise ConfigError("param.window_side/window_stride: need at least one cell")
     elif sub == "maximal":
-        if params["radii"] not in ("full", "dyadic"):
-            for tok in params["radii"].split(","):
-                try:
-                    if int(tok) < 1:
-                        raise ValueError
-                except ValueError:
-                    raise ConfigError("param.radii: 'full', 'dyadic', or positive integers")
-        if params["probe"] and not _is_csv(config.input):  # a CSV's grid is checked on load
-            _probe_points(params, lo, up, "box")
+        if _is_csv(config.input):  # a CSV's grid is known on load, and checked there
+            _explicit_radii(params)
+        else:
+            _radius_set(params, _domain_from(params))
+            if params["probe"]:
+                _probe_points(params, lo, up, "box")
     elif sub == "verify":
         if _parse_cells(params, 1)[0] < 16:
             raise ConfigError("param.cells: verify needs at least 16 cells")
@@ -471,20 +498,14 @@ def _run_maximal(config: RunConfig, outdir: Path) -> int:
     params = config.parameters
     domain = _domain_from(params)
     f = _load_input(config, domain)
-    include_center = params["include_center"] == "true"
-    if params["radii"] == "full":
-        rs = RadiusSet.full(f.domain, include_center)
-    elif params["radii"] == "dyadic":
-        rs = RadiusSet.dyadic(f.domain, include_center)
-    else:
-        rs = RadiusSet(tuple(int(t) for t in params["radii"].split(",")), include_center)
+    rs = _radius_set(params, f.domain)
     if params["probe"]:  # against the grid read from a CSV, before any computation
         probes = _probe_points(params, f.domain.lower, f.domain.upper, "grid")
     result = maximal_fast(f, rs) if params["impl"] == "fast" else maximal_naive(f, rs)
     write_maximal_csv(result, outdir / "maximal.csv")
     summary = {
         "radii": params["radii"],
-        "include_center": include_center,
+        "include_center": rs.include_center,
         "impl": params["impl"],
         "max_value": float(np.max(np.real(result.mf.values))),
     }

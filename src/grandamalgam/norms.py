@@ -21,6 +21,7 @@ observed empirically (see :func:`compare_variants`).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -174,11 +175,12 @@ class NormReport:
     ``curve`` rows are (eps, inner_lp_norm, weighted_term); the value equals
     the maximum weighted term over the curve and is attained at
     ``argmax_eps``.  Classical (single-exponent) norms report an empty curve.
+    A grand curve is a sequence that makes its rows when read.
     """
 
     value: float
     argmax_eps: float | None
-    curve: tuple[tuple[float, float, float], ...]
+    curve: Sequence[tuple[float, float, float]]
     p: float | None = None
     theta: float | None = None
     variant: str | None = None
@@ -361,14 +363,49 @@ def _grand_report(
     absw: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volume: float
 ) -> list[NormReport]:
     """Grand norm of every row of a (rows, cells) block with its curve, from one batched scan."""
-    scan = _grand_scan(absw, aw, gp, cell_volume)
-    reports = []
-    for v, x, row_inner, row_terms, pk in zip(*(a.tolist() for a in scan)):
-        rows = list(zip(gp.eps_grid.values, row_inner, row_terms))
-        if all(abs(x - r[0]) > 1e-15 for r in rows):
-            rows = sorted(rows + [(x, pk, v)])
-        reports.append(NormReport(v, x, tuple(rows), gp.p, gp.theta, gp.variant.value))
-    return reports
+    value, argmax, inner, terms, peak = _grand_scan(absw, aw, gp, cell_volume)
+    return [
+        NormReport(v, x, _Curve(gp.eps_grid.values, row_inner, row_terms, (x, pk, v)),
+                   gp.p, gp.theta, gp.variant.value)
+        for v, x, pk, row_inner, row_terms in zip(
+            value.tolist(), argmax.tolist(), peak.tolist(), inner, terms
+        )
+    ]
+
+
+class _Curve(Sequence):
+    """The (eps, inner norm, weighted term) rows of one grand report, made when read.
+
+    The reports of a stack keep views of their scan's arrays: rows of Python
+    floats would cost about 4 KB per report, for reports whose callers mostly
+    read only the value.  The maximizer has a row of its own when it is not a
+    grid point.
+    """
+
+    def __init__(self, eps: tuple, inner: np.ndarray, terms: np.ndarray, top: tuple):
+        self._parts = (eps, inner, terms, top)
+
+    def _rows(self) -> tuple:
+        eps, inner, terms, top = self._parts
+        rows = list(zip(eps, inner.tolist(), terms.tolist()))
+        if all(abs(top[0] - r[0]) > 1e-15 for r in rows):
+            rows = sorted(rows + [top])
+        return tuple(rows)
+
+    def __getitem__(self, i):
+        return self._rows()[i]
+
+    def __len__(self) -> int:
+        return len(self._rows())
+
+    def __iter__(self):
+        return iter(self._rows())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and self._rows() == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(self._rows())
 
 
 def grand_norm(f: GridFunction, gp: GrandParams) -> NormReport:

@@ -207,11 +207,16 @@ def test_sampler_specs():
         (["grand", "--theta", "inf"], "param.theta: expected a finite number, got 'inf'"),
         (["grand", "--eps-min", "nan"], "param.eps_min: expected a finite number, got 'nan'"),
         (["grand", "--p", "1e999"], "param.p: expected a finite number, got '1e999'"),
+        (["grand", "--p", "2", "--eps-min", "1.5"], "param.eps_min: need 0 < eps_min < p - 1 = 1.0, got 1.5"),
+        (["maximal", "--cells", "64", "--radii", "5000"],
+         "param.radii: max radius 5000 exceeds the grid extent 64"),
+        (["maximal", "--radii", "3,3"], "param.radii: radii must be distinct"),
     ],
 )
 def test_bad_numeric_value_names_the_parameter(tmp_path, capsys, argv, message):
     assert cli.main([*argv, "--f", "const:1", "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.strip() == f"config error: {message}"
+    assert not (tmp_path / "o").exists()  # rejected before the output directory is made
 
 
 def test_bad_numeric_value_in_config_file_names_the_parameter():
@@ -275,6 +280,19 @@ def test_probe_is_checked_against_the_csv_grid(tmp_path, capsys, monkeypatch, do
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.strip() == f"config error: param.probe: {message}"
     assert calls == []
+
+
+def test_radii_are_checked_against_the_csv_grid(tmp_path, capsys, monkeypatch):
+    # the box says 1024 cells, the CSV has 16: the CSV's grid decides, on load
+    path = tmp_path / "f.csv"
+    ga.write_grid_csv(ga.constant(ga.BoxDomain(0.0, 1.0, 16), 1.0), path)
+    calls = _count_calls(monkeypatch, (cli,), "maximal_fast")
+    argv = ["maximal", "--f", str(path), "--radii", "2,17", "--out", str(tmp_path / "m")]
+    assert cli.main(argv) == 2
+    message = "param.radii: max radius 17 exceeds the grid extent 16"
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
+    assert calls == []
+    assert cli.main([*argv[:-3], "2,16", *argv[-2:]]) == 0
 
 
 def test_probe_inside_a_csv_grid_outside_the_box_is_accepted(tmp_path):

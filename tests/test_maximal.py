@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grandamalgam as ga
+from grandamalgam import maximal
 
 
 def random_function(domain, seed, complex_values=False):
@@ -90,10 +91,11 @@ def test_fast_matches_naive_2d():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 5))
+@given(st.integers(0, 10_000), st.one_of(st.integers(1, 5), st.integers(70, 110)))
 def test_fast_matches_naive_property(seed, nradii):
+    # 70 or more radii make at least three blocks of the pruned kernel
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(8, 64))
+    n = int(rng.integers(8, 64)) if nradii <= 5 else int(rng.integers(nradii, 513))
     dom = ga.BoxDomain(0.0, 1.0, n)
     f = random_function(dom, seed)
     radii = sorted(rng.choice(np.arange(1, n + 1), size=min(nradii, n), replace=False))
@@ -101,6 +103,102 @@ def test_fast_matches_naive_property(seed, nradii):
     a = ga.maximal_naive(f, rs)
     b = ga.maximal_fast(f, rs)
     assert rel_diff(np.real(a.mf.values), np.real(b.mf.values)) <= 1e-12
+    np.testing.assert_array_equal(a.argmax_radius, b.argmax_radius)
+
+
+def _fold_every_radius(absf, rs):
+    """The all-radii sweep: every radius folded over every cell, ascending."""
+    best, arg = maximal._init_best(absf, rs)
+    maximal._BallTable(absf, rs.radii_cells[-1]).fold(rs.radii_cells, best, arg)
+    return best, arg
+
+
+def _kernel_input(kind, shape):
+    """Tie-heavy inputs (constant, indicator, integers, zeros), skewed and plain noise."""
+    rng = np.random.default_rng(41)
+    if kind == "constant":
+        return np.full(shape, 2.5)
+    if kind == "indicator":
+        f = np.zeros(shape)
+        f[tuple(slice(n // 3, n // 3 + max(1, n // 8)) for n in shape)] = 1.0
+        return f
+    if kind == "integers":
+        return rng.integers(0, 4, shape).astype(float)
+    if kind == "zeros":
+        return np.zeros(shape)
+    if kind == "power8":
+        return rng.random(shape) ** 8
+    if kind == "overflow":  # prefix sums overflow: some ball sums are inf - inf
+        return np.where(rng.random(shape) < 0.5, 0.0, 1.5e308)
+    return rng.random(shape)
+
+
+def _branches(monkeypatch):
+    """Spies on the two ways a block is evaluated; returns the names seen."""
+    seen = []
+    for name in ("gather", "fold"):
+        method = getattr(maximal._BallTable, name)
+
+        def spy(self, *args, _method=method, _name=name):
+            seen.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(maximal._BallTable, name, spy)
+    return seen
+
+
+# 1-D: 128 radii make 4 blocks; 2-D (100 x 60) with 100 radii makes 4 blocks
+# and clips balls at both ends of both axes.  Custom sets end at the radius n.
+_GRIDS = {
+    "1d": ((256,), lambda dom: [ga.RadiusSet.full(dom), ga.RadiusSet.dyadic(dom),
+                                ga.RadiusSet(tuple(range(1, 256, 2)) + (256,))]),
+    "2d": ((100, 60), lambda dom: [ga.RadiusSet.full(dom), ga.RadiusSet.dyadic(dom),
+                                   ga.RadiusSet(tuple(range(1, 101)))]),
+}
+
+
+@pytest.mark.parametrize(
+    "kind", ["constant", "indicator", "integers", "zeros", "power8", "uniform", "overflow"]
+)
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+@pytest.mark.parametrize("include_center", [True, False])
+@pytest.mark.parametrize("branch", ["natural", "gather", "slice"])
+def test_pruned_kernel_is_bit_identical_to_the_all_radii_fold(monkeypatch, kind, grid, include_center,
+                                                              branch):
+    shape, radius_sets = _GRIDS[grid]
+    dom = ga.BoxDomain((0.0,) * len(shape), (1.0,) * len(shape), shape)
+    absf = _kernel_input(kind, shape)
+    if branch != "natural":  # every active block by gathers, or every one by slices
+        monkeypatch.setattr(maximal, "GATHER_SHARE", 1.0 if branch == "gather" else 0.0)
+    seen = _branches(monkeypatch)
+    for block in (maximal.BLOCK, 3):  # 3: many blocks, so ties across anchors are common
+        monkeypatch.setattr(maximal, "BLOCK", block)
+        for rs in radius_sets(dom):
+            rs = ga.RadiusSet(rs.radii_cells, include_center)
+            seen.clear()
+            with np.errstate(over="ignore", invalid="ignore"):
+                best, arg = maximal._ball_averages(absf, rs)
+                taken = list(seen)
+                want_best, want_arg = _fold_every_radius(absf, rs)
+            np.testing.assert_array_equal(best, want_best)
+            np.testing.assert_array_equal(arg, want_arg)
+            if branch == "gather":
+                assert taken.count("fold") == 1  # the anchors only
+            if branch == "slice":
+                assert "gather" not in taken
+
+
+def test_pruned_kernel_takes_both_branches_on_noise(monkeypatch):
+    # dense blocks at small radii, sparse ones at large radii
+    dom = ga.BoxDomain(0.0, 1.0, 1024)
+    absf = np.random.default_rng(0).random(1024)
+    rs = ga.RadiusSet.full(dom)
+    seen = _branches(monkeypatch)
+    best, arg = maximal._ball_averages(absf, rs)
+    assert seen.count("fold") > 1 and "gather" in seen
+    want_best, want_arg = _fold_every_radius(absf, rs)
+    np.testing.assert_array_equal(best, want_best)
+    np.testing.assert_array_equal(arg, want_arg)
 
 
 def _assert_fast_matches_naive(f, rs):

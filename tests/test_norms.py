@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,6 +163,17 @@ def test_grand_norm_curve(unit_box):
     assert max(t for _, t in curve) == rep.value
 
 
+def test_grand_curve_reads_as_a_tuple_of_float_rows(unit_box):
+    # the rows are made from the scan's arrays when read, and compare as the tuple they were
+    gp = ga.GrandParams(2.5, ga.weight_from(unit_box, lambda x: np.exp(-x)))
+    rep = ga.grand_norm(make_random_function(unit_box, 3), gp)
+    rows = tuple(rep.curve)
+    assert len(rows) >= gp.eps_grid.count and all(type(x) is float for row in rows for x in row)
+    assert rep.curve == rows and rep.curve[1] == rows[1] and len(rep.curve) == len(rows)
+    as_tuple = replace(rep, curve=rows)
+    assert rep == as_tuple and hash(rep) == hash(as_tuple)
+
+
 def test_grand_norm_homogeneity_triangle_solidity(unit_box):
     w = ga.weight_from(unit_box, lambda x: np.exp(-x))
     gp = ga.GrandParams(2.0, w)
@@ -272,11 +284,12 @@ def test_eps_grid_constructors_share_one_check(mode, capsys, tmp_path):
             make(2.0, **kwargs)
     with pytest.raises(ValueError, match="need p > 1"):
         make(1.0)
-    # the CLI reports the same error for either mode
+    # the CLI reports the same error for either mode, naming the key, before making --out
     args = ["grand", "--f", "const:1", "--p", "2", "--eps-mode", mode, "--eps-min", "1.5",
-            "--out", str(tmp_path)]
+            "--out", str(tmp_path / "o")]
     assert cli.main(args) == 2
-    assert capsys.readouterr().err == "config error: need 0 < min_eps < p - 1\n"
+    assert capsys.readouterr().err == "config error: param.eps_min: need 0 < eps_min < p - 1 = 1.0, got 1.5\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_eps_grid_with_extra():

@@ -4,13 +4,13 @@ Every run is described by a :class:`RunConfig` (subcommand, input function,
 parameter map, output directory, seed), whether it was assembled from flags
 or parsed from a line-oriented ``key = value`` config file.  Each parameter
 is declared once, in one table: ``_PARAMS`` gives each subcommand's keys and
-their default strings, ``_KINDS`` gives each key's kind (float, int, or a
-tuple of allowed words).  Everything else is derived from it: the keys a
-config file accepts and the defaults it gets, the ``--flag`` for each key
-(``eps_count`` becomes ``--eps-count``, unset flags fall through to the same
-defaults), the conversion and word checks of validation, and the grand
-stage defaults of ``amalgam``.  Validation happens before any computation;
-outputs are CSV/JSON files written with fixed 17-significant-digit
+their default strings, ``_KINDS`` gives each key's kind (float, int, a tuple
+of allowed words, or a sampler spec).  Everything else is derived from it:
+the keys a config file accepts and the defaults it gets, the ``--flag`` for
+each key (``eps_count`` becomes ``--eps-count``, unset flags fall through to
+the same defaults), the conversion and word checks of validation, and the
+grand stage defaults of ``amalgam``.  Validation happens before any
+computation; outputs are CSV/JSON files written with fixed 17-significant-digit
 formatting, so identical configurations produce byte-identical artifacts.
 Exit codes: 0 success, 1 any FAIL verdict, 2 configuration error.
 """
@@ -30,12 +30,13 @@ from .amalgam import (
     ClassicalSpace,
     GrandSpace,
     WindowSpec,
+    _window_on,
     amalgam_norm,
     control_function,
     write_control_csv,
 )
-from .gridfn import BoxDomain, GridFunction, build, read_grid_csv, weight_from
-from .maximal import RadiusSet, _sample_profile, maximal_fast, maximal_naive, write_maximal_csv
+from .gridfn import BoxDomain, GridFunction, Weight, _SAMPLERS, build, read_grid_csv, weight_from
+from .maximal import RadiusSet, _sample_profile, maximal_fast, write_maximal_csv
 from .norms import EpsGrid, GrandParams, Variant, grand_norm, weighted_lp_norm, write_norm_csv
 from .reporting import write_check_csv, write_check_json, write_csv, write_json
 from . import verify as verify_mod
@@ -81,15 +82,14 @@ _PARAMS = {
         "radii": "full",
         "probe": "",
         "include_center": "true",
-        "impl": "fast",
         "box": "-8,8",
         "cells": "1024",
     },
     "verify": {"checks": "all", "cells": "256"},
 }
 
-# Part two.  Per key: float, int, or the tuple of allowed words.  Keys not
-# listed (samplers, box, cells, radii, probe, checks) are parsed where they
+# Part two.  Per key: float, int, the tuple of allowed words, or "sampler".
+# Keys not listed (box, cells, radii, probe, checks) are parsed where they
 # are used.  Numbers come first, so they are checked first.
 _KINDS = {
     "p": float,
@@ -103,8 +103,10 @@ _KINDS = {
     "eps_mode": ("geometric", "linear"),
     "local": ("classical", "grand"),
     "global": ("classical", "grand"),
-    "impl": ("fast", "naive"),
     "include_center": ("true", "false"),
+    "w": "sampler",
+    "a": "sampler",
+    "b": "sampler",
 }
 
 SUBCOMMANDS = tuple(_PARAMS)
@@ -184,21 +186,25 @@ def _number(params: dict, key: str):
     return value
 
 
-def _parse_floats(text: str, key: str) -> list[float]:
+def _parse_floats(text: str, label: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise ConfigError(f"param.{key}: expected comma-separated numbers, got {text!r}")
+        raise ConfigError(f"{label}: expected comma-separated numbers, got {text!r}") from None
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"{label}: expected finite numbers, got {text!r}")
+    return vals
 
 
-def _probe_points(params: dict, lower, upper, what: str) -> list[float]:
-    """The probe points, each checked against the 1-D ``what`` [lower, upper]."""
-    if len(lower) != 1:
+def _probe_points(params: dict, domain: BoxDomain, what: str) -> list[float]:
+    """The probe points, each checked against the 1-D ``domain``, a ``what``."""
+    if domain.ndim != 1:
         raise ConfigError(f"param.probe: probe points need a 1-D {what}")
-    points = _parse_floats(params["probe"], "probe")
+    points = _parse_floats(params["probe"], "param.probe")
+    (lo,), (up,) = domain.lower, domain.upper
     for x in points:
-        if not lower[0] <= x <= upper[0]:
-            raise ConfigError(f"param.probe: point {x} outside the {what} [{lower[0]}, {upper[0]}]")
+        if not lo <= x <= up:
+            raise ConfigError(f"param.probe: point {x} outside the {what} [{lo}, {up}]")
     return points
 
 
@@ -229,20 +235,6 @@ def _radius_set(params: dict, domain: BoxDomain) -> RadiusSet:
     return rs
 
 
-def _parse_box(params: dict) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    vals = _parse_floats(params["box"], "box")
-    if len(vals) == 2:
-        lo, up = (vals[0],), (vals[1],)
-    elif len(vals) == 4:
-        lo, up = (vals[0], vals[2]), (vals[1], vals[3])
-    else:
-        raise ConfigError("param.box: expected 'lo,up' or 'lo0,up0,lo1,up1'")
-    for a, b in zip(lo, up):
-        if not b > a:
-            raise ConfigError(f"param.box: need lower < upper, got [{a}, {b}]")
-    return lo, up
-
-
 def _parse_cells(params: dict, ndim: int) -> tuple[int, ...]:
     vals = params["cells"].split(",")
     try:
@@ -269,16 +261,24 @@ def validate_config(config: RunConfig) -> RunConfig:
     params = {**_PARAMS[sub], **config.parameters}
     config = replace(config, parameters=params)
 
+    ndim = None  # a CSV's grid is known on load; its weights are checked there
     if sub != "verify":
         if not config.input:
             raise ConfigError("input: required (a built-in sampler spec or a grid CSV path)")
-        lo, up = _parse_box(params)
-        _parse_cells(params, len(lo))
+        box = _domain_from(params)
+        if not _is_csv(config.input):
+            ndim = box.ndim
+            make_sampler(config.input, ndim)
+        elif not Path(config.input).exists():
+            raise ConfigError(f"input: file not found: {config.input}")
 
     for key, kind in _KINDS.items():
         if key not in params:
             continue
-        if isinstance(kind, tuple):
+        if kind == "sampler":
+            if ndim is not None:
+                make_sampler(params[key], ndim, f"param.{key}")
+        elif isinstance(kind, tuple):
             if params[key] not in kind:
                 words = " or ".join(repr(word) for word in kind)
                 raise ConfigError(f"param.{key}: expected {words}")
@@ -314,14 +314,18 @@ def validate_config(config: RunConfig) -> RunConfig:
         above("theta", 0.0)
         if _number(params, "window_side") < 1 or _number(params, "window_stride") < 1:
             raise ConfigError("param.window_side/window_stride: need at least one cell")
+        if ndim is not None:
+            _window(params, box)
     elif sub == "maximal":
-        if _is_csv(config.input):  # a CSV's grid is known on load, and checked there
+        if ndim is None:
             _explicit_radii(params)
         else:
-            _radius_set(params, _domain_from(params))
+            _radius_set(params, box)
             if params["probe"]:
-                _probe_points(params, lo, up, "box")
+                _probe_points(params, box, "box")
     elif sub == "verify":
+        if config.seed < 0:
+            raise ConfigError(f"seed: expected a non-negative integer, got {config.seed}")
         if _parse_cells(params, 1)[0] < 16:
             raise ConfigError("param.cells: verify needs at least 16 cells")
         if params["checks"] != "all":
@@ -340,86 +344,56 @@ def validate_config(config: RunConfig) -> RunConfig:
 # ----------------------------------------------------------------------------
 
 
-def make_sampler(spec: str, ndim: int):
-    """const:c | indicator:lo,hi[,lo1,hi1] | gaussian:c..,sigma | ramp:a,b | bump:c..,w"""
-    if ":" in spec:
-        name, argtext = spec.split(":", 1)
-        args = _parse_floats(argtext, "sampler")
-    else:
-        name, args = spec, []
-    if name == "const":
-        c = args[0] if args else 1.0
-        return lambda *xs: c + 0.0 * np.asarray(xs[0], dtype=float)
-    if name == "indicator":
-        if len(args) != 2 * ndim:
-            raise ConfigError(f"indicator sampler needs {2 * ndim} bounds")
-        lo, hi = args[0::2], args[1::2]
-
-        def ind(*xs):
-            m = np.ones_like(np.asarray(xs[0], dtype=float), dtype=bool)
-            for d in range(ndim):
-                x = np.asarray(xs[d], dtype=float)
-                m &= (x >= lo[d]) & (x <= hi[d])
-            return m.astype(float)
-
-        return ind
-    if name == "gaussian":
-        if len(args) != ndim + 1:
-            raise ConfigError(f"gaussian sampler needs {ndim} center(s) and a sigma")
-        c, s = args[:ndim], args[-1]
-        if s <= 0:
-            raise ConfigError("gaussian sampler: sigma must be positive")
-        return lambda *xs: np.exp(
-            -sum((np.asarray(xs[d], dtype=float) - c[d]) ** 2 for d in range(ndim)) / (2 * s * s)
-        )
-    if name == "ramp":
-        if ndim != 1 or len(args) != 2 or args[1] <= args[0]:
-            raise ConfigError("ramp sampler: 1-D only, needs a < b")
-        a, bnd = args
-
-        def ramp(x):
-            x = np.asarray(x, dtype=float)
-            return np.where((x >= a) & (x <= bnd), (x - a) / (bnd - a), 0.0)
-
-        return ramp
-    if name == "bump":
-        if len(args) != ndim + 1:
-            raise ConfigError(f"bump sampler needs {ndim} center(s) and a width")
-        c, w = args[:ndim], args[-1]
-        if w <= 0:
-            raise ConfigError("bump sampler: width must be positive")
-
-        def bump(*xs):
-            u2 = sum(((np.asarray(xs[d], dtype=float) - c[d]) / w) ** 2 for d in range(ndim))
-            inside = u2 < 1.0
-            denom = np.where(inside, 1.0 - u2, 1.0)
-            return np.where(inside, np.exp(1.0 - 1.0 / denom), 0.0)
-
-        return bump
-    raise ConfigError(f"unknown sampler {spec!r}")
+def make_sampler(spec: str, ndim: int, key: str = "input"):
+    """``spec`` ('name:x,y,...') as a sampler on an ``ndim``-D box; errors name ``key``."""
+    name, _, text = spec.partition(":")
+    if name not in _SAMPLERS:
+        raise ConfigError(f"{key}: unknown sampler {name!r}; expected one of {', '.join(_SAMPLERS)}")
+    factory, count, what, split = _SAMPLERS[name]
+    args = _parse_floats(text, f"{key}: {name}")
+    if len(args) != count(ndim):
+        raise ConfigError(f"{key}: {name}: expected {what}, got {len(args)} number(s) on a {ndim}-D box")
+    try:
+        return factory(*split(args, ndim))
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {name}: {exc}") from None
 
 
 def _is_csv(text: str) -> bool:
     return Path(text).suffix == ".csv"
 
 
-def _load_input(config: RunConfig, domain: BoxDomain) -> GridFunction:
-    text = config.input
-    if _is_csv(text):
-        if not Path(text).exists():
-            raise ConfigError(f"input: file not found: {text}")
-        return read_grid_csv(text)
-    return build(domain, make_sampler(text, domain.ndim))
+def _load_input(config: RunConfig) -> GridFunction:
+    if _is_csv(config.input):
+        return read_grid_csv(config.input)
+    domain = _domain_from(config.parameters)
+    return build(domain, make_sampler(config.input, domain.ndim))
 
 
 def _domain_from(params: dict) -> BoxDomain:
-    lo, up = _parse_box(params)
-    cells = _parse_cells(params, len(lo))
-    return BoxDomain(lo, up, cells)
+    vals = _parse_floats(params["box"], "param.box")
+    if len(vals) not in (2, 4):
+        raise ConfigError("param.box: expected 'lo,up' or 'lo0,up0,lo1,up1'")
+    cells = _parse_cells(params, len(vals) // 2)
+    try:
+        return BoxDomain(vals[0::2], vals[1::2], cells)
+    except ValueError as exc:  # lower >= upper on an axis
+        raise ConfigError(f"param.box: {exc}") from None
 
 
-def _weight_from_spec(spec: str, domain: BoxDomain):
-    return weight_from(domain, make_sampler(spec, domain.ndim))
+def _weight(params: dict, key: str, domain: BoxDomain) -> Weight:
+    try:
+        return weight_from(domain, make_sampler(params[key], domain.ndim, f"param.{key}"))
+    except ValueError as exc:  # a value that is not positive, found only when sampled
+        raise ConfigError(f"param.{key}: {exc}") from None
+
+
+def _window(params: dict, domain: BoxDomain) -> WindowSpec:
+    window = WindowSpec(_number(params, "window_side"), _number(params, "window_stride"))
+    try:
+        return _window_on(domain, window)
+    except ValueError as exc:  # a stride longer than the box
+        raise ConfigError(f"param.window_stride: {exc}") from None
 
 
 # ----------------------------------------------------------------------------
@@ -427,55 +401,45 @@ def _weight_from_spec(spec: str, domain: BoxDomain):
 # ----------------------------------------------------------------------------
 
 
-def _run_norm(config: RunConfig, outdir: Path) -> int:
-    params = config.parameters
-    domain = _domain_from(params)
-    f = _load_input(config, domain)
-    w = _weight_from_spec(params["w"], f.domain)
+def _run_norm(params: dict, f: GridFunction, outdir: Path) -> int:
+    w = _weight(params, "w", f.domain)
     p = _number(params, "p")
     value = weighted_lp_norm(f, p, w)
     write_json(outdir / "norm_summary.json", {"value": value, "p": p})
     return 0
 
 
-def _grand_params_from(params: dict, domain: BoxDomain) -> GrandParams:
+def _grand_params_from(params: dict, grandizer: Weight) -> GrandParams:
     p = _number(params, "p")
     grid_factory = EpsGrid.geometric if params["eps_mode"] == "geometric" else EpsGrid.linear
     min_eps = _number(params, "eps_min") if params.get("eps_min") else None
     grid = grid_factory(p, count=_number(params, "eps_count"), min_eps=min_eps)
     return GrandParams(
         p=p,
-        grandizer=_weight_from_spec(params["a"], domain),
+        grandizer=grandizer,
         theta=_number(params, "theta"),
         variant=Variant.EXPONENT_OVER_P if params["variant"] == "over_p" else Variant.EXPONENT_FULL,
         eps_grid=grid,
     )
 
 
-def _run_grand(config: RunConfig, outdir: Path) -> int:
-    params = config.parameters
-    domain = _domain_from(params)
-    f = _load_input(config, domain)
-    report = grand_norm(f, _grand_params_from(params, f.domain))
+def _run_grand(params: dict, f: GridFunction, outdir: Path) -> int:
+    report = grand_norm(f, _grand_params_from(params, _weight(params, "a", f.domain)))
     write_norm_csv(report, outdir / "grand_curve.csv")
     write_json(outdir / "grand_summary.json", report.summary())
     return 0
 
 
-def _run_amalgam(config: RunConfig, outdir: Path) -> int:
-    params = config.parameters
-    domain = _domain_from(params)
-    f = _load_input(config, domain)
-    window = WindowSpec(_number(params, "window_side"), _number(params, "window_stride"))
+def _run_amalgam(params: dict, f: GridFunction, outdir: Path) -> int:
+    window = _window(params, f.domain)
 
     def space(kind: str, exponent_key: str, weight_key: str):
+        weight = _weight(params, weight_key, f.domain)
         if kind == "grand":
             # The epsilon grid and the variant are grand's defaults.
-            gp = {**_PARAMS["grand"], **params, "p": params[exponent_key], "a": params[weight_key]}
-            return GrandSpace(_grand_params_from(gp, f.domain))
-        return ClassicalSpace(
-            _number(params, exponent_key), _weight_from_spec(params[weight_key], f.domain)
-        )
+            gp = {**_PARAMS["grand"], **params, "p": params[exponent_key]}
+            return GrandSpace(_grand_params_from(gp, weight))
+        return ClassicalSpace(_number(params, exponent_key), weight)
 
     spec = AmalgamSpec(
         local_space=space(params["local"], "p", "a"),
@@ -494,19 +458,15 @@ def _run_amalgam(config: RunConfig, outdir: Path) -> int:
     return 0
 
 
-def _run_maximal(config: RunConfig, outdir: Path) -> int:
-    params = config.parameters
-    domain = _domain_from(params)
-    f = _load_input(config, domain)
+def _run_maximal(params: dict, f: GridFunction, outdir: Path) -> int:
     rs = _radius_set(params, f.domain)
     if params["probe"]:  # against the grid read from a CSV, before any computation
-        probes = _probe_points(params, f.domain.lower, f.domain.upper, "grid")
-    result = maximal_fast(f, rs) if params["impl"] == "fast" else maximal_naive(f, rs)
+        probes = _probe_points(params, f.domain, "grid")
+    result = maximal_fast(f, rs)
     write_maximal_csv(result, outdir / "maximal.csv")
     summary = {
         "radii": params["radii"],
         "include_center": rs.include_center,
-        "impl": params["impl"],
         "max_value": float(np.max(np.real(result.mf.values))),
     }
     if params["probe"]:
@@ -549,16 +509,13 @@ def _run_verify(config: RunConfig, outdir: Path) -> int:
 def run(config: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit code."""
     config = validate_config(config)
+    f = None if config.subcommand == "verify" else _load_input(config)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    runner = {
-        "norm": _run_norm,
-        "grand": _run_grand,
-        "amalgam": _run_amalgam,
-        "maximal": _run_maximal,
-        "verify": _run_verify,
-    }[config.subcommand]
-    return runner(config, outdir)
+    if f is None:
+        return _run_verify(config, outdir)
+    runner = {"norm": _run_norm, "grand": _run_grand, "amalgam": _run_amalgam, "maximal": _run_maximal}
+    return runner[config.subcommand](config.parameters, f, outdir)
 
 
 # ----------------------------------------------------------------------------

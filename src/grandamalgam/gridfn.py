@@ -228,9 +228,9 @@ class WeightDiagnostics:
 def build(domain: BoxDomain, sampler: Callable) -> GridFunction:
     """Sample ``sampler`` at every cell center.
 
-    The sampler receives one scalar coordinate per axis.  Vectorized
-    samplers (accepting numpy arrays) are used directly; scalar-only
-    samplers are evaluated cell by cell.
+    The sampler first gets one coordinate array per axis (the cell-center
+    mesh).  If that raises or gives the wrong shape, it is called cell by
+    cell with one scalar coordinate per axis.
     """
     mesh = domain.center_mesh()
     arr = None
@@ -255,6 +255,63 @@ def build(domain: BoxDomain, sampler: Callable) -> GridFunction:
     return GridFunction(domain, arr)
 
 
+# The sampler families of the CLI's specs, the verification corpus and `indicator`:
+# a sampler takes a coordinate array per axis; a factory raises on bad arguments.
+
+
+def _const(c: float) -> Callable:
+    return lambda *xs: c + 0.0 * np.asarray(xs[0], dtype=float)
+
+
+def _box(lo, hi) -> Callable:
+    for d, (a, b) in enumerate(zip(lo, hi)):
+        if a > b:
+            raise ValueError(f"axis {d}: lower {a} > upper {b}")
+
+    def box(*xs):
+        m = np.ones_like(xs[0], dtype=bool)
+        for x, a, b in zip(xs, lo, hi):
+            m &= (x >= a) & (x <= b)
+        return m.astype(float)
+
+    return box
+
+
+def _gaussian(c, s: float) -> Callable:
+    if not s > 0:
+        raise ValueError(f"sigma must be positive, got {s}")
+    return lambda *xs: np.exp(-sum((x - cd) ** 2 for x, cd in zip(xs, c)) / (2 * s * s))
+
+
+def _ramp(a: float, b: float) -> Callable:
+    if not a < b:
+        raise ValueError(f"need a < b, got a = {a}, b = {b}")
+    return lambda x: np.where((x >= a) & (x <= b), (x - a) / (b - a), 0.0)
+
+
+def _bump(c, w: float) -> Callable:
+    if not w > 0:
+        raise ValueError(f"width must be positive, got {w}")
+
+    def bump(*xs):
+        u2 = sum(((x - cd) / w) ** 2 for x, cd in zip(xs, c))
+        inside = u2 < 1.0
+        return np.where(inside, np.exp(1.0 - 1.0 / np.where(inside, 1.0 - u2, 1.0)), 0.0)
+
+    return bump
+
+
+# Per family, by its name in a CLI spec: the factory, the count of the spec's numbers on
+# an n-D box (None: on no such box), what they are, and their split into its arguments.
+_SAMPLERS = {
+    "const": (_const, lambda n: 1, "the value", lambda v, n: v),
+    "indicator": (_box, lambda n: 2 * n, "a lower,upper pair per axis", lambda v, n: (v[0::2], v[1::2])),
+    "gaussian": (_gaussian, lambda n: n + 1, "a center per axis and a sigma", lambda v, n: (v[:n], v[n])),
+    "ramp": (_ramp, lambda n: 2 if n == 1 else None, "a and b (1-D only)", lambda v, n: v),
+    "bump": (_bump, lambda n: n + 1, "a center per axis and a width", lambda v, n: (v[:n], v[n])),
+}
+
+
 def constant(domain: BoxDomain, value=1.0) -> GridFunction:
     return GridFunction(domain, np.full(domain.shape, complex(value)))
 
@@ -264,19 +321,16 @@ def indicator(domain: BoxDomain, set_lower, set_upper) -> GridFunction:
 
     A cell counts as inside when its center lies in the closed box.  If no
     center does, the all-zero function is returned with an
-    :class:`EmptyIndicatorWarning`.
+    :class:`EmptyIndicatorWarning`; lower > upper on an axis is a ValueError.
     """
     lo = _vector(set_lower, "set_lower", n=domain.ndim)
     up = _vector(set_upper, "set_upper", n=domain.ndim)
-    mesh = domain.center_mesh()
-    mask = np.ones(domain.shape, dtype=bool)
-    for d in range(domain.ndim):
-        mask &= (mesh[d] >= lo[d]) & (mesh[d] <= up[d])
-    if not mask.any():
+    values = _box(lo, up)(*domain.center_mesh())
+    if not values.any():
         warnings.warn(
             f"indicator box [{lo}, {up}] misses every cell center", EmptyIndicatorWarning
         )
-    return GridFunction(domain, mask.astype(np.complex128))
+    return GridFunction(domain, values)
 
 
 def unit_weight(domain: BoxDomain) -> Weight:

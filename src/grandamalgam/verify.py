@@ -32,6 +32,10 @@ from .gridfn import (
     BoxDomain,
     GridFunction,
     Weight,
+    _box,
+    _bump,
+    _gaussian,
+    _ramp,
     build,
     constant,
     indicator,
@@ -71,6 +75,10 @@ _TINY = 1e-300
 COMPACT_FAMILIES = ("indicator", "ramp", "modulated_bump")
 
 
+def _expdecay(x):
+    return np.exp(-np.abs(np.asarray(x, dtype=float)))
+
+
 # ----------------------------------------------------------------------------
 # Corpus
 # ----------------------------------------------------------------------------
@@ -106,47 +114,14 @@ class Corpus:
         return tuple(e for e in self.entries if e.family in COMPACT_FAMILIES)
 
 
-def _gaussian(c: float, s: float) -> Callable:
-    return lambda x: np.exp(-((x - c) ** 2) / (2.0 * s * s))
-
-
-def _box_indicator(a: float, b: float) -> Callable:
-    return lambda x: ((np.asarray(x, dtype=float) >= a) & (np.asarray(x, dtype=float) <= b)).astype(
-        float
-    )
-
-
-def _ramp(a: float, b: float) -> Callable:
-    def s(x):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= a) & (x <= b)
-        return np.where(inside, (x - a) / (b - a), 0.0)
-
-    return s
-
-
-def _smooth_bump(c: float, w: float) -> Callable:
-    def s(x):
-        u = (np.asarray(x, dtype=float) - c) / w
-        inside = np.abs(u) < 1.0
-        denom = np.where(inside, 1.0 - u * u, 1.0)
-        return np.where(inside, np.exp(1.0 - 1.0 / denom), 0.0)
-
-    return s
-
-
 def _modulated_bump(c: float, w: float, xi: float) -> Callable:
-    bump = _smooth_bump(c, w)
+    bump = _bump((c,), w)
     return lambda x: bump(x) * np.exp(1j * xi * np.asarray(x, dtype=float))
 
 
 def _gaussian_mixture(centers, sigmas, amps) -> Callable:
-    parts = [(_gaussian(c, s), a) for c, s, a in zip(centers, sigmas, amps)]
-
-    def s(x):
-        return sum(a * g(x) for g, a in parts)
-
-    return s
+    parts = [(_gaussian((c,), s), a) for c, s, a in zip(centers, sigmas, amps)]
+    return lambda x: sum(a * g(x) for g, a in parts)
 
 
 def build_corpus(domain: BoxDomain, seed: int = 7) -> Corpus:
@@ -169,11 +144,11 @@ def build_corpus(domain: BoxDomain, seed: int = 7) -> Corpus:
     entries: list[tuple[str, str, Callable]] = []
     for k in range(2):
         sigma = float(length * rng.uniform(1.0 / 80.0, 1.0 / 55.0))
-        entries.append((f"gaussian-{k}", "gaussian", _gaussian(center(), sigma)))
+        entries.append((f"gaussian-{k}", "gaussian", _gaussian((center(),), sigma)))
     for k in range(2):
         a = center() - rng.uniform(0.02, 0.08) * length
         b = a + rng.uniform(0.05, 0.15) * length
-        entries.append((f"indicator-{k}", "indicator", _box_indicator(float(a), float(b))))
+        entries.append((f"indicator-{k}", "indicator", _box((float(a),), (float(b),))))
     a = center() - 0.06 * length
     entries.append(("ramp-0", "ramp", _ramp(float(a), float(a + 0.12 * length))))
     for k in range(2):
@@ -700,13 +675,8 @@ def check_maximal_bounded(
 def _omega_notes(dom: BoxDomain, q: float) -> dict:
     """Hypothesis diagnostics for the weighted global stage (recorded, not asserted)."""
     r_conj = q / (q - 1.0)
-    variants: dict[str, Callable] = {
-        "unit": lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        "exp_decay": lambda x: np.exp(-np.abs(np.asarray(x, dtype=float))),
-    }
     out = {}
-    for name, sampler in variants.items():
-        w = weight_from(dom, sampler)
+    for name, w in (("unit", unit_weight(dom)), ("exp_decay", weight_from(dom, _expdecay))):
         diag = weight_diagnostics(w, pair_samples=128, seed=11)
         conj_mass = float(np.sum(w.values ** (-r_conj / q)) * dom.cell_volume)
         out[name] = {
@@ -813,19 +783,15 @@ def run_all_checks(seed: int = 7, cells: int = 256, names: Sequence[str] | None 
     dom = BoxDomain(-8.0, 8.0, cells)
     corpus = build_corpus(dom, seed)
     win = WindowSpec(max(1, cells // 16), max(1, cells // 32))
-
-    def expdecay(x):
-        return np.exp(-np.abs(np.asarray(x, dtype=float)))
-
-    aw = weight_from(dom, expdecay)
-    bw = weight_from(dom, expdecay)
+    aw = weight_from(dom, _expdecay)
+    bw = weight_from(dom, _expdecay)
     spec_grand = _grand_pair_spec(2.0, 2.0, aw, bw, win)
 
     def classical_builder(domain, window):
         return AmalgamSpec(ClassicalSpace(2.0), ClassicalSpace(2.0), window)
 
     def grand_builder(domain, window):
-        w1 = weight_from(domain, expdecay)
+        w1 = weight_from(domain, _expdecay)
         return _grand_pair_spec(2.0, 2.0, w1, w1, window)
 
     bump_entry = next(e for e in corpus.entries if e.family == "modulated_bump")
@@ -838,20 +804,20 @@ def run_all_checks(seed: int = 7, cells: int = 256, names: Sequence[str] | None 
             corpus, classical_builder, grand_builder, window=win
         ),
         "embedding_classical_grand": lambda: check_embedding_classical_into_grand(
-            corpus, 2.0, 2.0, expdecay, expdecay, win
+            corpus, 2.0, 2.0, _expdecay, _expdecay, win
         ),
         "embedding_grand_mixed": lambda: check_embedding_grand_into_mixed(
             corpus, spec_grand, 0.5, 0.5
         ),
         "nesting_in_p": lambda: check_nesting_in_p(
-            corpus, 2.0, 3.0, 2.0, expdecay, expdecay, win
+            corpus, 2.0, 3.0, 2.0, _expdecay, _expdecay, win
         ),
         "pointwise_product": lambda: check_pointwise_product(
-            corpus, (4.0, 4.0, 2.0), (4.0, 4.0, 2.0), expdecay, win
+            corpus, (4.0, 4.0, 2.0), (4.0, 4.0, 2.0), _expdecay, win
         ),
         "vanishing_limit": lambda: check_vanishing_limit(bump_entry.gridfn, spec_grand),
         "maximal_bounded": lambda: check_maximal_bounded(
-            corpus, 2.0, 2.0, 3.0, expdecay, expdecay, win
+            corpus, 2.0, 2.0, 3.0, _expdecay, _expdecay, win
         ),
         "maximal_unbounded": lambda: check_maximal_unbounded(),
     }

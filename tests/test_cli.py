@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,12 +214,50 @@ def test_sampler_specs():
         (["maximal", "--cells", "64", "--radii", "5000"],
          "param.radii: max radius 5000 exceeds the grid extent 64"),
         (["maximal", "--radii", "3,3"], "param.radii: radii must be distinct"),
+        (["grand", "--f", "wat:1"],
+         "input: unknown sampler 'wat'; expected one of const, indicator, gaussian, ramp, bump"),
+        (["amalgam", "--a", "gaussian:0"],
+         "param.a: gaussian: expected a center per axis and a sigma, got 1 number(s) on a 1-D box"),
+        (["norm", "--f", "gaussian:0,abc"], "input: gaussian: expected comma-separated numbers, got '0,abc'"),
+        (["norm", "--f", "const:1,5,6"], "input: const: expected the value, got 3 number(s) on a 1-D box"),
+        (["norm", "--f", "gaussian:0,inf"], "input: gaussian: expected finite numbers, got '0,inf'"),
+        (["grand", "--f", "indicator:0.5,0.2"], "input: indicator: axis 0: lower 0.5 > upper 0.2"),
+        (["norm", "--box", "0,1,0,1", "--f", "indicator:0,1"],
+         "input: indicator: expected a lower,upper pair per axis, got 2 number(s) on a 2-D box"),
+        (["norm", "--w", "gaussian:0,0"], "param.w: gaussian: sigma must be positive, got 0.0"),
+        (["amalgam", "--b", "bump:0.5,-1"], "param.b: bump: width must be positive, got -1.0"),
+        (["grand", "--a", "ramp:1,0"], "param.a: ramp: need a < b, got a = 1.0, b = 0.0"),
+        (["norm", "--box", "0,1,0,1", "--f", "ramp:0,1"],
+         "input: ramp: expected a and b (1-D only), got 2 number(s) on a 2-D box"),
+        (["norm", "--box", "0,inf"], "param.box: expected finite numbers, got '0,inf'"),
+        (["verify", "--check", "norm_axioms", "--seed", "-1"], "seed: expected a non-negative integer, got -1"),
+        (["amalgam", "--window-stride", "100"],
+         "param.window_stride: axis 0: window stride 100 cells exceeds the 64 cells of the box"),
     ],
 )
 def test_bad_numeric_value_names_the_parameter(tmp_path, capsys, argv, message):
-    assert cli.main([*argv, "--f", "const:1", "--out", str(tmp_path / "o")]) == 2
+    # a later --f in argv takes the place of this one (verify takes none)
+    f = [] if argv[0] == "verify" else ["--f", "const:1"]
+    assert cli.main([argv[0], *f, *argv[1:], "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.strip() == f"config error: {message}"
     assert not (tmp_path / "o").exists()  # rejected before the output directory is made
+
+
+def test_weight_specs_are_checked_where_they_are_sampled(tmp_path, capsys):
+    # A value that is not positive shows only on the grid, and a CSV's grid only on load.
+    path = tmp_path / "f.csv"
+    ga.write_grid_csv(ga.constant(ga.BoxDomain((0.0, 0.0), (1.0, 1.0), (4, 4)), 1.0), path)
+    cases = [
+        (["grand", "--f", "const:1", "--a", "indicator:0,0.5"],
+         "param.a: weight values must be strictly positive"),
+        (["norm", "--f", str(path), "--w", "gaussian:0,1"],
+         "param.w: gaussian: expected a center per axis and a sigma, got 2 number(s) on a 2-D box"),
+        (["amalgam", "--f", str(path), "--local", "classical", "--b", "ramp:0,1"],
+         "param.b: ramp: expected a and b (1-D only), got 2 number(s) on a 2-D box"),
+    ]
+    for argv, message in cases:
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
 
 
 def test_bad_numeric_value_in_config_file_names_the_parameter():
@@ -308,6 +349,7 @@ def test_missing_csv_input_is_reported_as_missing(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert cli.main(["norm", "--f", str(missing), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.strip() == f"config error: input: file not found: {missing}"
+    assert not (tmp_path / "o").exists()
 
 
 def _count_calls(monkeypatch, modules, name):
@@ -348,3 +390,19 @@ def test_maximal_probe_reuses_the_maximal_function(tmp_path, monkeypatch):
     want = ga.maximal_tail_profile(chi, ga.RadiusSet.full(dom), [2.0, 4.0, -7.5])
     summary = json.loads((out / "maximal_summary.json").read_text())
     assert [(p["x"], p["mf"]) for p in summary["probes"]] == want
+
+
+def test_readme_examples_run(tmp_path):
+    """Each `grandamalgam` command of the README runs, and its config block parses."""
+    blocks = re.findall(r"```(\w+)\n(.*?)```", (Path(__file__).parents[1] / "README.md").read_text(), re.S)
+    lines = [ln for lang, b in blocks if lang == "sh" for ln in b.replace("\\\n", " ").splitlines()]
+    argvs = [shlex.split(ln)[1:] for ln in lines if ln.startswith("grandamalgam ")]
+    argvs = [argv for argv in argvs if argv[0] != "run"]  # the config file is not in the README
+    assert len(argvs) == 4
+    for k, argv in enumerate(argvs):
+        if "--out" in argv:
+            i = argv.index("--out")
+            argv = argv[:i] + argv[i + 2:]
+        assert cli.main([*argv, "--out", str(tmp_path / str(k))]) == 0, argv
+    (ini,) = [b for lang, b in blocks if lang == "ini"]
+    assert parse_config(ini).subcommand == "grand"

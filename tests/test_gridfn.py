@@ -43,6 +43,8 @@ def test_indicator_full_and_disjoint():
     with pytest.warns(ga.EmptyIndicatorWarning):
         chi = ga.indicator(dom, 2.0, 3.0)
     assert np.all(chi.values == 0)
+    with pytest.raises(ValueError, match="axis 0: lower 0.6 > upper 0.4"):
+        ga.indicator(dom, 0.6, 0.4)
 
 
 def test_translate_shift_with_zero_fill():

@@ -15,12 +15,10 @@ from .gridfn import (
     build,
     constant,
     indicator,
-    integrate,
     modulate,
     pointwise_abs,
     pointwise_product,
     read_grid_csv,
-    restrict,
     scale,
     translate,
     unit_weight,
@@ -33,9 +31,7 @@ from .norms import (
     GrandParams,
     NormReport,
     Variant,
-    compare_variants,
     grand_norm,
-    holder_grandizer_bound,
     sup_eps_factor,
     weighted_lp_norm,
 )

@@ -123,7 +123,7 @@ class ControlFunction:
 
     @property
     def values(self) -> np.ndarray:
-        return np.real(self.gridfn.values)
+        return self.gridfn.values
 
 
 def _lattice(domain: BoxDomain, window: WindowSpec) -> tuple[tuple[np.ndarray, ...], BoxDomain]:
@@ -223,7 +223,7 @@ def control_function(f: GridFunction, local: SpaceDescriptor, window: WindowSpec
     starts, lattice = _lattice(dom, window)
     out = _local_stage(np.abs(f.values)[None], local, window, dom.cell_volume)
     return ControlFunction(
-        gridfn=GridFunction(lattice, out.reshape(lattice.shape).astype(np.complex128)),
+        gridfn=GridFunction(lattice, out.reshape(lattice.shape)),
         anchor_starts=starts,
         window=window,
     )

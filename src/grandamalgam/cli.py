@@ -261,24 +261,22 @@ def validate_config(config: RunConfig) -> RunConfig:
     params = {**_PARAMS[sub], **config.parameters}
     config = replace(config, parameters=params)
 
-    ndim = None  # a CSV's grid is known on load; its weights are checked there
+    box = None  # a CSV's grid is known on load; the checks on the grid run there
     if sub != "verify":
         if not config.input:
             raise ConfigError("input: required (a built-in sampler spec or a grid CSV path)")
         box = _domain_from(params)
         if not _is_csv(config.input):
-            ndim = box.ndim
-            make_sampler(config.input, ndim)
+            make_sampler(config.input, box.ndim)
         elif not Path(config.input).exists():
             raise ConfigError(f"input: file not found: {config.input}")
+        else:
+            box = None
 
     for key, kind in _KINDS.items():
-        if key not in params:
+        if key not in params or kind == "sampler":
             continue
-        if kind == "sampler":
-            if ndim is not None:
-                make_sampler(params[key], ndim, f"param.{key}")
-        elif isinstance(kind, tuple):
+        if isinstance(kind, tuple):
             if params[key] not in kind:
                 words = " or ".join(repr(word) for word in kind)
                 raise ConfigError(f"param.{key}: expected {words}")
@@ -314,15 +312,8 @@ def validate_config(config: RunConfig) -> RunConfig:
         above("theta", 0.0)
         if _number(params, "window_side") < 1 or _number(params, "window_stride") < 1:
             raise ConfigError("param.window_side/window_stride: need at least one cell")
-        if ndim is not None:
-            _window(params, box)
     elif sub == "maximal":
-        if ndim is None:
-            _explicit_radii(params)
-        else:
-            _radius_set(params, box)
-            if params["probe"]:
-                _probe_points(params, box, "box")
+        _explicit_radii(params)
     elif sub == "verify":
         if config.seed < 0:
             raise ConfigError(f"seed: expected a non-negative integer, got {config.seed}")
@@ -336,7 +327,27 @@ def validate_config(config: RunConfig) -> RunConfig:
             ]
             if unknown:
                 raise ConfigError(f"param.checks: unknown check(s) {', '.join(unknown)}")
+    if box is not None:
+        _on_grid(params, box, "box")
     return config
+
+
+def _on_grid(params: dict, domain: BoxDomain, what: str) -> dict:
+    """The values of ``params`` that depend on the grid, checked against ``domain``, a
+    ``what``: the weight specs as samplers, the window, the radius set and the probe
+    points, by key ("radii" and "probe" for the last two).  Errors name their key."""
+    out = {
+        key: make_sampler(params[key], domain.ndim, f"param.{key}")
+        for key, kind in _KINDS.items()
+        if kind == "sampler" and key in params
+    }
+    if "window_side" in params:
+        out["window"] = _window(params, domain)
+    if "radii" in params:
+        out["radii"] = _radius_set(params, domain)
+        if params["probe"]:
+            out["probe"] = _probe_points(params, domain, what)
+    return out
 
 
 # ----------------------------------------------------------------------------
@@ -364,10 +375,15 @@ def _is_csv(text: str) -> bool:
 
 
 def _load_input(config: RunConfig) -> GridFunction:
+    """The input as a grid function; a sampled one that is zero at every cell center,
+    which no grid could tell from the zero function, is an error unless it is constant."""
     if _is_csv(config.input):
         return read_grid_csv(config.input)
     domain = _domain_from(config.parameters)
-    return build(domain, make_sampler(config.input, domain.ndim))
+    f = build(domain, make_sampler(config.input, domain.ndim))
+    if not f.values.any() and config.input.partition(":")[0] != "const":
+        raise ConfigError(f"input: {config.input} is zero at every cell center of the box")
+    return f
 
 
 def _domain_from(params: dict) -> BoxDomain:
@@ -379,13 +395,6 @@ def _domain_from(params: dict) -> BoxDomain:
         return BoxDomain(vals[0::2], vals[1::2], cells)
     except ValueError as exc:  # lower >= upper on an axis
         raise ConfigError(f"param.box: {exc}") from None
-
-
-def _weight(params: dict, key: str, domain: BoxDomain) -> Weight:
-    try:
-        return weight_from(domain, make_sampler(params[key], domain.ndim, f"param.{key}"))
-    except ValueError as exc:  # a value that is not positive, found only when sampled
-        raise ConfigError(f"param.{key}: {exc}") from None
 
 
 def _window(params: dict, domain: BoxDomain) -> WindowSpec:
@@ -401,10 +410,9 @@ def _window(params: dict, domain: BoxDomain) -> WindowSpec:
 # ----------------------------------------------------------------------------
 
 
-def _run_norm(params: dict, f: GridFunction, outdir: Path) -> int:
-    w = _weight(params, "w", f.domain)
+def _run_norm(params: dict, f: GridFunction, grid: dict, outdir: Path) -> int:
     p = _number(params, "p")
-    value = weighted_lp_norm(f, p, w)
+    value = weighted_lp_norm(f, p, grid["w"])
     write_json(outdir / "norm_summary.json", {"value": value, "p": p})
     return 0
 
@@ -423,28 +431,25 @@ def _grand_params_from(params: dict, grandizer: Weight) -> GrandParams:
     )
 
 
-def _run_grand(params: dict, f: GridFunction, outdir: Path) -> int:
-    report = grand_norm(f, _grand_params_from(params, _weight(params, "a", f.domain)))
+def _run_grand(params: dict, f: GridFunction, grid: dict, outdir: Path) -> int:
+    report = grand_norm(f, _grand_params_from(params, grid["a"]))
     write_norm_csv(report, outdir / "grand_curve.csv")
     write_json(outdir / "grand_summary.json", report.summary())
     return 0
 
 
-def _run_amalgam(params: dict, f: GridFunction, outdir: Path) -> int:
-    window = _window(params, f.domain)
-
+def _run_amalgam(params: dict, f: GridFunction, grid: dict, outdir: Path) -> int:
     def space(kind: str, exponent_key: str, weight_key: str):
-        weight = _weight(params, weight_key, f.domain)
         if kind == "grand":
             # The epsilon grid and the variant are grand's defaults.
             gp = {**_PARAMS["grand"], **params, "p": params[exponent_key]}
-            return GrandSpace(_grand_params_from(gp, weight))
-        return ClassicalSpace(_number(params, exponent_key), weight)
+            return GrandSpace(_grand_params_from(gp, grid[weight_key]))
+        return ClassicalSpace(_number(params, exponent_key), grid[weight_key])
 
     spec = AmalgamSpec(
         local_space=space(params["local"], "p", "a"),
         global_space=space(params["global"], "q", "b"),
-        window=window,
+        window=grid["window"],
     )
     cf = control_function(f, spec.local_space, spec.window)
     write_control_csv(cf, outdir / "control.csv")
@@ -458,19 +463,17 @@ def _run_amalgam(params: dict, f: GridFunction, outdir: Path) -> int:
     return 0
 
 
-def _run_maximal(params: dict, f: GridFunction, outdir: Path) -> int:
-    rs = _radius_set(params, f.domain)
-    if params["probe"]:  # against the grid read from a CSV, before any computation
-        probes = _probe_points(params, f.domain, "grid")
+def _run_maximal(params: dict, f: GridFunction, grid: dict, outdir: Path) -> int:
+    rs = grid["radii"]
     result = maximal_fast(f, rs)
     write_maximal_csv(result, outdir / "maximal.csv")
     summary = {
         "radii": params["radii"],
         "include_center": rs.include_center,
-        "max_value": float(np.max(np.real(result.mf.values))),
+        "max_value": float(np.max(result.mf.values)),
     }
     if params["probe"]:
-        probes = _sample_profile(result, probes)
+        probes = _sample_profile(result, grid["probe"])
         write_csv(outdir / "probes.csv", ["x", "mf"], probes)
         summary["probes"] = [{"x": x, "mf": v} for x, v in probes]
     write_json(outdir / "maximal_summary.json", summary)
@@ -509,13 +512,21 @@ def _run_verify(config: RunConfig, outdir: Path) -> int:
 def run(config: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit code."""
     config = validate_config(config)
-    f = None if config.subcommand == "verify" else _load_input(config)
     outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    if f is None:
+    if config.subcommand == "verify":
+        outdir.mkdir(parents=True, exist_ok=True)
         return _run_verify(config, outdir)
+    # Everything that can fail on the input's grid fails before the output directory is made.
+    f = _load_input(config)
+    grid = _on_grid(config.parameters, f.domain, "grid")
+    for key in [k for k in grid if _KINDS.get(k) == "sampler"]:
+        try:
+            grid[key] = weight_from(f.domain, grid[key])
+        except ValueError as exc:  # a value that is not positive, found only when sampled
+            raise ConfigError(f"param.{key}: {exc}") from None
+    outdir.mkdir(parents=True, exist_ok=True)
     runner = {"norm": _run_norm, "grand": _run_grand, "amalgam": _run_amalgam, "maximal": _run_maximal}
-    return runner[config.subcommand](config.parameters, f, outdir)
+    return runner[config.subcommand](config.parameters, f, grid, outdir)
 
 
 # ----------------------------------------------------------------------------

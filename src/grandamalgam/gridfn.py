@@ -1,10 +1,10 @@
-"""Sampled complex functions on uniform boxes.
+"""Sampled real or complex functions on uniform boxes.
 
-Cell-centered samples over a finite box in one or two dimensions, the
-elementary operators on them (translate, modulate, scale, restrict, ...),
-and the midpoint quadrature rule that every norm in this package reduces to.
-All values are immutable after construction and all operations are pure, so
-everything here is safe to evaluate in parallel over disjoint inputs.
+Cell-centered samples over a finite box in one or two dimensions and the
+elementary operators on them (translate, modulate, scale, ...); every norm in
+this package reduces to the midpoint rule over these cells.  All values are
+immutable after construction and all operations are pure, so everything here
+is safe to evaluate in parallel over disjoint inputs.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ __all__ = [
     "scale",
     "pointwise_abs",
     "pointwise_product",
-    "restrict",
-    "integrate",
     "weight_diagnostics",
     "write_grid_csv",
     "read_grid_csv",
@@ -159,13 +157,19 @@ def _check_same_domain(a, b, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Complex cell-centered samples of a function on a :class:`BoxDomain`."""
+    """Real or complex cell-centered samples of a function on a :class:`BoxDomain`.
+
+    The samples are stored as float64 when they are real and as complex128 when
+    they are complex, in a read-only copy: the caller's array is left as it is.
+    """
 
     domain: BoxDomain
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.complex128).reshape(self.domain.shape)
+        vals = np.asarray(self.values)
+        dtype = np.complex128 if np.iscomplexobj(vals) else np.float64
+        vals = np.array(vals, dtype=dtype).reshape(self.domain.shape)
         if not np.all(np.isfinite(vals)):
             bad = np.argwhere(~np.isfinite(vals))[0]
             raise ValueError(f"non-finite sample at cell {tuple(int(i) for i in bad)}")
@@ -202,9 +206,6 @@ class Weight:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def power(self, exponent: float) -> "Weight":
-        return Weight(self.domain, self.values**exponent)
-
 
 @dataclass(frozen=True)
 class WeightDiagnostics:
@@ -220,10 +221,6 @@ class WeightDiagnostics:
     is_unit_lower_bounded: bool
     submultiplicativity_defect: float
 
-    @property
-    def is_beurling(self) -> bool:
-        return self.is_unit_lower_bounded and self.submultiplicativity_defect == 0.0
-
 
 def build(domain: BoxDomain, sampler: Callable) -> GridFunction:
     """Sample ``sampler`` at every cell center.
@@ -235,19 +232,17 @@ def build(domain: BoxDomain, sampler: Callable) -> GridFunction:
     mesh = domain.center_mesh()
     arr = None
     try:
-        raw = sampler(*mesh)
-        cand = np.asarray(raw, dtype=np.complex128)
+        cand = np.asarray(sampler(*mesh))
         if cand.shape == ():
-            arr = np.full(domain.shape, complex(cand), dtype=np.complex128)
+            arr = np.full(domain.shape, cand)
         elif cand.shape == domain.shape:
             arr = cand
     except Exception:
         arr = None
     if arr is None:
-        arr = np.empty(domain.shape, dtype=np.complex128)
-        for idx in np.ndindex(domain.shape):
-            point = tuple(float(mesh[d][idx]) for d in range(domain.ndim))
-            arr[idx] = complex(sampler(*point))
+        cells = np.ndindex(domain.shape)
+        arr = np.array([sampler(*(float(m[idx]) for m in mesh)) for idx in cells])
+        arr = arr.reshape(domain.shape)
     if not np.all(np.isfinite(arr)):
         bad = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
         center = tuple(float(mesh[d][bad]) for d in range(domain.ndim))
@@ -313,7 +308,7 @@ _SAMPLERS = {
 
 
 def constant(domain: BoxDomain, value=1.0) -> GridFunction:
-    return GridFunction(domain, np.full(domain.shape, complex(value)))
+    return GridFunction(domain, np.full(domain.shape, value))
 
 
 def indicator(domain: BoxDomain, set_lower, set_upper) -> GridFunction:
@@ -339,8 +334,7 @@ def unit_weight(domain: BoxDomain) -> Weight:
 
 def weight_from(domain: BoxDomain, sampler: Callable) -> Weight:
     """Sample a strictly positive weight function at the cell centers."""
-    g = build(domain, sampler)
-    return Weight(domain, np.real(g.values))
+    return Weight(domain, build(domain, sampler).values)
 
 
 def translate(f: GridFunction, shift) -> GridFunction:
@@ -366,7 +360,7 @@ def modulate(f: GridFunction, xi) -> GridFunction:
 
 
 def scale(f: GridFunction, lam) -> GridFunction:
-    return GridFunction(f.domain, f.values * complex(lam))
+    return GridFunction(f.domain, f.values * lam)
 
 
 def pointwise_abs(f: GridFunction) -> GridFunction:
@@ -376,30 +370,6 @@ def pointwise_abs(f: GridFunction) -> GridFunction:
 def pointwise_product(f: GridFunction, g: GridFunction) -> GridFunction:
     _check_same_domain(f, g, "pointwise product")
     return GridFunction(f.domain, f.values * g.values)
-
-
-def restrict(f: GridFunction, lo_cells, hi_cells) -> GridFunction:
-    """Zero out everything outside the half-open cell range [lo, hi) per axis.
-
-    The range is clipped to the domain's index bounds, so windows hanging
-    over the boundary behave like zero-filled clipping.
-    """
-    lo = _int_vector(lo_cells, "lo_cells", n=f.domain.ndim)
-    hi = _int_vector(hi_cells, "hi_cells", n=f.domain.ndim)
-    out = np.zeros_like(f.values)
-    sl = []
-    for a, b, n in zip(lo, hi, f.domain.shape):
-        a, b = max(0, a), min(n, b)
-        if b <= a:
-            return GridFunction(f.domain, out)
-        sl.append(slice(a, b))
-    out[tuple(sl)] = f.values[tuple(sl)]
-    return GridFunction(f.domain, out)
-
-
-def integrate(f: GridFunction) -> complex:
-    """Midpoint-rule quadrature: sum of samples times the cell volume."""
-    return complex(f.values.sum() * f.domain.cell_volume)
 
 
 def _snap_origin_ward(s: np.ndarray, lower: float, h: float, n: int) -> np.ndarray:

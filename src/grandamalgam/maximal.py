@@ -111,7 +111,7 @@ def maximal_naive(f: GridFunction, rs: RadiusSet) -> MaximalResult:
             if avg > best[idx]:
                 best[idx] = avg
                 arg[idx] = r
-    return MaximalResult(GridFunction(f.domain, best.astype(np.complex128)), arg)
+    return MaximalResult(GridFunction(f.domain, best), arg)
 
 
 # Every BLOCK-th radius of a radius set, and its last, is an anchor that every
@@ -285,7 +285,7 @@ def maximal_fast(f: GridFunction, rs: RadiusSet) -> MaximalResult:
     """
     rs.validate_for(f.domain)
     best, arg = _ball_averages(np.abs(f.values), rs)
-    return MaximalResult(GridFunction(f.domain, best.astype(np.complex128)), arg)
+    return MaximalResult(GridFunction(f.domain, best), arg)
 
 
 def maximal_tail_profile(f: GridFunction, rs: RadiusSet, sample_points) -> list[tuple[float, float]]:
@@ -296,11 +296,10 @@ def maximal_tail_profile(f: GridFunction, rs: RadiusSet, sample_points) -> list[
 def _sample_profile(result: MaximalResult, sample_points) -> list[tuple[float, float]]:
     """(point, Mf) at the cells of ``result`` nearest the in-domain sample points."""
     dom = result.mf.domain
-    mf = np.real(result.mf.values)
     out = []
     for x in sample_points:
         cell = dom.nearest_cell(x)
-        out.append((float(x) if dom.ndim == 1 else tuple(x), float(mf[cell])))
+        out.append((float(x) if dom.ndim == 1 else tuple(x), float(result.mf.values[cell])))
     return out
 
 

@@ -14,8 +14,8 @@ Two inner weightings are supported:
 * ``EXPONENT_OVER_P``: weight a**(eps/p), outer factor eps**theta;
 * ``EXPONENT_FULL``:   weight a**eps, outer factor eps**(theta/(p-eps)).
 
-The two define equivalent norms; the equivalence constants are only
-observed empirically (see :func:`compare_variants`).
+The two define equivalent norms, with constants the underlying theory does
+not specify.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .gridfn import GridFunction, Weight, _check_same_domain
-from .reporting import CheckResult, Verdict, write_csv
+from .reporting import write_csv
 
 __all__ = [
     "Variant",
@@ -38,8 +38,6 @@ __all__ = [
     "NormReport",
     "weighted_lp_norm",
     "grand_norm",
-    "holder_grandizer_bound",
-    "compare_variants",
     "sup_eps_factor",
     "write_norm_csv",
 ]
@@ -421,51 +419,11 @@ def grand_norm(f: GridFunction, gp: GrandParams) -> NormReport:
     return _grand_report(absf, avals, gp, f.domain.cell_volume)[0]
 
 
-def holder_grandizer_bound(f: GridFunction, gp: GrandParams, tol: float = 1e-10) -> CheckResult:
-    """Check the Hölder control of every inner norm through the grandizer mass.
-
-    For the ``EXPONENT_OVER_P`` weighting, every inner L^(p-eps) norm is
-    bounded by  ||f||_p * mass(a)^(eps / (p (p - eps)))  where mass(a) is
-    the Riemann sum of the grandizer.  Margins are relative to the bound.
-    """
-    if gp.variant is not Variant.EXPONENT_OVER_P:
-        raise ValueError("the grandizer bound applies to the EXPONENT_OVER_P weighting")
-    _check_same_domain(f, gp.grandizer, "holder_grandizer_bound")
-    p = gp.p
-    vol = f.domain.cell_volume
-    mass = float(np.sum(gp.grandizer.values) * vol)
-    # the eps = 0 inner norm is ||f||_p
-    form = _grand_form(_one_window(np.abs(f.values)), _one_window(gp.grandizer.values), gp)
-    f_lp, *inner = _inner_norms(form, p, np.array((0.0,) + gp.eps_grid.values), vol)[0].tolist()
-    rows = []
-    worst = None
-    ratio_max = 0.0
-    for eps, lhs in zip(gp.eps_grid.values, inner):
-        rhs = f_lp * mass ** (eps / (p * (p - eps)))
-        margin = (rhs - lhs) / max(rhs, 1e-300)
-        rows.append({"case": f"eps={eps:.6g}", "inner_norm": lhs, "bound": rhs, "margin": margin})
-        if rhs > 0:
-            ratio_max = max(ratio_max, lhs / rhs)
-        if worst is None or margin < worst[1]:
-            worst = (f"eps={eps:.6g}", margin)
-    verdict = Verdict.PASS if worst is None or worst[1] >= -tol else Verdict.FAIL
-    return CheckResult(
-        name="holder_grandizer_bound",
-        verdict=verdict,
-        worst_case=worst,
-        estimated_constant=ratio_max,
-        details=tuple(rows),
-        tolerance=tol,
-        notes={"l1_mass": mass, "p": p, "theta": gp.theta},
-    )
-
-
 def sup_eps_factor(mass: float, p: float, theta: float = 1.0) -> float:
     """sup over eps in (0, p-1] of eps**theta * mass**(eps / (p (p - eps))).
 
-    This is the exact constant produced by the Hölder step above, maximized
-    in closed form: the stationary points of the log solve the quadratic
-    theta*eps^2 + (ln mass - 2 p theta) eps + theta p^2 = 0.
+    It is maximized in closed form: the stationary points of the log solve the
+    quadratic theta*eps^2 + (ln mass - 2 p theta) eps + theta p^2 = 0.
     """
     if mass <= 0.0:
         raise ValueError("mass must be positive")
@@ -487,25 +445,6 @@ def sup_eps_factor(mass: float, p: float, theta: float = 1.0) -> float:
                 if 0.0 < eps < top:
                     best = max(best, g(eps))
     return best
-
-
-def compare_variants(f: GridFunction, gp: GrandParams) -> dict:
-    """Evaluate both inner weightings on ``f`` and report their ratio.
-
-    The two norms are equivalent with constants the underlying theory does
-    not specify; this only reports the observed ratio and the band
-    K = max(ratio, 1/ratio).
-    """
-    over = grand_norm(f, replace(gp, variant=Variant.EXPONENT_OVER_P))
-    full = grand_norm(f, replace(gp, variant=Variant.EXPONENT_FULL))
-    ratio = over.value / full.value if full.value > 0 else float("inf")
-    band = max(ratio, 1.0 / ratio) if 0 < ratio < float("inf") else float("inf")
-    return {
-        "value_over_p": over.value,
-        "value_full": full.value,
-        "ratio": ratio,
-        "band": band,
-    }
 
 
 def write_norm_csv(report: NormReport, path: str | Path) -> None:

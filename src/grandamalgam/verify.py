@@ -717,7 +717,7 @@ def check_maximal_unbounded(
     n = int(round(2.0 * half * points_per_unit))
     dom = BoxDomain(-half, half, n)
     chi = indicator(dom, -E_halfwidth, E_halfwidth)
-    mf = np.real(maximal_fast(chi, RadiusSet.full(dom)).mf.values)
+    mf = maximal_fast(chi, RadiusSet.full(dom)).mf.values
     centers = dom.axis_centers(0)
     h = dom.spacing[0]
 
@@ -727,7 +727,7 @@ def check_maximal_unbounded(
     for t in ts:
         mask = np.abs(centers) <= t
         val = float(np.sum(mf[mask]) * h)
-        mass = float(np.sum(np.real(chi.values)[mask]) * h)
+        mass = float(np.sum(chi.values[mask]) * h)
         norms_t.append(val)
         masses.append(mass)
         rows.append({"case": f"T={t:g}", "T": t, "log_T": math.log(t), "norm": val, "indicator_mass": mass})
@@ -759,19 +759,48 @@ def check_maximal_unbounded(
 # ----------------------------------------------------------------------------
 
 
-CHECK_NAMES = (
-    "norm_axioms",
-    "solidity_monotone",
-    "invariance",
-    "inclusion_equivalence",
-    "embedding_classical_grand",
-    "embedding_grand_mixed",
-    "nesting_in_p",
-    "pointwise_product",
-    "vanishing_limit",
-    "maximal_bounded",
-    "maximal_unbounded",
-)
+# The battery, in its order: each check's name and its call on the standard
+# configuration (corpus, grand spec, window) of :func:`run_all_checks`.  A call
+# looks its ``check_*`` function up on this module when it runs, so a wrapper set
+# on the module after import is the one called.
+_BATTERY: dict[str, Callable[[Corpus, AmalgamSpec, WindowSpec], CheckResult]] = {
+    "norm_axioms": lambda corpus, spec, win: check_norm_axioms(corpus, spec),
+    "solidity_monotone": lambda corpus, spec, win: check_solidity_and_monotone(corpus, spec),
+    "invariance": lambda corpus, spec, win: check_invariance(corpus, spec),
+    "inclusion_equivalence": lambda corpus, spec, win: check_inclusion_norm_equivalence(
+        corpus, _classical_pair, _grand_pair, window=win
+    ),
+    "embedding_classical_grand": lambda corpus, spec, win: check_embedding_classical_into_grand(
+        corpus, 2.0, 2.0, _expdecay, _expdecay, win
+    ),
+    "embedding_grand_mixed": lambda corpus, spec, win: check_embedding_grand_into_mixed(
+        corpus, spec, 0.5, 0.5
+    ),
+    "nesting_in_p": lambda corpus, spec, win: check_nesting_in_p(
+        corpus, 2.0, 3.0, 2.0, _expdecay, _expdecay, win
+    ),
+    "pointwise_product": lambda corpus, spec, win: check_pointwise_product(
+        corpus, (4.0, 4.0, 2.0), (4.0, 4.0, 2.0), _expdecay, win
+    ),
+    "vanishing_limit": lambda corpus, spec, win: check_vanishing_limit(
+        next(e for e in corpus.entries if e.family == "modulated_bump").gridfn, spec
+    ),
+    "maximal_bounded": lambda corpus, spec, win: check_maximal_bounded(
+        corpus, 2.0, 2.0, 3.0, _expdecay, _expdecay, win
+    ),
+    "maximal_unbounded": lambda corpus, spec, win: check_maximal_unbounded(),
+}
+
+CHECK_NAMES = tuple(_BATTERY)
+
+
+def _classical_pair(domain: BoxDomain, window: WindowSpec) -> AmalgamSpec:
+    return AmalgamSpec(ClassicalSpace(2.0), ClassicalSpace(2.0), window)
+
+
+def _grand_pair(domain: BoxDomain, window: WindowSpec) -> AmalgamSpec:
+    w = weight_from(domain, _expdecay)
+    return _grand_pair_spec(2.0, 2.0, w, w, window)
 
 
 def run_all_checks(seed: int = 7, cells: int = 256, names: Sequence[str] | None = None) -> list[CheckResult]:
@@ -780,49 +809,12 @@ def run_all_checks(seed: int = 7, cells: int = 256, names: Sequence[str] | None 
     Domain [-8, 8] with ``cells`` cells, physical window of one unit sliding
     by half a unit, exponential grandizers; deterministic given (seed, cells).
     """
+    selected = CHECK_NAMES if names is None else tuple(names)
+    unknown = [n for n in selected if n not in _BATTERY]
+    if unknown:
+        raise ValueError(f"unknown check(s): {', '.join(unknown)}")
     dom = BoxDomain(-8.0, 8.0, cells)
     corpus = build_corpus(dom, seed)
     win = WindowSpec(max(1, cells // 16), max(1, cells // 32))
-    aw = weight_from(dom, _expdecay)
-    bw = weight_from(dom, _expdecay)
-    spec_grand = _grand_pair_spec(2.0, 2.0, aw, bw, win)
-
-    def classical_builder(domain, window):
-        return AmalgamSpec(ClassicalSpace(2.0), ClassicalSpace(2.0), window)
-
-    def grand_builder(domain, window):
-        w1 = weight_from(domain, _expdecay)
-        return _grand_pair_spec(2.0, 2.0, w1, w1, window)
-
-    bump_entry = next(e for e in corpus.entries if e.family == "modulated_bump")
-
-    registry: dict[str, Callable[[], CheckResult]] = {
-        "norm_axioms": lambda: check_norm_axioms(corpus, spec_grand),
-        "solidity_monotone": lambda: check_solidity_and_monotone(corpus, spec_grand),
-        "invariance": lambda: check_invariance(corpus, spec_grand),
-        "inclusion_equivalence": lambda: check_inclusion_norm_equivalence(
-            corpus, classical_builder, grand_builder, window=win
-        ),
-        "embedding_classical_grand": lambda: check_embedding_classical_into_grand(
-            corpus, 2.0, 2.0, _expdecay, _expdecay, win
-        ),
-        "embedding_grand_mixed": lambda: check_embedding_grand_into_mixed(
-            corpus, spec_grand, 0.5, 0.5
-        ),
-        "nesting_in_p": lambda: check_nesting_in_p(
-            corpus, 2.0, 3.0, 2.0, _expdecay, _expdecay, win
-        ),
-        "pointwise_product": lambda: check_pointwise_product(
-            corpus, (4.0, 4.0, 2.0), (4.0, 4.0, 2.0), _expdecay, win
-        ),
-        "vanishing_limit": lambda: check_vanishing_limit(bump_entry.gridfn, spec_grand),
-        "maximal_bounded": lambda: check_maximal_bounded(
-            corpus, 2.0, 2.0, 3.0, _expdecay, _expdecay, win
-        ),
-        "maximal_unbounded": lambda: check_maximal_unbounded(),
-    }
-    selected = CHECK_NAMES if names is None else tuple(names)
-    unknown = [n for n in selected if n not in registry]
-    if unknown:
-        raise ValueError(f"unknown check(s): {', '.join(unknown)}")
-    return [registry[n]() for n in selected]
+    spec = _grand_pair_spec(2.0, 2.0, weight_from(dom, _expdecay), weight_from(dom, _expdecay), win)
+    return [_BATTERY[n](corpus, spec, win) for n in selected]

@@ -168,9 +168,10 @@ def test_mixed_norm_family_endpoint_identity(box16):
     f = make_random_function(box16, 7)
     # eps = p-1, eta = q-1 instantiates the classical pair with derived weights
     val = ga.mixed_norm_family(f, spec, 1.0, 1.0)
+    root = ga.Weight(box16, w.values ** 0.5)
     classical = ga.AmalgamSpec(
-        ga.ClassicalSpace(1.0, w.power(0.5)),
-        ga.ClassicalSpace(1.0, w.power(0.5)),
+        ga.ClassicalSpace(1.0, root),
+        ga.ClassicalSpace(1.0, root),
         ga.WindowSpec(4, 2),
     )
     assert val == pytest.approx(ga.amalgam_norm(f, classical).value, rel=1e-14)
@@ -330,6 +331,31 @@ def _kernel_input(shape, side):
     return ga.GridFunction(dom, vals), ga.Weight(dom, np.exp(rng.normal(size=shape)))
 
 
+def restrict(f, lo_cells, hi_cells):
+    """``f`` zeroed outside the half-open cell range [lo, hi) per axis.
+
+    The range is clipped to the grid, so a window hanging over the boundary
+    behaves like zero-filled clipping.
+    """
+    ndim = f.domain.ndim
+    lo, hi = np.broadcast_to(lo_cells, ndim), np.broadcast_to(hi_cells, ndim)
+    cells = tuple(slice(max(0, a), min(n, b)) for a, b, n in zip(lo, hi, f.domain.shape))
+    out = np.zeros_like(f.values)
+    out[cells] = f.values[cells]
+    return ga.GridFunction(f.domain, out)
+
+
+def test_restrict_definition_and_idempotence():
+    dom = ga.BoxDomain(0.0, 1.0, 4)
+    ones = ga.constant(dom, 1.0)
+    r = restrict(ones, 0, 2)
+    np.testing.assert_array_equal(r.values, [1, 1, 0, 0])
+    np.testing.assert_array_equal(restrict(r, 0, 2).values, r.values)
+    # clipping beyond the domain behaves like zero fill
+    np.testing.assert_array_equal(restrict(ones, 2, 99).values, [0, 0, 1, 1])
+    np.testing.assert_array_equal(restrict(ones, 3, 1).values, [0, 0, 0, 0])
+
+
 def _per_window(f, window, norm):
     """Reference control values: ``norm`` of the zero-filled restriction to each window."""
     starts = [range(0, n, s) for n, s in zip(f.domain.shape, window.stride_cells)]
@@ -337,7 +363,7 @@ def _per_window(f, window, norm):
     for idx in np.ndindex(out.shape):
         lo = [starts[d][i] for d, i in enumerate(idx)]
         hi = [a + s for a, s in zip(lo, window.side_cells)]
-        out[idx] = norm(ga.restrict(f, lo, hi))
+        out[idx] = norm(restrict(f, lo, hi))
     return out
 
 

@@ -233,6 +233,11 @@ def test_sampler_specs():
         (["verify", "--check", "norm_axioms", "--seed", "-1"], "seed: expected a non-negative integer, got -1"),
         (["amalgam", "--window-stride", "100"],
          "param.window_stride: axis 0: window stride 100 cells exceeds the 64 cells of the box"),
+        (["grand", "--a", "indicator:0,0.5"], "param.a: weight values must be strictly positive"),
+        (["grand", "--f", "indicator:0.001,0.002"],
+         "input: indicator:0.001,0.002 is zero at every cell center of the box"),
+        (["amalgam", "--f", "gaussian:100,0.01"],
+         "input: gaussian:100,0.01 is zero at every cell center of the box"),
     ],
 )
 def test_bad_numeric_value_names_the_parameter(tmp_path, capsys, argv, message):
@@ -244,12 +249,10 @@ def test_bad_numeric_value_names_the_parameter(tmp_path, capsys, argv, message):
 
 
 def test_weight_specs_are_checked_where_they_are_sampled(tmp_path, capsys):
-    # A value that is not positive shows only on the grid, and a CSV's grid only on load.
+    # A CSV's grid is known only on load, which comes before the output directory is made.
     path = tmp_path / "f.csv"
     ga.write_grid_csv(ga.constant(ga.BoxDomain((0.0, 0.0), (1.0, 1.0), (4, 4)), 1.0), path)
     cases = [
-        (["grand", "--f", "const:1", "--a", "indicator:0,0.5"],
-         "param.a: weight values must be strictly positive"),
         (["norm", "--f", str(path), "--w", "gaussian:0,1"],
          "param.w: gaussian: expected a center per axis and a sigma, got 2 number(s) on a 2-D box"),
         (["amalgam", "--f", str(path), "--local", "classical", "--b", "ramp:0,1"],
@@ -258,6 +261,7 @@ def test_weight_specs_are_checked_where_they_are_sampled(tmp_path, capsys):
     for argv, message in cases:
         assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.strip() == f"config error: {message}"
+        assert not (tmp_path / "o").exists()
 
 
 def test_bad_numeric_value_in_config_file_names_the_parameter():

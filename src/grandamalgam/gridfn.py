@@ -198,6 +198,8 @@ class Weight:
     values: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise ValueError("weight values must be real, got complex samples")
         vals = np.array(self.values, dtype=np.float64).reshape(self.domain.shape)
         if not np.all(np.isfinite(vals)):
             raise ValueError("weight contains non-finite values")
@@ -437,17 +439,25 @@ def _write_cell_csv(path, f: GridFunction, **int_columns: np.ndarray) -> None:
     """The grid CSV layout of ``f`` with ``int_columns`` appended, one row per cell.
 
     Columns are zipped from ``tolist()`` and each row is rendered by one
-    %-template; '%d' and '%.17g' give the text of :func:`reporting.fmt`.
+    %-template; '%d' and '%.17g' give the text of :func:`reporting.fmt`.  Each
+    axis's centres are formatted once and meshed as in ``center_mesh``; the ``im``
+    column of real samples is the constant 0 in the template.
     """
     dom = f.domain
     flat = f.values.reshape(-1)
     header = ["index", *(f"x{d}" for d in range(dom.ndim)), "re", "im", *int_columns]
-    template = ",".join(["%d"] + ["%.17g"] * (dom.ndim + 2) + ["%d"] * len(int_columns))
+    centres = [
+        np.array(["%.17g" % x for x in dom.axis_centers(d).tolist()], dtype=object)
+        for d in range(dom.ndim)
+    ]
+    imag = [flat.imag.tolist()] if np.iscomplexobj(flat) else []
+    template = ",".join(["%d"] + ["%s"] * dom.ndim + ["%.17g", "%.17g" if imag else "0"]
+                        + ["%d"] * len(int_columns))
     columns = [
         range(dom.size),
-        *(c.reshape(-1).tolist() for c in dom.center_mesh()),
+        *(m.reshape(-1).tolist() for m in np.meshgrid(*centres, indexing="ij")),
         flat.real.tolist(),
-        flat.imag.tolist(),
+        *imag,
         *(c.reshape(-1).tolist() for c in int_columns.values()),
     ]
     lines = [",".join(header), *(template % row for row in zip(*columns))]

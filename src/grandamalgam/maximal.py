@@ -6,7 +6,8 @@ clipped to the domain and averaged over the in-domain cells only, which
 keeps every output a true average (so max f bounds Mf).  Two
 implementations share one output contract: a direct-definition oracle and a
 prefix-sum path.  The prefix-sum path reads every ball from one edge-padded
-prefix table, and a ball's cell count is the product of its clipped extents.
+prefix table, and a ball's cell count is the product of its clipped extents;
+an |f| whose table would overflow is first scaled by a power of two.
 It skips, by an exact branch and bound over blocks of radii, the balls whose
 average provably cannot beat a cell's best, so its output is bit-identical to
 evaluating every ball.  Any finite radius set makes Mf a lower bound for the
@@ -15,6 +16,7 @@ all-radii supremum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -284,8 +286,31 @@ def maximal_fast(f: GridFunction, rs: RadiusSet) -> MaximalResult:
     skipped exactly (see ``_ball_averages``).
     """
     rs.validate_for(f.domain)
-    best, arg = _ball_averages(np.abs(f.values), rs)
-    return MaximalResult(GridFunction(f.domain, best), arg)
+    absf = np.abs(f.values)
+    k = _table_exponent(absf)
+    best, arg = _ball_averages(np.ldexp(absf, -k) if k else absf, rs)
+    return MaximalResult(GridFunction(f.domain, np.ldexp(best, k) if k else best), arg)
+
+
+def _table_exponent(absf: np.ndarray) -> int:
+    """The k >= 0 by which |f| is scaled, by 2^-k, before its prefix table is built.
+
+    k = 0 wherever the table of |f| itself is finite, so Mf and its radii are
+    then exactly those of the unscaled table.  Otherwise k brings max|f| times
+    the cell count below 2^1020, so that no prefix sum, corner difference or
+    bound overflows; a power of two scales exactly down to the subnormals.
+    """
+    k = max(0, math.frexp(float(absf.max()))[1] + math.ceil(math.log2(absf.size)) - 1020)
+    if k:
+        total = np.ldexp(absf, -k)
+        for axis in range(absf.ndim):
+            total = total.cumsum(axis=axis)
+        # scaling by 2^-k is exact but for cells it makes subnormal; their error is
+        # below n 2^-1074, far under the ulp of any total near 2^(1024 - k), so the
+        # unscaled table overflows exactly where this one reaches 2^(1024 - k)
+        if total.flat[-1] < 2.0 ** (1024 - k):
+            k = 0
+    return k
 
 
 def maximal_tail_profile(f: GridFunction, rs: RadiusSet, sample_points) -> list[tuple[float, float]]:

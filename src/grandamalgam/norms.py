@@ -4,7 +4,10 @@ A grand norm is a supremum over epsilon in (0, p-1] of epsilon-weighted
 L^(p-eps) norms.  With m = max|f| and g = |f| / m, every inner sum is
 m^(p-eps) sum exp(A + eps B), A = p ln g, B = ln a / p - ln g (ln a - ln g
 for ``EXPONENT_FULL``), summed as a log-sum-exp shifted by its row max: no
-|f| or grandizer overflows or underflows it.  A classical L^q(w) norm is
+|f| or grandizer overflows or underflows it.  A row of at most
+``_GRID_BLOCK_CELLS`` cells is summed as one chunk; a longer row is summed
+chunk by chunk in one cache-sized buffer and the chunks are merged, so no
+pass allocates an array the size of the row.  A classical L^q(w) norm is
 the ``EXPONENT_FULL`` inner norm at p = q + 1, eps = 1.  The sup is taken
 on an epsilon grid (geometric by default, so eps -> 0 is resolved), then
 refined by safeguarded Newton steps on ln(term), for all rows of a
@@ -20,6 +23,7 @@ not specify.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
@@ -199,7 +203,9 @@ def _log_form(absw: np.ndarray, p: float, aw=None, root: float = 1.0):
     ln g = ln|f| - ln m.  Dead cells (|f| or a zero) get A = -inf, B = 0; a row with no live
     cell gets ln m = -inf, A = B = 0.
     """
-    live = absw > 0 if aw is None else (absw > 0) & (aw > 0)
+    live = absw > 0
+    if aw is not None:
+        live &= aw > 0
     m = np.max(absw, axis=1, initial=0.0, where=live)
     lnm = np.log(m, out=np.full(m.shape, -np.inf), where=m > 0)
     lng = np.log(absw, out=np.zeros(absw.shape), where=live)
@@ -208,7 +214,9 @@ def _log_form(absw: np.ndarray, p: float, aw=None, root: float = 1.0):
     b /= root
     b -= lng
     a = np.multiply(lng, p, out=lng)
-    np.copyto(a, -np.inf, where=~live & (m > 0)[:, None])
+    dead = np.logical_not(live, out=live)
+    dead &= (m > 0)[:, None]
+    np.copyto(a, -np.inf, where=dead)
     return lnm, a, b
 
 
@@ -219,30 +227,59 @@ def _grand_form(absw: np.ndarray, aw: np.ndarray, gp: GrandParams):
 
 def _shifted_sums(t: np.ndarray, axis: int):
     """(c, sum exp(t - c)) along ``axis``, c the max there: ln sum exp(t) = c + ln of a sum
-    of at least 1, for any ``t``.  ``t`` becomes exp(t - c)."""
-    c = t.max(axis=axis, keepdims=True)
+    of at least 1, for any ``t`` with a finite entry on each line.  A line of -inf (a chunk of
+    dead cells) gets the most negative float as c and a sum of 0.  ``t`` becomes exp(t - c)."""
+    c = t.max(axis=axis, keepdims=True, initial=np.finfo(np.float64).min)
     t -= c
     return c.squeeze(axis), np.exp(t, out=t).sum(axis=axis)
+
+
+def _cell_chunks(cells: int) -> list[slice]:
+    """The cells of a row in chunks of at most ``_GRID_BLOCK_CELLS``: one chunk if it fits."""
+    width = min(cells, _GRID_BLOCK_CELLS)
+    return [slice(j, min(j + width, cells)) for j in range(0, cells, width)]
 
 
 def _inner_norms(form, p: float, eps: np.ndarray, cell_volume: float) -> np.ndarray:
     """(rows, eps) inner norms exp(ln m + (ln S + ln h) / (p - eps)).
 
-    A pass takes as many epsilons as fit ``_GRID_BLOCK_CELLS`` cells, cells first, so its max
-    and sums reduce over the leading axis in cell order (pairwise for a lone row and eps).
-    So a row summed alone at one eps (as a classical row always is) may differ by a few ulp
-    from that row summed in a block of several; otherwise no row depends on the block.
+    A row walks its cells in chunks (:func:`_cell_chunks`), one preallocated buffer for every
+    chunk and eps.  A pass takes as many epsilons as fit ``_GRID_BLOCK_CELLS`` cells, cells
+    first, so a chunk's max c_k and sum s_k reduce over the leading axis in cell order
+    (pairwise for a lone row and eps).  The chunks merge as an online log-sum-exp (Milakov and
+    Gimelshein 2018): C = max c_k, S = sum s_k exp(c_k - C), in chunk order.  A row that fits
+    is one chunk, whose merge is exact (C = c_0, weight 1), so S is its one sum.  So a row
+    summed alone at one eps (as a classical row always is) may differ by a few ulp from that
+    row summed in a block of several, and a long row from the same row in one chunk;
+    otherwise no row depends on the block.
     """
     lnm, a, b = form
+    rows, cells = a.shape
     at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    n = max(1, _GRID_BLOCK_CELLS // a.size)
-    lns = np.empty((eps.size, a.shape[0]))
-    for i in range(0, eps.size, n):
-        t = bt[:, None, :] * eps[i : i + n, None]
-        t += at[:, None, :]
-        c, s = _shifted_sums(t, 0)
-        lns[i : i + n] = c + np.log(s)
-    return np.exp(lnm + (lns + math.log(cell_volume)) / (p - eps)[:, None]).T
+    chunks = _cell_chunks(cells)
+    width = chunks[0].stop
+    n = min(eps.size, max(1, _GRID_BLOCK_CELLS // (rows * width)))
+    buf = np.empty(width * n * rows)
+    c = np.empty((len(chunks), eps.size, rows))
+    s = np.empty_like(c)
+    for k, cut in enumerate(chunks):
+        for i in range(0, eps.size, n):
+            e = eps[i : i + n]
+            t = buf[: (cut.stop - cut.start) * e.size * rows].reshape(-1, e.size, rows)
+            np.multiply(bt[cut, None, :], e[:, None], out=t)
+            t += at[cut, None, :]
+            c[k, i : i + n], s[k, i : i + n] = _shifted_sums(t, 0)
+    # The merge and the root work in place: a block of many short rows keeps
+    # no (eps, rows) temporary beyond C and the chunk arrays.
+    top = c.max(axis=0)
+    np.exp(np.subtract(c, top, out=c), out=c)
+    lns = np.multiply(s, c, out=s).sum(axis=0, out=c[0])
+    np.log(lns, out=lns)
+    lns += top
+    lns += math.log(cell_volume)
+    lns /= (p - eps)[:, None]
+    lns += lnm
+    return np.exp(lns, out=lns).T
 
 
 def _classical_rows(absw: np.ndarray, wrows, q: float, cell_volume: float) -> np.ndarray:
@@ -263,14 +300,37 @@ def weighted_lp_norm(f: GridFunction, p: float, w: Weight | None = None) -> floa
 
 def _moments(a: np.ndarray, b: np.ndarray, x: np.ndarray):
     """ln S_0, S_1 / S_0, S_2 / S_0 per row, S_j = sum B^j exp(A + x B), one x per row.
-    Rows stay rows: each sums its own cells pairwise, whatever else is in the block."""
-    e = b * x[:, None]
-    e += a
-    c, s0 = _shifted_sums(e, -1)
-    e *= b
-    s1 = e.sum(axis=-1)
-    e *= b
-    return c + np.log(s0), s1 / s0, e.sum(axis=-1) / s0
+
+    Rows stay rows: each sums its own cells, whatever else is in the block.  A row takes two
+    walks over its chunks (:func:`_cell_chunks`) in one buffer: the first finds the row max C,
+    the second sums each chunk's B^j exp(A + x B - C) pairwise, and the chunk sums are summed
+    pairwise.  A row that fits is one chunk, so its sums are plain pairwise sums.  (Merging
+    each chunk's own shift instead would round B^2 exp(t - C) differently from the one-chunk
+    sum, so one-cell chunks would not reproduce it.)
+    """
+    rows, cells = a.shape
+    chunks = _cell_chunks(cells)
+    buf = np.empty(rows * chunks[0].stop)
+    x = x[:, None]
+
+    def exponents(cut: slice) -> np.ndarray:
+        e = buf[: rows * (cut.stop - cut.start)].reshape(rows, -1)
+        np.multiply(b[:, cut], x, out=e)
+        e += a[:, cut]
+        return e
+
+    c = functools.reduce(np.maximum, [exponents(cut).max(axis=-1, keepdims=True) for cut in chunks])
+    sums = np.empty((3, rows, len(chunks)))
+    for k, cut in enumerate(chunks):
+        e = exponents(cut)
+        e -= c
+        np.exp(e, out=e)
+        for j in range(3):
+            if j:
+                e *= b[:, cut]
+            e.sum(axis=-1, out=sums[j, :, k])
+    s0, s1, s2 = sums.sum(axis=-1)
+    return c[:, 0] + np.log(s0), s1 / s0, s2 / s0
 
 
 def _newton_rows(lnm, a, b, gp: GrandParams, cell_volume: float, grid, k, value, inner):

@@ -229,6 +229,14 @@ def test_weight_positivity():
         ga.Weight(dom, [1.0, 0.0, 1.0, 1.0])
 
 
+def test_weight_rejects_complex_samples():
+    dom = ga.BoxDomain(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="weight values must be real"):
+        ga.weight_from(dom, lambda x: 1 + 1j * x)
+    with pytest.raises(ValueError, match="weight values must be real"):
+        ga.Weight(dom, np.ones(4, dtype=complex))
+
+
 def test_weight_diagnostics_constant():
     dom = ga.BoxDomain(0.0, 1.0, 64)
     d = ga.weight_diagnostics(ga.unit_weight(dom), pair_samples=200)

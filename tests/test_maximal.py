@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grandamalgam as ga
-from grandamalgam import maximal
+from grandamalgam import cli, maximal
 
 
 def random_function(domain, seed, complex_values=False):
@@ -199,6 +199,40 @@ def test_pruned_kernel_takes_both_branches_on_noise(monkeypatch):
     want_best, want_arg = _fold_every_radius(absf, rs)
     np.testing.assert_array_equal(best, want_best)
     np.testing.assert_array_equal(arg, want_arg)
+
+
+def test_constant_beyond_the_prefix_table_range_is_its_own_maximal_function(tmp_path):
+    """max|f| times the cell count passes the float range, but every average is 1e308."""
+    out = tmp_path / "m"
+    assert cli.main(["maximal", "--f", "const:1e308", "--box", "0,1", "--cells", "8", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "maximal.csv").read_text().splitlines()[1:]]
+    assert [float(row[2]) for row in rows] == [1e308] * 8
+
+
+def test_overflowing_prefix_table_is_scaled_by_a_power_of_two():
+    dom = ga.BoxDomain(0.0, 1.0, 8)
+    absf = np.array([1.5e308, 1.5e308, 0, 0, 0, 0, 0, 0])
+    rs = ga.RadiusSet((1, 2, 3), include_center=False)
+    got = ga.maximal_fast(ga.GridFunction(dom, absf), rs)
+    # every ball sum is 1.5e308 or 3e308, exact after scaling, so the oracle scales too
+    want = ga.maximal_naive(ga.GridFunction(dom, np.ldexp(absf, -8)), rs)
+    np.testing.assert_array_equal(got.mf.values, np.ldexp(want.mf.values, 8))
+    np.testing.assert_array_equal(got.argmax_radius, want.argmax_radius)
+
+
+@pytest.mark.parametrize("include_center", [True, False])
+def test_a_finite_prefix_table_is_not_scaled(include_center):
+    """max|f| times the cell count passes 2^1020, but the table is finite: no scaling, so
+    the subnormal cells, which a scaling would round, keep every bit."""
+    absf = np.zeros(64)
+    absf[0] = 1e308
+    absf[40:] = 5e-324 * np.arange(1, 25)
+    assert maximal._table_exponent(absf) == 0
+    rs = ga.RadiusSet.full(ga.BoxDomain(0.0, 1.0, 64), include_center)
+    got = ga.maximal_fast(ga.GridFunction(ga.BoxDomain(0.0, 1.0, 64), absf), rs)
+    want_best, want_arg = _fold_every_radius(absf, rs)
+    np.testing.assert_array_equal(got.mf.values, want_best)
+    np.testing.assert_array_equal(got.argmax_radius, want_arg)
 
 
 def _assert_fast_matches_naive(f, rs):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -481,6 +482,94 @@ def test_norms_scale_exactly_across_float_range(k, seed):
         lambda g: ga.amalgam_norm(g, grand).value,
     ):
         assert norm(ga.scale(f, c)) == pytest.approx(c * norm(f), rel=1e-12, abs=0.0)
+
+
+def _fsum_inner(absf, a, p, eps, root, h):
+    """(inner norm, rel) at ``eps``: the norm from the log form, summed by ``math.fsum``, or
+    None when it is no normal float; rel is 1e-13 plus what rounding ln S costs.  A sum
+    ln S = c + ln(sum exp(t - c)) of magnitude L is good to an ulp of L at best, whichever
+    way it is summed, and the root divides that by p - eps."""
+    live = absf > 0
+    lnm = math.log(absf.max())
+    lng = np.log(absf[live]) - lnm
+    t = p * lng + eps * (np.log(a[live]) / root - lng)
+    top = float(t.max())
+    log_sum = top + math.log(math.fsum(np.exp(t - top).tolist()))
+    log_inner = lnm + (log_sum + math.log(h)) / (p - eps)
+    rel = 1e-13 + 2.0 * float(np.spacing(abs(log_sum))) / (p - eps)
+    return (math.exp(log_inner) if _TINY_LOG < log_inner < _HUGE_LOG else None), rel
+
+
+@pytest.mark.parametrize("variant", list(ga.Variant))
+def test_long_rows_stream_through_ragged_cell_chunks(variant):
+    """A row of three chunks and 5 cells, one chunk of it all zero, with |f| across
+    1e+-30 and the grandizer across 1e+-300: every curve row, the maximizer's
+    included, is the fsum of its terms to 1e-13 and the rounding of ln S."""
+    cells = 3 * norms._GRID_BLOCK_CELLS + 5
+    rng = np.random.default_rng(17)
+    dom = ga.BoxDomain(0.0, 1.0, cells)
+    absf = 10.0 ** rng.uniform(-30.0, 30.0, cells)
+    absf[norms._GRID_BLOCK_CELLS : 2 * norms._GRID_BLOCK_CELLS] = 0.0
+    a = 10.0 ** rng.uniform(-300.0, 300.0, cells)
+    compared = 0
+    for p in (1.5, 3.0):
+        gp = ga.GrandParams(p, ga.Weight(dom, a), theta=0.7, variant=variant)
+        root = p if variant is ga.Variant.EXPONENT_OVER_P else 1.0
+        with np.errstate(over="ignore"):  # a norm beyond float range is inf
+            rep = ga.grand_norm(ga.GridFunction(dom, absf), gp)
+        for eps, inner, term in rep.curve:
+            want, rel = _fsum_inner(absf, a, p, eps, root, dom.cell_volume)
+            if want is not None:
+                assert inner == pytest.approx(want, rel=rel, abs=0.0)
+                assert term == pytest.approx(gp.prefactor(eps) * want, rel=rel, abs=0.0)
+                compared += 1
+    assert compared >= 20
+
+
+def _chunked(monkeypatch, cells_per_chunk, run):
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, "_GRID_BLOCK_CELLS", cells_per_chunk)
+        return run()
+
+
+def test_chunked_rows_agree_with_one_chunk(monkeypatch):
+    """A lone row and the 256-cell windows of a 2-D amalgam, merged over chunks of 100
+    cells (and a ragged last one), agree with one chunk to 1e-14."""
+    dom = ga.BoxDomain(0.0, 1.0, 1000)
+    f = make_random_function(dom, 4)
+    gp = ga.GrandParams(2.5, ga.weight_from(dom, lambda x: np.exp(3.0 * x)))
+    want = ga.grand_norm(f, gp)
+    got = _chunked(monkeypatch, 100, lambda: ga.grand_norm(f, gp))
+    assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
+    for (_, inner, _), (_, inner_want, _) in zip(_grid_rows(got, gp), _grid_rows(want, gp)):
+        assert inner == pytest.approx(inner_want, rel=1e-14, abs=0.0)
+    lp = _chunked(monkeypatch, 100, lambda: ga.weighted_lp_norm(f, 3.0, gp.grandizer))
+    assert lp == pytest.approx(ga.weighted_lp_norm(f, 3.0, gp.grandizer), rel=1e-14, abs=0.0)
+
+    dom2 = ga.BoxDomain((0.0, 0.0), (1.0, 1.0), (48, 48))
+    f2 = make_random_function(dom2, 5)
+    gp2 = ga.GrandParams(2.0, ga.weight_from(dom2, lambda x, y: 1.0 + x * y))
+    spec = ga.AmalgamSpec(ga.GrandSpace(gp2), ga.GrandSpace(gp2), ga.WindowSpec(16, 8))
+    want2 = ga.amalgam_norm(f2, spec)
+    got2 = _chunked(monkeypatch, 100, lambda: ga.amalgam_norm(f2, spec))
+    assert got2.value == pytest.approx(want2.value, rel=1e-14, abs=0.0)
+
+
+def test_grand_norm_of_a_long_row_allocates_little_beyond_its_log_form():
+    """On 2^18 cells the scan streams each row through chunk buffers: the traced peak
+    rises by |f| and the two log-form arrays, plus less than half a row."""
+    dom = ga.BoxDomain(0.0, 1.0, 1 << 18)
+    f = ga.build(dom, lambda x: np.exp(-((x - 0.4) ** 2) / 0.02))
+    gp = ga.GrandParams(2.0, ga.weight_from(dom, lambda x: np.exp(-x)))
+    row = 8 * dom.size
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ga.grand_norm(f, gp)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * row
 
 
 def test_norm_report_csv(tmp_path, unit_box):

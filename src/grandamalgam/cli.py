@@ -289,6 +289,12 @@ def validate_config(config: RunConfig) -> RunConfig:
             raise ConfigError(f"param.{key}: invariant {key} > {bound} violated by {v}")
         return v
 
+    def grand_exponent(key: str) -> float:
+        v = above(key, 1.0)
+        if v - (v - 1.0) != 1.0:  # as GrandParams: the grid's last eps, p - 1, must be exact
+            raise ConfigError(f"param.{key}: {v} - 1 is not exact in float64; need at most 2**53")
+        return v
+
     def classical_exponent(key: str) -> None:
         if above(key, 0.0) < 1.0:
             raise ConfigError(f"param.{key}: invariant {key} >= 1 violated")
@@ -296,7 +302,7 @@ def validate_config(config: RunConfig) -> RunConfig:
     if sub == "norm":
         classical_exponent("p")
     elif sub == "grand":
-        top = above("p", 1.0) - 1.0
+        top = grand_exponent("p") - 1.0
         above("theta", 0.0)
         if _number(params, "eps_count") < 2:
             raise ConfigError("param.eps_count: need at least 2")
@@ -306,7 +312,7 @@ def validate_config(config: RunConfig) -> RunConfig:
     elif sub == "amalgam":
         for key, stage in (("p", "local"), ("q", "global")):
             if params[stage] == "grand":
-                above(key, 1.0)
+                grand_exponent(key)
             else:
                 classical_exponent(key)
         above("theta", 0.0)

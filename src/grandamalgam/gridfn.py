@@ -87,6 +87,8 @@ class BoxDomain:
         for d, (a, b, m) in enumerate(zip(lo, up, pts)):
             if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
                 raise ValueError(f"axis {d}: need finite lower < upper, got [{a}, {b}]")
+            if not np.isfinite(b - a):
+                raise ValueError(f"axis {d}: the extent upper - lower of [{a}, {b}] overflows")
             if m < 1:
                 raise ValueError(f"axis {d}: need at least one cell, got {m}")
         object.__setattr__(self, "lower", lo)
@@ -387,7 +389,7 @@ def _snap_origin_ward(s: np.ndarray, lower: float, h: float, n: int) -> np.ndarr
     return np.clip(k, 0, n - 1)
 
 
-def weight_diagnostics(w: Weight, pair_samples: int = 256, seed: int = 0) -> WeightDiagnostics:
+def weight_diagnostics(w: Weight) -> WeightDiagnostics:
     """Riemann mass, lower bound, and sampled submultiplicativity defect.
 
     Pairs (x, y) of cell centers with x + y inside the box are drawn with a
@@ -395,8 +397,7 @@ def weight_diagnostics(w: Weight, pair_samples: int = 256, seed: int = 0) -> Wei
     the sample, with w(x+y) read at the in-domain grid point nearest the sum
     (origin-ward on boundary ties).
     """
-    if pair_samples < 1:
-        raise ValueError("pair_samples must be >= 1")
+    pair_samples, seed = 128, 11
     dom = w.domain
     l1 = float(np.sum(w.values) * dom.cell_volume)
     wmin = float(w.values.min())

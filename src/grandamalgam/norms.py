@@ -146,6 +146,8 @@ class GrandParams:
     def __post_init__(self):
         if not self.p > 1.0:
             raise ValueError(f"need p > 1, got p = {self.p}")
+        if self.p - (self.p - 1.0) != 1.0:  # above 2**53 the grid's last eps leaves p - eps off 1
+            raise ValueError(f"{self.p} - 1 is not exact in float64; need at most 2**53")
         if not self.theta > 0.0:
             raise ValueError(f"need theta > 0, got theta = {self.theta}")
         grid = self.eps_grid if self.eps_grid is not None else EpsGrid.geometric(self.p)

@@ -211,17 +211,16 @@ def _finish(name: str, state, tol: float, notes=None, constant=None) -> CheckRes
     )
 
 
-def _resolutions(corpus: Corpus, window: WindowSpec | None, *samplers: Callable, factors=(1, 2)):
-    """(factor, corpus, window, weights) on the corpus grid refined by each factor.
+def _resolutions(corpus: Corpus, window: WindowSpec, *samplers: Callable):
+    """(factor, corpus, window, weights) on the corpus grid and on it refined by 2.
 
     The corpus is realised again on the refined grid, the window is scaled to
     the same physical size, and each sampler becomes a weight on that grid.
     """
-    for factor in factors:
+    for factor in (1, 2):
         dom = corpus.domain if factor == 1 else corpus.domain.refine(factor)
         corp = corpus if factor == 1 else corpus.realized_on(dom)
-        win = None if window is None else window.scaled(factor)
-        yield factor, corp, win, [weight_from(dom, sampler) for sampler in samplers]
+        yield factor, corp, window.scaled(factor), [weight_from(dom, s) for s in samplers]
 
 
 def _constant_check(
@@ -313,8 +312,9 @@ def _curve_guard(report) -> float:
 # ----------------------------------------------------------------------------
 
 
-def check_norm_axioms(corpus: Corpus, spec: AmalgamSpec, tol: float = 1e-10) -> CheckResult:
+def check_norm_axioms(corpus: Corpus, spec: AmalgamSpec) -> CheckResult:
     """Non-negativity, definiteness, homogeneity, and the triangle inequality."""
+    tol = 1e-10
     state = _margin_state()
     entries = corpus.entries
     n = len(entries)
@@ -340,10 +340,9 @@ def check_norm_axioms(corpus: Corpus, spec: AmalgamSpec, tol: float = 1e-10) -> 
     return _finish("norm_axioms", state, tol)
 
 
-def check_solidity_and_monotone(
-    corpus: Corpus, spec: AmalgamSpec, tol: float = 1e-12, n_truncations: int = 5
-) -> CheckResult:
+def check_solidity_and_monotone(corpus: Corpus, spec: AmalgamSpec) -> CheckResult:
     """Solidity under pointwise domination and monotone truncation convergence."""
+    tol, n_truncations = 1e-12, 5
     state = _margin_state()
     rng = np.random.default_rng(corpus.seed + 1)
     dom = corpus.domain
@@ -376,13 +375,7 @@ def check_solidity_and_monotone(
     return _finish("solidity_monotone", state, tol)
 
 
-def check_invariance(
-    corpus: Corpus,
-    spec: AmalgamSpec,
-    n_modulation: int = 50,
-    tol_translation: float = 1e-10,
-    tol_modulation: float = 1e-12,
-) -> CheckResult:
+def check_invariance(corpus: Corpus, spec: AmalgamSpec) -> CheckResult:
     """Translation invariance (unit weights) and modulation invariance.
 
     Translation uses compactly supported entries shifted by multiples of the
@@ -390,6 +383,7 @@ def check_invariance(
     shifted support stays inside the box.  Modulation keeps the original
     weights: only |f| enters any stage.
     """
+    n_modulation, tol_translation, tol_modulation = 50, 1e-10, 1e-12
     state = _margin_state()
     dom = corpus.domain
     uspec = _unit_clone(spec, dom)
@@ -426,39 +420,27 @@ def check_invariance(
 
 
 def check_inclusion_norm_equivalence(
-    corpus: Corpus,
-    spec_a,
-    spec_b,
-    window: WindowSpec | None = None,
-    growth_factor: float = 2.0,
+    corpus: Corpus, builder_a: Callable, builder_b: Callable, window: WindowSpec
 ) -> CheckResult:
     """Empirical inclusion constant C = sup ||f||_B / ||f||_A over the corpus.
 
-    ``spec_a``/``spec_b`` may be :class:`AmalgamSpec` instances (single
-    resolution) or builders ``(domain, window) -> AmalgamSpec``; with
-    builders the constant is recomputed on a doubled grid and flagged if it
-    grows by more than ``growth_factor``.
+    ``builder_a``/``builder_b`` map ``(domain, window)`` to an :class:`AmalgamSpec`;
+    the constant is recomputed on a doubled grid and flagged if it grows by
+    more than ``growth_factor``.
     """
-
-    def materialize(spec_or_builder, domain, win):
-        if callable(spec_or_builder):
-            if win is None:
-                raise ValueError("spec builders need an explicit window")
-            return spec_or_builder(domain, win)
-        return spec_or_builder
+    growth_factor = 2.0
 
     def rule(constants):
         notes = {"growth_factor": growth_factor}
-        if len(constants) == 2 and constants[0] > 0:
+        if constants[0] > 0:
             notes["trend"] = constants[1] / constants[0]
             return notes["trend"] <= growth_factor, notes
         return True, notes
 
     def resolutions():
-        factors = (1, 2) if callable(spec_a) and callable(spec_b) and window is not None else (1,)
-        for factor, corp, win, _ in _resolutions(corpus, window, factors=factors):
+        for factor, corp, win, _ in _resolutions(corpus, window):
             fs = _functions(corp)
-            sa, sb = (materialize(s, corp.domain, win) for s in (spec_a, spec_b))
+            sa, sb = (builder(corp.domain, win) for builder in (builder_a, builder_b))
             yield factor, [e.name for e in corp.entries], [(fs, sb)], [(fs, sa)]
 
     return _constant_check(
@@ -473,7 +455,6 @@ def check_embedding_classical_into_grand(
     a: Callable,
     b: Callable,
     window: WindowSpec,
-    tol: float = 1e-10,
 ) -> CheckResult:
     """W(classical p, q) controls W(grand a, b) with the explicit Hölder constant.
 
@@ -482,6 +463,7 @@ def check_embedding_classical_into_grand(
     lattice-reduced global mass; the per-entry inequality
     ||f||_grand <= C_H ||f||_classical is asserted at two resolutions.
     """
+    tol = 1e-10
     state = _margin_state()
     constants = {}
     empirical = 0.0
@@ -518,13 +500,14 @@ def check_embedding_classical_into_grand(
 
 
 def check_embedding_grand_into_mixed(
-    corpus: Corpus, spec: AmalgamSpec, eps: float, eta: float, tol: float = 1e-10
+    corpus: Corpus, spec: AmalgamSpec, eps: float, eta: float
 ) -> CheckResult:
     """eps^theta eta^theta * mixed member norm is below the grand amalgam norm.
 
     The requested (eps, eta) are added to the evaluation grids so the sup
     definition bound is exact rather than grid-gapped.
     """
+    tol = 1e-10
     if not isinstance(spec.local_space, GrandSpace) or not isinstance(spec.global_space, GrandSpace):
         raise ValueError("check needs grand local and global stages")
     lp = spec.local_space.params
@@ -548,9 +531,9 @@ def check_nesting_in_p(
     a: Callable,
     b: Callable,
     window: WindowSpec,
-    stability_factor: float = 2.0,
 ) -> CheckResult:
     """Empirical constant of W(grand p2) -> W(grand p1) for p1 <= p2."""
+    stability_factor = 2.0
     if p1 > p2:
         raise ValueError("need p1 <= p2")
 
@@ -574,10 +557,9 @@ def check_pointwise_product(
     q_triple: tuple[float, float, float],
     a: Callable,
     window: WindowSpec,
-    stability_factor: float = 2.0,
-    max_pairs: int = 8,
 ) -> CheckResult:
     """Empirical constant in ||fg||_3 <= C ||f||_1 ||g||_2 for Hölder triples."""
+    stability_factor, max_pairs = 2.0, 8
     p1, p2, p3 = p_triple
     q1, q2, q3 = q_triple
     if abs(1.0 / p3 - 1.0 / p1 - 1.0 / p2) > 1e-9 or abs(1.0 / q3 - 1.0 / q1 - 1.0 / q2) > 1e-9:
@@ -602,15 +584,14 @@ def check_pointwise_product(
     )
 
 
-def check_vanishing_limit(
-    f: GridFunction, spec: AmalgamSpec, fraction: float = 0.01
-) -> CheckResult:
+def check_vanishing_limit(f: GridFunction, spec: AmalgamSpec) -> CheckResult:
     """The curve eps * ||f||_mixed(eps, eps) decays to ~0 as eps -> 0.
 
     Asserts the three smallest geometric-grid values decrease and the last
     one is below ``fraction`` of the grand amalgam norm.  eps serves both
     stages, so the grid ends at min(p-1, q-1).
     """
+    fraction = 0.01
     if not isinstance(spec.local_space, GrandSpace) or not isinstance(spec.global_space, GrandSpace):
         raise ValueError("check needs grand local and global stages")
     lp = spec.local_space.params
@@ -645,7 +626,6 @@ def check_maximal_bounded(
     a: Callable,
     b: Callable,
     window: WindowSpec,
-    drift: float = 0.25,
 ) -> CheckResult:
     """Boundedness signature of M : W(L^r, L^q) -> W(grand p, q).
 
@@ -653,6 +633,7 @@ def check_maximal_bounded(
     grid resolution doubles; any finite radius set makes the measured
     constant a lower bound, which is conservative here.
     """
+    drift = 0.25
     if not (p <= q <= r):
         raise ValueError("need p <= q <= r")
 
@@ -677,7 +658,7 @@ def _omega_notes(dom: BoxDomain, q: float) -> dict:
     r_conj = q / (q - 1.0)
     out = {}
     for name, w in (("unit", unit_weight(dom)), ("exp_decay", weight_from(dom, _expdecay))):
-        diag = weight_diagnostics(w, pair_samples=128, seed=11)
+        diag = weight_diagnostics(w)
         conj_mass = float(np.sum(w.values ** (-r_conj / q)) * dom.cell_volume)
         out[name] = {
             "l1_mass": diag.l1_mass,
@@ -689,14 +670,7 @@ def _omega_notes(dom: BoxDomain, q: float) -> dict:
     return out
 
 
-def check_maximal_unbounded(
-    E_halfwidth: float = 1.0,
-    T_list: Sequence[float] = (4.0, 8.0, 16.0, 32.0, 64.0),
-    q: float = 2.0,
-    points_per_unit: int = 16,
-    pad: float = 2.0,
-    slope_lower: float = 0.8,
-) -> CheckResult:
+def check_maximal_unbounded() -> CheckResult:
     """Unboundedness signature: truncated L^1 norms of M chi_E grow like log T.
 
     M chi_E has tail |E| / (2|x|) + O(x^-2), so the truncated L^1 norm gains
@@ -706,13 +680,8 @@ def check_maximal_unbounded(
     the certificate.  The grid extends pad * max(T) so ball clipping never
     touches the probed region.
     """
-    ts = sorted(float(t) for t in T_list)
-    if len(ts) < 4:
-        raise ValueError("need at least four truncation lengths")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("truncation lengths must be strictly increasing")
-    if q <= 1.0:
-        raise ValueError("need q > 1")
+    E_halfwidth, ts, q = 1.0, (4.0, 8.0, 16.0, 32.0, 64.0), 2.0  # q: of _omega_notes
+    points_per_unit, pad, slope_lower = 16, 2.0, 0.8
     half = pad * ts[-1]
     n = int(round(2.0 * half * points_per_unit))
     dom = BoxDomain(-half, half, n)
@@ -768,7 +737,7 @@ _BATTERY: dict[str, Callable[[Corpus, AmalgamSpec, WindowSpec], CheckResult]] = 
     "solidity_monotone": lambda corpus, spec, win: check_solidity_and_monotone(corpus, spec),
     "invariance": lambda corpus, spec, win: check_invariance(corpus, spec),
     "inclusion_equivalence": lambda corpus, spec, win: check_inclusion_norm_equivalence(
-        corpus, _classical_pair, _grand_pair, window=win
+        corpus, _classical_pair, _grand_pair, win
     ),
     "embedding_classical_grand": lambda corpus, spec, win: check_embedding_classical_into_grand(
         corpus, 2.0, 2.0, _expdecay, _expdecay, win

@@ -75,7 +75,7 @@ def test_criterion_02_sup_definition_invariant():
 
 def test_criterion_03_modulation_translation_invariance(standard):
     _, corpus, _, spec = standard
-    res = verify.check_invariance(corpus, spec, n_modulation=50)
+    res = verify.check_invariance(corpus, spec)
     mod_margins = [r["margin"] for r in res.details if r["case"].startswith("modulate:")]
     tr_margins = [r["margin"] for r in res.details if r["case"].startswith("translate:")]
     ok = (
@@ -193,9 +193,7 @@ def test_criterion_09_maximal_closed_form():
 
 
 def test_criterion_10_unboundedness_signature():
-    res = verify.check_maximal_unbounded(
-        E_halfwidth=1.0, T_list=(4.0, 8.0, 16.0, 32.0, 64.0)
-    )
+    res = verify.check_maximal_unbounded()
     normalized = res.notes["normalized_slope"]
     ok = (
         res.verdict is Verdict.PASS

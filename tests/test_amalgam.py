@@ -42,19 +42,20 @@ def test_control_function_constant_grand_dense_oracle(box16):
 def test_amalgam_norm_two_stage_hand_value(box16):
     # F = 0.5 on 4 anchors of measure 1/4 each: ||F||_2 = 0.5
     spec = ga.AmalgamSpec(ga.ClassicalSpace(2.0), ga.ClassicalSpace(2.0), ga.WindowSpec(4, 4))
-    assert ga.amalgam_norm(ga.constant(box16, 1.0), spec).value == pytest.approx(0.5, rel=1e-14)
+    value = ga.amalgam_norm(ga.constant(box16, 1.0), spec).value
+    assert value == pytest.approx(0.5, rel=1e-14, abs=0.0)
 
 
 def test_amalgam_norm_one_window_degeneracy(box16):
     spec = ga.AmalgamSpec(ga.ClassicalSpace(2.0), ga.ClassicalSpace(2.0), ga.WindowSpec(16, 16))
     f = ga.constant(box16, 1.0)
     assert ga.amalgam_norm(f, spec).value == pytest.approx(
-        ga.weighted_lp_norm(f, 2.0), rel=1e-14
+        ga.weighted_lp_norm(f, 2.0), rel=1e-14, abs=0.0
     )
     # also for a non-constant function
     g = ga.build(box16, lambda x: x + 0.3j)
     assert ga.amalgam_norm(g, spec).value == pytest.approx(
-        ga.weighted_lp_norm(g, 2.0), rel=1e-13
+        ga.weighted_lp_norm(g, 2.0), rel=1e-13, abs=0.0
     )
 
 
@@ -113,7 +114,8 @@ def test_modulation_invariance_amalgam():
     f = make_random_function(dom, 1)
     base = ga.amalgam_norm(f, spec).value
     for xi in (1.0, 17.3):
-        assert ga.amalgam_norm(ga.modulate(f, xi), spec).value == pytest.approx(base, rel=1e-12)
+        value = ga.amalgam_norm(ga.modulate(f, xi), spec).value
+        assert value == pytest.approx(base, rel=1e-12, abs=0.0)
 
 
 def test_amalgam_solidity_and_monotone_truncation():
@@ -135,7 +137,7 @@ def test_amalgam_solidity_and_monotone_truncation():
         v = ga.amalgam_norm(fn, spec).value
         assert v >= prev - 1e-12 * full
         prev = v
-    assert prev == pytest.approx(full, rel=1e-13)  # support covered at the last step
+    assert prev == pytest.approx(full, rel=1e-13, abs=0.0)  # support covered at the last step
 
 
 def test_window_independence_band_reported():
@@ -174,7 +176,7 @@ def test_mixed_norm_family_endpoint_identity(box16):
         ga.ClassicalSpace(1.0, root),
         ga.WindowSpec(4, 2),
     )
-    assert val == pytest.approx(ga.amalgam_norm(f, classical).value, rel=1e-14)
+    assert val == pytest.approx(ga.amalgam_norm(f, classical).value, rel=1e-14, abs=0.0)
     assert ga.mixed_norm_family(ga.constant(box16, 0.0), spec, 0.5, 0.5) == 0.0
 
 
@@ -256,7 +258,7 @@ def test_control_function_2d():
     np.testing.assert_allclose(cf.values, 0.5, rtol=1e-14)
     spec = ga.AmalgamSpec(ga.ClassicalSpace(2.0), ga.ClassicalSpace(2.0),
                           ga.WindowSpec((4, 4), (4, 4)))
-    assert ga.amalgam_norm(f, spec).value == pytest.approx(0.5, rel=1e-14)
+    assert ga.amalgam_norm(f, spec).value == pytest.approx(0.5, rel=1e-14, abs=0.0)
 
 
 def test_window_spec_validation():
@@ -275,7 +277,7 @@ def test_stride_longer_than_the_box_is_rejected_1d():
     f = ga.constant(dom, 1.0)
     l2 = ga.ClassicalSpace(2.0)
     at_extent = ga.AmalgamSpec(l2, l2, ga.WindowSpec(1, 64))
-    assert ga.amalgam_norm(f, at_extent).value == pytest.approx(0.125, rel=1e-14)
+    assert ga.amalgam_norm(f, at_extent).value == pytest.approx(0.125, rel=1e-14, abs=0.0)
     for stride in (65, 200):
         window = ga.WindowSpec(1, stride)
         with pytest.raises(ValueError, match=rf"axis 0: window stride {stride} cells exceeds the 64 cells"):
@@ -306,7 +308,7 @@ def test_control_csv(tmp_path, box16):
     assert lines[0] == "x0,control_value"
     assert len(lines) == 5
     first = lines[1].split(",")
-    assert float(first[0]) == 0.0 and float(first[1]) == pytest.approx(0.5)
+    assert float(first[0]) == 0.0 and float(first[1]) == pytest.approx(0.5, rel=1e-6, abs=0.0)
 
 
 # (shape, window side, stride): stride below, at and above the side, in 1-D and

@@ -70,7 +70,7 @@ def test_translate_preserves_unweighted_norm_of_inner_support():
     moved = ga.translate(f, 8)
     for p in (1.0, 2.0, 3.5):
         assert ga.weighted_lp_norm(moved, p) == pytest.approx(
-            ga.weighted_lp_norm(f, p), rel=1e-13
+            ga.weighted_lp_norm(f, p), rel=1e-13, abs=0.0
         )
 
 
@@ -150,9 +150,11 @@ def test_domain_validation():
         ga.BoxDomain(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         ga.BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (4, 4, 4))
+    with pytest.raises(ValueError, match="axis 1: the extent upper - lower"):
+        ga.BoxDomain((0.0, -1e308), (1.0, 1e308), (4, 4))  # each end finite, the extent not
     dom = ga.BoxDomain((0.0, -1.0), (2.0, 1.0), (4, 8))
-    assert dom.cell_volume == pytest.approx(0.5 * 0.25)
-    assert dom.volume == pytest.approx(4.0)
+    assert dom.cell_volume == pytest.approx(0.5 * 0.25, rel=1e-6, abs=0.0)
+    assert dom.volume == pytest.approx(4.0, rel=1e-6, abs=0.0)
 
 
 def test_domain_mismatch_rejected():
@@ -239,7 +241,7 @@ def test_weight_rejects_complex_samples():
 
 def test_weight_diagnostics_constant():
     dom = ga.BoxDomain(0.0, 1.0, 64)
-    d = ga.weight_diagnostics(ga.unit_weight(dom), pair_samples=200)
+    d = ga.weight_diagnostics(ga.unit_weight(dom))
     assert d.l1_mass == pytest.approx(1.0, abs=1e-12)
     assert d.submultiplicativity_defect == 0.0
     assert d.is_unit_lower_bounded
@@ -250,7 +252,7 @@ def test_weight_diagnostics_exp_abs_is_submultiplicative(bounds):
     # e^{|x+y|} <= e^{|x|} e^{|y|} analytically; defect must vanish
     dom = ga.BoxDomain(bounds[0], bounds[1], 128)
     w = ga.weight_from(dom, lambda x: np.exp(np.abs(x)))
-    d = ga.weight_diagnostics(w, pair_samples=400)
+    d = ga.weight_diagnostics(w)
     assert d.submultiplicativity_defect == 0.0
     assert d.is_unit_lower_bounded
 
@@ -258,15 +260,15 @@ def test_weight_diagnostics_exp_abs_is_submultiplicative(bounds):
 def test_weight_diagnostics_decaying_not_unit_bounded():
     dom = ga.BoxDomain(0.0, 10.0, 128)
     w = ga.weight_from(dom, lambda x: 1.0 / (1.0 + x * x))
-    d = ga.weight_diagnostics(w, pair_samples=200)
+    d = ga.weight_diagnostics(w)
     assert not d.is_unit_lower_bounded
 
 
 def test_weight_diagnostics_deterministic():
     dom = ga.BoxDomain(-1.0, 3.0, 64)
     w = ga.weight_from(dom, lambda x: 1.0 + x * x)
-    d1 = ga.weight_diagnostics(w, pair_samples=100, seed=5)
-    d2 = ga.weight_diagnostics(w, pair_samples=100, seed=5)
+    d1 = ga.weight_diagnostics(w)
+    d2 = ga.weight_diagnostics(w)
     assert d1 == d2
 
 

@@ -63,7 +63,8 @@ def unit_box():
 
 def test_weighted_lp_constants(unit_box):
     f = ga.constant(unit_box, 2.0)
-    assert ga.weighted_lp_norm(f, 2.0, ga.unit_weight(unit_box)) == pytest.approx(2.0, rel=1e-14)
+    value = ga.weighted_lp_norm(f, 2.0, ga.unit_weight(unit_box))
+    assert value == pytest.approx(2.0, rel=1e-14, abs=0.0)
     assert ga.weighted_lp_norm(ga.constant(unit_box, 0.0), 2.0) == 0.0
 
 
@@ -72,13 +73,13 @@ def test_weighted_lp_linear_function(unit_box):
     f = ga.build(unit_box, lambda x: x)
     val = ga.weighted_lp_norm(f, 2.0, ga.unit_weight(unit_box))
     assert val == pytest.approx(1.0 / math.sqrt(3.0), abs=2e-5)
-    assert val == pytest.approx(brute_lp(f, 2.0), rel=1e-13)
+    assert val == pytest.approx(brute_lp(f, 2.0), rel=1e-13, abs=0.0)
     # O(h^2) refinement convergence
     errs = []
     for n in (64, 128):
         d = ga.BoxDomain(0.0, 1.0, n)
         errs.append(abs(ga.weighted_lp_norm(ga.build(d, lambda x: x), 2.0) - 1.0 / math.sqrt(3.0)))
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
+    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2, abs=0.0)
 
 
 @settings(max_examples=15, deadline=None)
@@ -87,7 +88,7 @@ def test_weighted_lp_matches_brute_force(p, seed):
     dom = ga.BoxDomain(-1.0, 1.0, 16)
     f = make_random_function(dom, seed)
     w = ga.weight_from(dom, lambda x: 1.0 + x * x)
-    assert ga.weighted_lp_norm(f, p, w) == pytest.approx(brute_lp(f, p, w), rel=1e-12)
+    assert ga.weighted_lp_norm(f, p, w) == pytest.approx(brute_lp(f, p, w), rel=1e-12, abs=0.0)
 
 
 def test_weighted_lp_rejects_bad_input(unit_box):
@@ -102,7 +103,7 @@ def test_grand_norm_constant_unit_box(unit_box):
     # inner norms are identically 1, so the sup of eps^theta * 1 is at eps = 1
     gp = ga.GrandParams(2.0, ga.unit_weight(unit_box))
     rep = ga.grand_norm(ga.constant(unit_box, 1.0), gp)
-    assert rep.value == pytest.approx(1.0, rel=1e-12)
+    assert rep.value == pytest.approx(1.0, rel=1e-12, abs=0.0)
     assert rep.argmax_eps == pytest.approx(1.0, abs=0)
 
 
@@ -111,7 +112,7 @@ def test_grand_norm_constant_double_box():
     gp = ga.GrandParams(2.0, ga.unit_weight(dom))
     rep = ga.grand_norm(ga.constant(dom, 1.0), gp)
     # eps * 2^{1/(2-eps)} is increasing on (0, 1]
-    assert rep.value == pytest.approx(2.0, rel=1e-12)
+    assert rep.value == pytest.approx(2.0, rel=1e-12, abs=0.0)
     assert rep.argmax_eps == pytest.approx(1.0, abs=0)
 
 
@@ -133,7 +134,7 @@ def test_grand_norm_matches_dense_oracle(unit_box):
             grid_max = max(t for _, _, t in rep.curve)
             assert rep.value >= grid_max - 1e-15
             assert rep.value <= oracle + 1e-9
-            assert rep.value == pytest.approx(oracle, rel=1e-6)
+            assert rep.value == pytest.approx(oracle, rel=1e-6, abs=0.0)
 
 
 def test_grand_norm_sup_definition(unit_box):
@@ -156,7 +157,7 @@ def test_grand_norm_curve(unit_box):
     gp = ga.GrandParams(2.0, ga.unit_weight(unit_box), eps_grid=EpsGrid.explicit([0.1, 0.5, 1.0]))
     rep = ga.grand_norm(ga.constant(unit_box, 1.0), gp)
     curve = [(eps, term) for eps, _, term in _grid_rows(rep, gp)]
-    assert curve[0] == (0.1, pytest.approx(0.1, rel=1e-14))
+    assert curve[0] == (0.1, pytest.approx(0.1, rel=1e-14, abs=0.0))
     zero = ga.grand_norm(ga.constant(unit_box, 0.0), gp)
     assert [(eps, term) for eps, _, term in _grid_rows(zero, gp)] == [(0.1, 0.0), (0.5, 0.0), (1.0, 0.0)]
     # the grid maximum is the norm value: eps * 1 rises to its end at p - 1
@@ -185,7 +186,7 @@ def test_grand_norm_homogeneity_triangle_solidity(unit_box):
         vg = ga.grand_norm(g, gp).value
         lam = 0.5 + 2.0j
         assert ga.grand_norm(ga.scale(f, lam), gp).value == pytest.approx(
-            abs(lam) * vf, rel=1e-10
+            abs(lam) * vf, rel=1e-10, abs=0.0
         )
         assert ga.grand_norm(f + g, gp).value <= vf + vg + 1e-10 * (vf + vg)
         mask = ga.GridFunction(unit_box, rng.uniform(0.0, 1.0, unit_box.shape))
@@ -198,7 +199,8 @@ def test_grand_norm_modulation_exact(unit_box):
     f = make_random_function(unit_box, 3)
     base = ga.grand_norm(f, gp).value
     for xi in (0.7, 13.0):
-        assert ga.grand_norm(ga.modulate(f, xi), gp).value == pytest.approx(base, rel=1e-12)
+        value = ga.grand_norm(ga.modulate(f, xi), gp).value
+        assert value == pytest.approx(base, rel=1e-12, abs=0.0)
 
 
 def _holder_margins(f, gp):
@@ -231,7 +233,7 @@ def test_sup_eps_factor_matches_dense_scan():
             for theta in (0.5, 1.0, 2.0):
                 eps = np.linspace((p - 1) * 1e-7, p - 1, 200_001)
                 scan = float(np.max(eps**theta * mass ** (eps / (p * (p - eps)))))
-                assert ga.sup_eps_factor(mass, p, theta) == pytest.approx(scan, rel=1e-8)
+                assert ga.sup_eps_factor(mass, p, theta) == pytest.approx(scan, rel=1e-8, abs=0.0)
                 assert ga.sup_eps_factor(mass, p, theta) >= scan - 1e-12
 
 
@@ -239,10 +241,10 @@ def test_eps_grid_geometric_shape():
     grid = EpsGrid.geometric(2.0)
     assert grid.count == 33
     assert grid.values[-1] == 1.0
-    assert grid.min_eps == pytest.approx(1e-4, rel=1e-9)
+    assert grid.min_eps == pytest.approx(1e-4, rel=1e-9, abs=0.0)
     assert all(b > a for a, b in zip(grid.values, grid.values[1:]))
     ratios = [b / a for a, b in zip(grid.values, grid.values[1:])]
-    assert max(ratios) / min(ratios) == pytest.approx(1.0, rel=1e-9)
+    assert max(ratios) / min(ratios) == pytest.approx(1.0, rel=1e-9, abs=0.0)
 
 
 def test_eps_grid_validation():
@@ -259,6 +261,12 @@ def test_eps_grid_validation():
         ga.GrandParams(1.0, ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4)))
     with pytest.raises(ValueError):
         ga.GrandParams(2.0, ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4)), theta=0.0)
+    # above 2**53, p - 1 rounds: the grid's last eps leaves p - eps off 1 (at 0 from 1e16 up)
+    unit = ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4))
+    assert ga.GrandParams(2.0**53, unit).eps_grid.values[-1] == 2.0**53 - 1.0
+    for p in (2.0**53 + 2.0, 1e16, 1e300):
+        with pytest.raises(ValueError, match="- 1 is not exact in float64"):
+            ga.GrandParams(p, unit)
 
 
 @pytest.mark.parametrize("mode", ["geometric", "linear"])
@@ -266,7 +274,7 @@ def test_eps_grid_constructors_share_one_check(mode, capsys, tmp_path):
     make = getattr(EpsGrid, mode)
     grid = make(3.0, count=5, min_eps=0.5)
     assert grid.count == 5 and grid.values[-1] == 2.0
-    assert grid.min_eps == pytest.approx(0.5, rel=1e-12)
+    assert grid.min_eps == pytest.approx(0.5, rel=1e-12, abs=0.0)
     for kwargs, message in [
         ({"count": 0}, "need at least two grid points"),
         ({"count": 1}, "need at least two grid points"),
@@ -377,7 +385,7 @@ def test_refinement_takes_few_derivative_passes(monkeypatch, unit_box):
     gp = ga.GrandParams(3.0, ga.weight_from(unit_box, lambda x: np.exp(-3.0 * x)))
     rep = ga.grand_norm(f, gp)
     assert rep.argmax_eps not in gp.eps_grid.values  # an interior maximum
-    assert rep.value == pytest.approx(dense_grand_oracle(f, gp), rel=1e-12)
+    assert rep.value == pytest.approx(dense_grand_oracle(f, gp), rel=1e-12, abs=0.0)
     assert 1 <= len(passes) <= 12
 
 
@@ -410,7 +418,7 @@ def test_grand_norm_of_a_grandizer_beyond_float_range():
     f = ga.GridFunction(dom, [1e-300, 2e-300, 1e-310, 0.0])
     a = ga.Weight(dom, [1e300, 1.0, 1e-300, 1.0])
     rep = ga.grand_norm(f, ga.GrandParams(3.0, a, variant=ga.Variant.EXPONENT_FULL))
-    assert rep.value == pytest.approx(5.0e299, rel=1e-12)
+    assert rep.value == pytest.approx(5.0e299, rel=1e-12, abs=0.0)
     assert rep.argmax_eps == 2.0
 
 

@@ -11,7 +11,6 @@ from .gridfn import (
     EmptyIndicatorWarning,
     GridFunction,
     Weight,
-    WeightDiagnostics,
     build,
     constant,
     indicator,
@@ -22,7 +21,6 @@ from .gridfn import (
     scale,
     translate,
     unit_weight,
-    weight_diagnostics,
     weight_from,
     write_grid_csv,
 )

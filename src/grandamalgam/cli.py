@@ -462,9 +462,9 @@ def _run_amalgam(params: dict, f: GridFunction, grid: dict, outdir: Path) -> int
     report = amalgam_norm(f, spec, control=cf)
     write_norm_csv(report, outdir / "outer_curve.csv")
     summary = report.summary()
-    summary.update(
-        {"local": params["local"], "global": params["global"], "q": _number(params, "q")}
-    )
+    # The outer report's own p is the global exponent q; p is the local exponent.
+    summary.update({"local": params["local"], "global": params["global"],
+                    "p": _number(params, "p"), "q": _number(params, "q")})
     write_json(outdir / "amalgam_summary.json", summary)
     return 0
 

@@ -21,7 +21,6 @@ __all__ = [
     "BoxDomain",
     "GridFunction",
     "Weight",
-    "WeightDiagnostics",
     "build",
     "indicator",
     "constant",
@@ -32,7 +31,6 @@ __all__ = [
     "scale",
     "pointwise_abs",
     "pointwise_product",
-    "weight_diagnostics",
     "write_grid_csv",
     "read_grid_csv",
 ]
@@ -211,21 +209,6 @@ class Weight:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class WeightDiagnostics:
-    """Summary numbers used to judge grandizer / Beurling hypotheses.
-
-    ``submultiplicativity_defect`` is the worst sampled violation of
-    w(x+y) <= w(x) w(y), clipped below at zero; it is a grid-resolution
-    limited diagnostic, not a proof.
-    """
-
-    l1_mass: float
-    min_value: float
-    is_unit_lower_bounded: bool
-    submultiplicativity_defect: float
-
-
 def build(domain: BoxDomain, sampler: Callable) -> GridFunction:
     """Sample ``sampler`` at every cell center.
 
@@ -374,66 +357,6 @@ def pointwise_abs(f: GridFunction) -> GridFunction:
 def pointwise_product(f: GridFunction, g: GridFunction) -> GridFunction:
     _check_same_domain(f, g, "pointwise product")
     return GridFunction(f.domain, f.values * g.values)
-
-
-def _snap_origin_ward(s: np.ndarray, lower: float, h: float, n: int) -> np.ndarray:
-    """Indices of cells near the coordinates ``s``, biased toward the origin.
-
-    Sums of two cell centers land exactly on cell boundaries whenever
-    lower/h is integral; snapping to the boundary's origin-side neighbor
-    keeps radially monotone submultiplicative weights (e.g. exp|x|) from
-    being penalized by grid resolution.
-    """
-    m = np.rint((s - lower) / h).astype(int)
-    k = np.where(s > 0.0, m - 1, m)
-    return np.clip(k, 0, n - 1)
-
-
-def weight_diagnostics(w: Weight) -> WeightDiagnostics:
-    """Riemann mass, lower bound, and sampled submultiplicativity defect.
-
-    Pairs (x, y) of cell centers with x + y inside the box are drawn with a
-    deterministic generator; the defect is max(0, w(x+y) - w(x) w(y)) over
-    the sample, with w(x+y) read at the in-domain grid point nearest the sum
-    (origin-ward on boundary ties).
-    """
-    pair_samples, seed = 128, 11
-    dom = w.domain
-    l1 = float(np.sum(w.values) * dom.cell_volume)
-    wmin = float(w.values.min())
-    rng = np.random.default_rng(seed)
-    defect = 0.0
-    accepted = 0
-    attempts = 0
-    while accepted < pair_samples and attempts < 64:
-        attempts += 1
-        ii = [rng.integers(0, m, size=pair_samples) for m in dom.shape]
-        jj = [rng.integers(0, m, size=pair_samples) for m in dom.shape]
-        keep = np.ones(pair_samples, dtype=bool)
-        sums = []
-        for d in range(dom.ndim):
-            c = dom.axis_centers(d)
-            s = c[ii[d]] + c[jj[d]]
-            keep &= (s >= dom.lower[d]) & (s <= dom.upper[d])
-            sums.append(s)
-        if not keep.any():
-            continue
-        kk = [
-            _snap_origin_ward(sums[d][keep], dom.lower[d], dom.spacing[d], dom.shape[d])
-            for d in range(dom.ndim)
-        ]
-        wi = w.values[tuple(i[keep] for i in ii)]
-        wj = w.values[tuple(j[keep] for j in jj)]
-        wk = w.values[tuple(kk)]
-        cand = float(np.max(wk - wi * wj))
-        defect = max(defect, cand)
-        accepted += int(keep.sum())
-    return WeightDiagnostics(
-        l1_mass=l1,
-        min_value=wmin,
-        is_unit_lower_bounded=bool(wmin >= 1.0),
-        submultiplicativity_defect=max(0.0, defect),
-    )
 
 
 def _write_cell_csv(path, f: GridFunction, **int_columns: np.ndarray) -> None:

@@ -77,14 +77,6 @@ class EpsGrid:
             raise ValueError("epsilon values must be strictly increasing")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def min_eps(self) -> float:
-        return self.values[0]
-
     @staticmethod
     def _span(p: float, count: int, min_eps: float | None) -> tuple[float, float]:
         """Checked (min_eps, p - 1) of a generated grid of ``count`` points: one check,
@@ -113,10 +105,6 @@ class EpsGrid:
         vals = np.linspace(min_eps, top, count)
         vals[-1] = top
         return EpsGrid(tuple(vals))
-
-    @staticmethod
-    def explicit(values) -> "EpsGrid":
-        return EpsGrid(tuple(values))
 
     def validate_for(self, p: float) -> None:
         top = p - 1.0

@@ -105,10 +105,10 @@ def write_check_json(result: CheckResult, path: str | Path) -> None:
 
 
 def write_check_csv(result: CheckResult, path: str | Path) -> None:
-    """Per-case table; columns are the keys of the first detail row."""
+    """Per-case table: every detail key in first-seen order, empty where a row lacks it."""
     if not result.details:
         Path(path).write_text("case\n")
         return
-    header = list(result.details[0].keys())
+    header = list(dict.fromkeys(k for row in result.details for k in row))
     rows = [[row.get(k, "") for k in header] for row in result.details]
     write_csv(path, header, rows)

@@ -45,7 +45,6 @@ from .gridfn import (
     scale,
     translate,
     unit_weight,
-    weight_diagnostics,
     weight_from,
 )
 from .maximal import RadiusSet, maximal_fast
@@ -365,7 +364,7 @@ def check_solidity_and_monotone(corpus: Corpus, spec: AmalgamSpec) -> CheckResul
         _push(state, f"half-scale:{e.name}", 1e-10 - abs(half / scale_ - 0.5), ratio=half / scale_)
         _push(state, f"solidity-mask:{e.name}", (base - masked) / scale_ + tol, value=masked)
         _push(state, f"solidity-left:{e.name}", (base - left_v) / scale_ + tol)
-        prev = -np.inf
+        prev = 0.0  # a norm is nonnegative, so the first truncation's margin is finite
         for j, vj in enumerate(truncated, 1):
             _push(state, f"monotone:{e.name}:{j}", (vj - prev) / max(full, _TINY) + tol, value=vj)
             prev = vj
@@ -597,7 +596,7 @@ def check_vanishing_limit(f: GridFunction, spec: AmalgamSpec) -> CheckResult:
     lp = spec.local_space.params
     gq = spec.global_space.params
     top = min(lp.p, gq.p) - 1.0
-    grid = EpsGrid.geometric(top + 1.0, count=lp.eps_grid.count)
+    grid = EpsGrid.geometric(top + 1.0, count=len(lp.eps_grid.values))
     values = [(eps, eps * mixed_norm_family(f, spec, eps, eps)) for eps in grid.values]
     full = amalgam_norm(f, spec).value
     state = _margin_state()
@@ -653,23 +652,6 @@ def check_maximal_bounded(
     return _constant_check("maximal_bounded", resolutions(), rule)
 
 
-def _omega_notes(dom: BoxDomain, q: float) -> dict:
-    """Hypothesis diagnostics for the weighted global stage (recorded, not asserted)."""
-    r_conj = q / (q - 1.0)
-    out = {}
-    for name, w in (("unit", unit_weight(dom)), ("exp_decay", weight_from(dom, _expdecay))):
-        diag = weight_diagnostics(w)
-        conj_mass = float(np.sum(w.values ** (-r_conj / q)) * dom.cell_volume)
-        out[name] = {
-            "l1_mass": diag.l1_mass,
-            "min_value": diag.min_value,
-            "is_unit_lower_bounded": diag.is_unit_lower_bounded,
-            "submultiplicativity_defect": diag.submultiplicativity_defect,
-            "conjugate_integrability_mass": conj_mass,
-        }
-    return out
-
-
 def check_maximal_unbounded() -> CheckResult:
     """Unboundedness signature: truncated L^1 norms of M chi_E grow like log T.
 
@@ -680,7 +662,7 @@ def check_maximal_unbounded() -> CheckResult:
     the certificate.  The grid extends pad * max(T) so ball clipping never
     touches the probed region.
     """
-    E_halfwidth, ts, q = 1.0, (4.0, 8.0, 16.0, 32.0, 64.0), 2.0  # q: of _omega_notes
+    E_halfwidth, ts = 1.0, (4.0, 8.0, 16.0, 32.0, 64.0)
     points_per_unit, pad, slope_lower = 16, 2.0, 0.8
     half = pad * ts[-1]
     n = int(round(2.0 * half * points_per_unit))
@@ -718,7 +700,6 @@ def check_maximal_unbounded() -> CheckResult:
             "expected_slope": expected,
             "normalized_slope": normalized,
             "indicator_mass_drift": mass_drift,
-            "omega_diagnostics": _omega_notes(dom, q),
         },
     )
 

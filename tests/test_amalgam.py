@@ -474,7 +474,7 @@ def test_stacked_norms_match_norms_one_at_a_time(shape, side, stride, local_kind
         got = ga.amalgam_norms(stack, spec)
         assert len(got) == len(expected)
         for g, w in zip(got, expected):
-            if global_kind == "grand":
+            if global_kind == "grand" or len(stack) == 1:
                 assert g == w  # value, argmax and the whole outer curve, bit for bit
             else:
                 # a lone classical row is summed pairwise, a stacked one in sequence

@@ -127,6 +127,21 @@ def test_cli_amalgam_one_window(tmp_path):
     assert (out / "outer_curve.csv").read_text() == "eps,inner_norm,weighted_term\n"
 
 
+@pytest.mark.parametrize("local", ["classical", "grand"])
+@pytest.mark.parametrize("global_", ["classical", "grand"])
+def test_cli_amalgam_summary_keeps_both_exponents(local, global_, tmp_path):
+    out = tmp_path / "a"
+    code = cli.main(
+        ["amalgam", "--f", "const:1", "--local", local, "--global", global_,
+         "--p", "3", "--q", "2", "--window-side", "16", "--window-stride", "16",
+         "--box", "0,1", "--cells", "64", "--out", str(out)]
+    )
+    assert code == 0
+    summary = json.loads((out / "amalgam_summary.json").read_text())
+    assert (summary["p"], summary["q"]) == (3.0, 2.0)
+    assert (summary["local"], summary["global"]) == (local, global_)
+
+
 def test_cli_input_from_csv(tmp_path):
     dom = ga.BoxDomain(0.0, 1.0, 32)
     f = ga.build(dom, lambda x: x)

@@ -239,39 +239,6 @@ def test_weight_rejects_complex_samples():
         ga.Weight(dom, np.ones(4, dtype=complex))
 
 
-def test_weight_diagnostics_constant():
-    dom = ga.BoxDomain(0.0, 1.0, 64)
-    d = ga.weight_diagnostics(ga.unit_weight(dom))
-    assert d.l1_mass == pytest.approx(1.0, abs=1e-12)
-    assert d.submultiplicativity_defect == 0.0
-    assert d.is_unit_lower_bounded
-
-
-@pytest.mark.parametrize("bounds", [(-2.0, 2.0), (0.0, 4.0)])
-def test_weight_diagnostics_exp_abs_is_submultiplicative(bounds):
-    # e^{|x+y|} <= e^{|x|} e^{|y|} analytically; defect must vanish
-    dom = ga.BoxDomain(bounds[0], bounds[1], 128)
-    w = ga.weight_from(dom, lambda x: np.exp(np.abs(x)))
-    d = ga.weight_diagnostics(w)
-    assert d.submultiplicativity_defect == 0.0
-    assert d.is_unit_lower_bounded
-
-
-def test_weight_diagnostics_decaying_not_unit_bounded():
-    dom = ga.BoxDomain(0.0, 10.0, 128)
-    w = ga.weight_from(dom, lambda x: 1.0 / (1.0 + x * x))
-    d = ga.weight_diagnostics(w)
-    assert not d.is_unit_lower_bounded
-
-
-def test_weight_diagnostics_deterministic():
-    dom = ga.BoxDomain(-1.0, 3.0, 64)
-    w = ga.weight_from(dom, lambda x: 1.0 + x * x)
-    d1 = ga.weight_diagnostics(w)
-    d2 = ga.weight_diagnostics(w)
-    assert d1 == d2
-
-
 def test_grid_csv_round_trip_1d(tmp_path):
     dom = ga.BoxDomain(-2.0, 3.0, 20)
     f = ga.build(dom, lambda x: np.exp(1j * x) * (1 + x * x))

@@ -154,7 +154,7 @@ def _grid_rows(rep, gp):
 
 
 def test_grand_norm_curve(unit_box):
-    gp = ga.GrandParams(2.0, ga.unit_weight(unit_box), eps_grid=EpsGrid.explicit([0.1, 0.5, 1.0]))
+    gp = ga.GrandParams(2.0, ga.unit_weight(unit_box), eps_grid=EpsGrid([0.1, 0.5, 1.0]))
     rep = ga.grand_norm(ga.constant(unit_box, 1.0), gp)
     curve = [(eps, term) for eps, _, term in _grid_rows(rep, gp)]
     assert curve[0] == (0.1, pytest.approx(0.1, rel=1e-14, abs=0.0))
@@ -169,7 +169,7 @@ def test_grand_curve_reads_as_a_tuple_of_float_rows(unit_box):
     gp = ga.GrandParams(2.5, ga.weight_from(unit_box, lambda x: np.exp(-x)))
     rep = ga.grand_norm(make_random_function(unit_box, 3), gp)
     rows = tuple(rep.curve)
-    assert len(rows) >= gp.eps_grid.count and all(type(x) is float for row in rows for x in row)
+    assert len(rows) >= len(gp.eps_grid.values) and all(type(x) is float for row in rows for x in row)
     assert rep.curve == rows and rep.curve[1] == rows[1] and len(rep.curve) == len(rows)
     as_tuple = replace(rep, curve=rows)
     assert rep == as_tuple and hash(rep) == hash(as_tuple)
@@ -239,9 +239,9 @@ def test_sup_eps_factor_matches_dense_scan():
 
 def test_eps_grid_geometric_shape():
     grid = EpsGrid.geometric(2.0)
-    assert grid.count == 33
+    assert len(grid.values) == 33
     assert grid.values[-1] == 1.0
-    assert grid.min_eps == pytest.approx(1e-4, rel=1e-9, abs=0.0)
+    assert grid.values[0] == pytest.approx(1e-4, rel=1e-9, abs=0.0)
     assert all(b > a for a, b in zip(grid.values, grid.values[1:]))
     ratios = [b / a for a, b in zip(grid.values, grid.values[1:])]
     assert max(ratios) / min(ratios) == pytest.approx(1.0, rel=1e-9, abs=0.0)
@@ -249,14 +249,14 @@ def test_eps_grid_geometric_shape():
 
 def test_eps_grid_validation():
     with pytest.raises(ValueError):
-        EpsGrid.explicit([])
+        EpsGrid([])
     with pytest.raises(ValueError):
-        EpsGrid.explicit([0.5, 0.5])
+        EpsGrid([0.5, 0.5])
     with pytest.raises(ValueError):
-        EpsGrid.explicit([-0.1, 1.0])
+        EpsGrid([-0.1, 1.0])
     with pytest.raises(ValueError):
         ga.GrandParams(2.0, ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4)),
-                       eps_grid=EpsGrid.explicit([0.2, 0.9]))  # must end at p-1
+                       eps_grid=EpsGrid([0.2, 0.9]))  # must end at p-1
     with pytest.raises(ValueError):
         ga.GrandParams(1.0, ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4)))
     with pytest.raises(ValueError):
@@ -273,8 +273,8 @@ def test_eps_grid_validation():
 def test_eps_grid_constructors_share_one_check(mode, capsys, tmp_path):
     make = getattr(EpsGrid, mode)
     grid = make(3.0, count=5, min_eps=0.5)
-    assert grid.count == 5 and grid.values[-1] == 2.0
-    assert grid.min_eps == pytest.approx(0.5, rel=1e-12, abs=0.0)
+    assert len(grid.values) == 5 and grid.values[-1] == 2.0
+    assert grid.values[0] == pytest.approx(0.5, rel=1e-12, abs=0.0)
     for kwargs, message in [
         ({"count": 0}, "need at least two grid points"),
         ({"count": 1}, "need at least two grid points"),

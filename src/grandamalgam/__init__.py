@@ -37,7 +37,6 @@ from .amalgam import (
     AmalgamSpec,
     ClassicalSpace,
     ControlFunction,
-    GrandSpace,
     WindowSpec,
     amalgam_norm,
     amalgam_norms,

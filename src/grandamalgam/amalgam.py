@@ -39,7 +39,6 @@ _STACK_CELLS = 1 << 12  # grid cells of the functions one stacked block holds at
 __all__ = [
     "WindowSpec",
     "ClassicalSpace",
-    "GrandSpace",
     "SpaceDescriptor",
     "AmalgamSpec",
     "ControlFunction",
@@ -94,14 +93,8 @@ class ClassicalSpace:
             raise ValueError(f"need p >= 1, got p = {self.p}")
 
 
-@dataclass(frozen=True)
-class GrandSpace:
-    """Grand local/global stage described by its :class:`GrandParams`."""
-
-    params: GrandParams
-
-
-SpaceDescriptor = Union[ClassicalSpace, GrandSpace]
+# A stage is classical weighted L^p, or grand: a grand stage is its GrandParams.
+SpaceDescriptor = Union[ClassicalSpace, GrandParams]
 
 
 @dataclass(frozen=True)
@@ -118,7 +111,6 @@ class ControlFunction:
     """Local norms of the windowed restrictions, sampled on the anchor lattice."""
 
     gridfn: GridFunction
-    anchor_starts: tuple[np.ndarray, ...]
     window: WindowSpec
 
     @property
@@ -126,19 +118,26 @@ class ControlFunction:
         return self.gridfn.values
 
 
-def _lattice(domain: BoxDomain, window: WindowSpec) -> tuple[tuple[np.ndarray, ...], BoxDomain]:
-    """Anchor cell indices per axis, and the anchor lattice as a box of stride-sized cells."""
-    starts = tuple(np.arange(0, n, s) for n, s in zip(domain.points_per_axis, window.stride_cells))
-    counts = tuple(len(s) for s in starts)
+def _lattice(domain: BoxDomain, window: WindowSpec) -> BoxDomain:
+    """The anchor lattice as a box of stride-sized cells, one per anchor: anchor k of an
+    axis is cell k * stride of the grid."""
+    counts = tuple(-(-n // s) for n, s in zip(domain.points_per_axis, window.stride_cells))
     upper = tuple(
         lo + c * s * h
         for lo, c, s, h in zip(domain.lower, counts, window.stride_cells, domain.spacing)
     )
-    return starts, BoxDomain(domain.lower, upper, counts)
+    return BoxDomain(domain.lower, upper, counts)
 
 
 def _weight_of(space: SpaceDescriptor) -> Weight | None:
-    return space.weight if isinstance(space, ClassicalSpace) else space.params.grandizer
+    return space.weight if isinstance(space, ClassicalSpace) else space.grandizer
+
+
+def _grand_stages(spec: AmalgamSpec, what: str) -> tuple[GrandParams, GrandParams]:
+    """The local and global stages of ``spec``, which ``what`` needs both grand."""
+    if not isinstance(spec.local_space, GrandParams) or not isinstance(spec.global_space, GrandParams):
+        raise ValueError(f"{what} needs grand local and global stages")
+    return spec.local_space, spec.global_space
 
 
 def _check_space_domain(space: SpaceDescriptor, domain: BoxDomain, what: str) -> None:
@@ -190,8 +189,8 @@ def _local_stage(
     w = _weight_of(local)  # the weight's windows once per function, like the functions'
     wrows = w and _window_blocks(np.broadcast_to(w.values, absf.shape), window)
     blocks = _window_blocks(absf, window)
-    if isinstance(local, GrandSpace):
-        return _grand_scan(blocks, wrows, local.params, cell_volume)[0].reshape(k, -1)
+    if isinstance(local, GrandParams):
+        return _grand_scan(blocks, wrows, local, cell_volume)[0].reshape(k, -1)
     return _classical_rows(blocks, wrows, local.p, cell_volume).reshape(k, -1)
 
 
@@ -202,9 +201,9 @@ def _outer_stage(
     w = _weight_of(glob)
     if w is not None:  # one lattice weight row, read by every control row
         w = np.broadcast_to(lattice_weight(w, window, domain).values.reshape(1, -1), absg.shape)
-    vol = _lattice(domain, window)[1].cell_volume
-    if isinstance(glob, GrandSpace):
-        return _grand_report(absg, w, glob.params, vol)
+    vol = _lattice(domain, window).cell_volume
+    if isinstance(glob, GrandParams):
+        return _grand_report(absg, w, glob, vol)
     values = _classical_rows(absg, w, glob.p, vol).tolist()
     return [NormReport(v, None, (), p=glob.p, variant="classical") for v in values]
 
@@ -220,13 +219,9 @@ def control_function(f: GridFunction, local: SpaceDescriptor, window: WindowSpec
     dom = f.domain
     window = _window_on(dom, window)
     _check_space_domain(local, dom, "control_function")
-    starts, lattice = _lattice(dom, window)
+    lattice = _lattice(dom, window)
     out = _local_stage(np.abs(f.values)[None], local, window, dom.cell_volume)
-    return ControlFunction(
-        gridfn=GridFunction(lattice, out.reshape(lattice.shape)),
-        anchor_starts=starts,
-        window=window,
-    )
+    return ControlFunction(gridfn=GridFunction(lattice, out.reshape(lattice.shape)), window=window)
 
 
 def lattice_weight(w: Weight, window: WindowSpec, domain: BoxDomain) -> Weight:
@@ -239,7 +234,7 @@ def lattice_weight(w: Weight, window: WindowSpec, domain: BoxDomain) -> Weight:
     window = _window_on(domain, window)
     if w.domain != domain:
         raise ValueError("lattice_weight: weight lives on a different grid")
-    lattice = _lattice(domain, window)[1]
+    lattice = _lattice(domain, window)
     idxs = [
         np.clip(np.floor((np.arange(c) + 0.5) * st).astype(int), 0, n - 1)
         for c, st, n in zip(lattice.points_per_axis, window.stride_cells, domain.points_per_axis)
@@ -300,10 +295,7 @@ def mixed_norm_family(f: GridFunction, spec: AmalgamSpec, eps: float, eta: float
     ``EXPONENT_FULL``): the grand kernel's inner norms at eps over the
     windows, then at eta over the lattice, with b reduced to it.
     """
-    if not isinstance(spec.local_space, GrandSpace) or not isinstance(spec.global_space, GrandSpace):
-        raise ValueError("mixed_norm_family needs grand local and global stages")
-    lp = spec.local_space.params
-    gq = spec.global_space.params
+    lp, gq = _grand_stages(spec, "mixed_norm_family")
     if not 0.0 < eps <= lp.p - 1.0 + 1e-12:
         raise ValueError(f"eps = {eps} outside (0, p - 1] with p = {lp.p}")
     if not 0.0 < eta <= gq.p - 1.0 + 1e-12:
@@ -323,12 +315,12 @@ def write_control_csv(cf: ControlFunction, path: str | Path) -> None:
     """One row per anchor: anchor coordinates and the control value."""
     dom = cf.gridfn.domain
     ndim = dom.ndim
-    starts = cf.anchor_starts
+    stride = cf.window.stride_cells
     header = [f"x{d}" for d in range(ndim)] + ["control_value"]
-    fine_h = tuple(dom.spacing[d] / cf.window.stride_cells[d] for d in range(ndim))
+    fine_h = tuple(dom.spacing[d] / stride[d] for d in range(ndim))
     vals = cf.values
     rows = []
-    for idx in itertools.product(*(range(len(s)) for s in starts)):
-        coords = [dom.lower[d] + float(starts[d][idx[d]]) * fine_h[d] for d in range(ndim)]
+    for idx in itertools.product(*(range(n) for n in dom.points_per_axis)):
+        coords = [dom.lower[d] + float(idx[d] * stride[d]) * fine_h[d] for d in range(ndim)]
         rows.append(coords + [float(vals[idx])])
     write_csv(path, header, rows)

@@ -8,10 +8,11 @@ their default strings, ``_KINDS`` gives each key's kind (float, int, a tuple
 of allowed words, or a sampler spec).  Everything else is derived from it:
 the keys a config file accepts and the defaults it gets, the ``--flag`` for
 each key (``eps_count`` becomes ``--eps-count``, unset flags fall through to
-the same defaults), the conversion and word checks of validation, and the
-grand stage defaults of ``amalgam``.  Validation happens before any
-computation; outputs are CSV/JSON files written with fixed 17-significant-digit
-formatting, so identical configurations produce byte-identical artifacts.
+the same defaults), and the conversion and word checks of validation, so a
+bad word, a missing input or a malformed seed is reported by its key.
+Validation happens before any computation; outputs are CSV/JSON files
+written with fixed 17-significant-digit formatting, so identical
+configurations produce byte-identical artifacts.
 Exit codes: 0 success, 1 any FAIL verdict, 2 configuration error.
 """
 
@@ -28,7 +29,6 @@ import numpy as np
 from .amalgam import (
     AmalgamSpec,
     ClassicalSpace,
-    GrandSpace,
     WindowSpec,
     _window_on,
     amalgam_norm,
@@ -158,10 +158,7 @@ def parse_config(text: str) -> RunConfig:
     if "subcommand" not in top:
         raise ConfigError("missing required keys: subcommand")
     if "seed" in top:
-        try:
-            top["seed"] = int(top["seed"])
-        except ValueError:
-            raise ConfigError(f"seed: expected an integer, got {top['seed']!r}") from None
+        top["seed"] = _seed(top["seed"])
     # Top-level keys left out take RunConfig's defaults, as unset flags do.
     config = RunConfig(parameters=params, **top)
     return validate_config(config)
@@ -171,6 +168,13 @@ def emit_config(config: RunConfig) -> str:
     lines = [f"{key} = {getattr(config, key)}" for key in _TOP_KEYS]
     lines += [f"param.{key} = {config.parameters[key]}" for key in sorted(config.parameters)]
     return "\n".join(lines) + "\n"
+
+
+def _seed(text) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"seed: expected an integer, got {text!r}") from None
 
 
 def _number(params: dict, key: str):
@@ -426,7 +430,7 @@ def _run_norm(params: dict, f: GridFunction, grid: dict, outdir: Path) -> int:
 def _grand_params_from(params: dict, grandizer: Weight) -> GrandParams:
     p = _number(params, "p")
     grid_factory = EpsGrid.geometric if params["eps_mode"] == "geometric" else EpsGrid.linear
-    min_eps = _number(params, "eps_min") if params.get("eps_min") else None
+    min_eps = _number(params, "eps_min") if params["eps_min"] else None
     grid = grid_factory(p, count=_number(params, "eps_count"), min_eps=min_eps)
     return GrandParams(
         p=p,
@@ -446,11 +450,10 @@ def _run_grand(params: dict, f: GridFunction, grid: dict, outdir: Path) -> int:
 
 def _run_amalgam(params: dict, f: GridFunction, grid: dict, outdir: Path) -> int:
     def space(kind: str, exponent_key: str, weight_key: str):
-        if kind == "grand":
-            # The epsilon grid and the variant are grand's defaults.
-            gp = {**_PARAMS["grand"], **params, "p": params[exponent_key]}
-            return GrandSpace(_grand_params_from(gp, grid[weight_key]))
-        return ClassicalSpace(_number(params, exponent_key), grid[weight_key])
+        exponent = _number(params, exponent_key)
+        if kind == "grand":  # the library's default epsilon grid and variant
+            return GrandParams(exponent, grid[weight_key], _number(params, "theta"))
+        return ClassicalSpace(exponent, grid[weight_key])
 
     spec = AmalgamSpec(
         local_space=space(params["local"], "p", "a"),
@@ -463,8 +466,12 @@ def _run_amalgam(params: dict, f: GridFunction, grid: dict, outdir: Path) -> int
     write_norm_csv(report, outdir / "outer_curve.csv")
     summary = report.summary()
     # The outer report's own p is the global exponent q; p is the local exponent.
+    local = spec.local_space
+    grand = isinstance(local, GrandParams)
     summary.update({"local": params["local"], "global": params["global"],
-                    "p": _number(params, "p"), "q": _number(params, "q")})
+                    "p": local.p, "q": spec.global_space.p,
+                    "local_theta": local.theta if grand else None,
+                    "local_variant": local.variant.value if grand else "classical"})
     write_json(outdir / "amalgam_summary.json", summary)
     return 0
 
@@ -569,7 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, defaults in _PARAMS.items():
         sp = parsers[name] = sub.add_parser(name, help=_HELP[name])
         if name != "verify":
-            sp.add_argument("--f", required=True, help="sampler spec (e.g. const:1) or grid CSV path")
+            sp.add_argument("--f", help="sampler spec (e.g. const:1) or grid CSV path (required)")
         for key, default in defaults.items():
             if key in _SPECIAL_KEYS:
                 continue
@@ -578,11 +585,11 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--" + key.replace("_", "-"),
                 dest=key,
                 default=None,
-                choices=kind if isinstance(kind, tuple) else None,
+                metavar="{%s}" % ",".join(kind) if isinstance(kind, tuple) else None,
                 help=f"{_HELP.get(key, '')} (default {default!r})".lstrip(),
             )
         sp.add_argument("--out", default=RunConfig.output_dir, help="output directory")
-        sp.add_argument("--seed", type=int, default=RunConfig.seed)
+        sp.add_argument("--seed", default=RunConfig.seed)
     parsers["maximal"].add_argument(
         "--no-center", action="store_true", help="drop the radius-0 term |f(x)|"
     )
@@ -610,7 +617,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         params["include_center"] = "false"
     if sub == "verify" and args.check and not args.all:
         params["checks"] = ",".join(args.check)
-    return RunConfig(sub, given.get("f", ""), params, output_dir=args.out, seed=args.seed)
+    return RunConfig(sub, given.get("f") or "", params, output_dir=args.out, seed=_seed(args.seed))
 
 
 _COORD_FLAGS = ("--box", "--probe")

@@ -106,20 +106,6 @@ class EpsGrid:
         vals[-1] = top
         return EpsGrid(tuple(vals))
 
-    def validate_for(self, p: float) -> None:
-        top = p - 1.0
-        slack = 1e-12 * max(1.0, top)
-        if self.values[-1] > top + slack:
-            raise ValueError(f"epsilon grid exceeds p - 1 = {top}")
-        if abs(self.values[-1] - top) > slack:
-            raise ValueError(f"epsilon grid must end exactly at p - 1 = {top}")
-
-    def with_extra(self, eps: float) -> "EpsGrid":
-        """Union with one more epsilon value (used to make sup bounds exact)."""
-        if any(abs(eps - v) <= 1e-15 for v in self.values):
-            return self
-        return EpsGrid(tuple(sorted(self.values + (float(eps),))))
-
 
 @dataclass(frozen=True)
 class GrandParams:
@@ -139,7 +125,12 @@ class GrandParams:
         if not self.theta > 0.0:
             raise ValueError(f"need theta > 0, got theta = {self.theta}")
         grid = self.eps_grid if self.eps_grid is not None else EpsGrid.geometric(self.p)
-        grid.validate_for(self.p)
+        top = self.p - 1.0
+        slack = 1e-12 * max(1.0, top)
+        if grid.values[-1] > top + slack:
+            raise ValueError(f"epsilon grid exceeds p - 1 = {top}")
+        if abs(grid.values[-1] - top) > slack:
+            raise ValueError(f"epsilon grid must end exactly at p - 1 = {top}")
         object.__setattr__(self, "eps_grid", grid)
 
     def weight_power(self, eps: float) -> np.ndarray:
@@ -151,13 +142,15 @@ class GrandParams:
             return eps**self.theta
         return eps ** (self.theta / (self.p - eps))
 
-    def with_grandizer(self, w: Weight) -> "GrandParams":
-        return replace(self, grandizer=w)
-
     def with_extra_eps(self, eps: float) -> "GrandParams":
+        """The same norm with ``eps`` on its grid (used to make sup bounds exact); a value
+        within 1e-15 of a grid point is already on it."""
         if not 0.0 < eps <= self.p - 1.0 + 1e-12:
             raise ValueError(f"epsilon {eps} outside (0, p - 1]")
-        return replace(self, eps_grid=self.eps_grid.with_extra(min(eps, self.p - 1.0)))
+        eps, vals = min(eps, self.p - 1.0), self.eps_grid.values
+        if any(abs(eps - v) <= 1e-15 for v in vals):
+            return self
+        return replace(self, eps_grid=EpsGrid(tuple(sorted(vals + (float(eps),)))))
 
 
 @dataclass(frozen=True)

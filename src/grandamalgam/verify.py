@@ -12,7 +12,7 @@ a literal infinity.  Checks are independent and deterministic given
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,8 +20,8 @@ import numpy as np
 from .amalgam import (
     AmalgamSpec,
     ClassicalSpace,
-    GrandSpace,
     WindowSpec,
+    _grand_stages,
     amalgam_norm,
     amalgam_norms,
     control_function,
@@ -266,7 +266,7 @@ def _unit_clone(spec: AmalgamSpec, domain: BoxDomain) -> AmalgamSpec:
     def strip(space):
         if isinstance(space, ClassicalSpace):
             return ClassicalSpace(space.p, None)
-        return GrandSpace(space.params.with_grandizer(unit_weight(domain)))
+        return replace(space, grandizer=unit_weight(domain))
 
     return AmalgamSpec(strip(spec.local_space), strip(spec.global_space), spec.window)
 
@@ -274,9 +274,7 @@ def _unit_clone(spec: AmalgamSpec, domain: BoxDomain) -> AmalgamSpec:
 def _grand_pair_spec(
     p: float, q: float, aw: Weight, bw: Weight, window: WindowSpec
 ) -> AmalgamSpec:
-    return AmalgamSpec(
-        GrandSpace(GrandParams(p, aw)), GrandSpace(GrandParams(q, bw)), window
-    )
+    return AmalgamSpec(GrandParams(p, aw), GrandParams(q, bw), window)
 
 
 def _two_stage_excess(
@@ -287,7 +285,7 @@ def _two_stage_excess(
     The sup definition makes this nonpositive for every eps on the grid; it
     is re-checked inside the embedding checks as a consistency guard.
     """
-    grand_cf = control_function(f, GrandSpace(params), window)
+    grand_cf = control_function(f, params, window)
     scale_ = max(float(np.max(grand_cf.values)), _TINY)
     worst = -np.inf
     for eps in eps_values:
@@ -485,7 +483,7 @@ def check_embedding_classical_into_grand(
             _push(state, f"{e.name}@x{factor}", margin, grand=lhs, classical=cls, bound=rhs)
             if cls > _TINY:
                 empirical = max(empirical, lhs / cls)
-        params = GrandParams(p, aw)
+        params = gspec.local_space
         grid = params.eps_grid.values
         probe = (grid[len(grid) // 2], grid[-1])
         guards[f"two_stage@x{factor}"] = _two_stage_excess(fs[0], params, win, probe)
@@ -507,13 +505,8 @@ def check_embedding_grand_into_mixed(
     definition bound is exact rather than grid-gapped.
     """
     tol = 1e-10
-    if not isinstance(spec.local_space, GrandSpace) or not isinstance(spec.global_space, GrandSpace):
-        raise ValueError("check needs grand local and global stages")
-    lp = spec.local_space.params
-    gq = spec.global_space.params
-    augmented = AmalgamSpec(
-        GrandSpace(lp.with_extra_eps(eps)), GrandSpace(gq.with_extra_eps(eta)), spec.window
-    )
+    lp, gq = _grand_stages(spec, "check")
+    augmented = AmalgamSpec(lp.with_extra_eps(eps), gq.with_extra_eps(eta), spec.window)
     state = _margin_state()
     for e, rhs in zip(corpus.entries, _norms(augmented, _functions(corpus))[0]):
         mixed = mixed_norm_family(e.gridfn, augmented, eps, eta)
@@ -591,10 +584,7 @@ def check_vanishing_limit(f: GridFunction, spec: AmalgamSpec) -> CheckResult:
     stages, so the grid ends at min(p-1, q-1).
     """
     fraction = 0.01
-    if not isinstance(spec.local_space, GrandSpace) or not isinstance(spec.global_space, GrandSpace):
-        raise ValueError("check needs grand local and global stages")
-    lp = spec.local_space.params
-    gq = spec.global_space.params
+    lp, gq = _grand_stages(spec, "check")
     top = min(lp.p, gq.p) - 1.0
     grid = EpsGrid.geometric(top + 1.0, count=len(lp.eps_grid.values))
     values = [(eps, eps * mixed_norm_family(f, spec, eps, eps)) for eps in grid.values]

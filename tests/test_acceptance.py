@@ -12,7 +12,7 @@ import pytest
 
 import grandamalgam as ga
 from grandamalgam import cli, verify
-from grandamalgam.amalgam import AmalgamSpec, GrandSpace, WindowSpec
+from grandamalgam.amalgam import AmalgamSpec, WindowSpec
 from grandamalgam.norms import GrandParams
 from grandamalgam.reporting import Verdict
 
@@ -33,7 +33,7 @@ def standard():
     win = WindowSpec(16, 8)
     aw = ga.weight_from(dom, expdecay)
     spec = AmalgamSpec(
-        GrandSpace(GrandParams(2.0, aw)), GrandSpace(GrandParams(2.0, aw)), win
+        GrandParams(2.0, aw), GrandParams(2.0, aw), win
     )
     return dom, corpus, win, spec
 

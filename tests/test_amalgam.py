@@ -33,7 +33,7 @@ def test_control_function_constant_classical(box16):
 
 def test_control_function_constant_grand_dense_oracle(box16):
     gp = ga.GrandParams(2.0, ga.unit_weight(box16))
-    cf = ga.control_function(ga.constant(box16, 1.0), ga.GrandSpace(gp), ga.WindowSpec(4, 4))
+    cf = ga.control_function(ga.constant(box16, 1.0), gp, ga.WindowSpec(4, 4))
     eps = np.linspace(1e-7, 1.0, 400_001)
     oracle = float(np.max(eps * 0.25 ** (1.0 / (2.0 - eps))))
     np.testing.assert_allclose(cf.values, oracle, rtol=1e-9)
@@ -61,13 +61,13 @@ def test_amalgam_norm_one_window_degeneracy(box16):
 
 def test_amalgam_norm_zero(box16):
     gp = ga.GrandParams(2.0, ga.unit_weight(box16))
-    spec = ga.AmalgamSpec(ga.GrandSpace(gp), ga.GrandSpace(gp), ga.WindowSpec(4, 2))
+    spec = ga.AmalgamSpec(gp, gp, ga.WindowSpec(4, 2))
     assert ga.amalgam_norm(ga.constant(box16, 0.0), spec).value == 0.0
 
 
 def test_amalgam_grand_outer_carries_curve(box16):
     gp = ga.GrandParams(2.0, ga.unit_weight(box16))
-    spec = ga.AmalgamSpec(ga.ClassicalSpace(2.0), ga.GrandSpace(gp), ga.WindowSpec(4, 4))
+    spec = ga.AmalgamSpec(ga.ClassicalSpace(2.0), gp, ga.WindowSpec(4, 4))
     rep = ga.amalgam_norm(ga.constant(box16, 1.0), spec)
     assert len(rep.curve) >= 33
     assert rep.argmax_eps is not None
@@ -82,7 +82,7 @@ def test_two_stage_sup_bound(box16):
     params = ga.GrandParams(2.0, w)
     win = ga.WindowSpec(4, 2)
     f = make_random_function(box16, 0)
-    grand_cf = ga.control_function(f, ga.GrandSpace(params), win)
+    grand_cf = ga.control_function(f, params, win)
     for eps in params.eps_grid.values:
         wder = ga.Weight(box16, params.weight_power(eps))
         cl = ga.control_function(f, ga.ClassicalSpace(2.0 - eps, wder), win)
@@ -107,8 +107,8 @@ def test_modulation_invariance_amalgam():
     dom = ga.BoxDomain(0.0, 1.0, 32)
     w = ga.weight_from(dom, lambda x: 1.0 + x)
     spec = ga.AmalgamSpec(
-        ga.GrandSpace(ga.GrandParams(2.0, w)),
-        ga.GrandSpace(ga.GrandParams(2.0, w)),
+        ga.GrandParams(2.0, w),
+        ga.GrandParams(2.0, w),
         ga.WindowSpec(8, 4),
     )
     f = make_random_function(dom, 1)
@@ -122,8 +122,8 @@ def test_amalgam_solidity_and_monotone_truncation():
     dom = ga.BoxDomain(-2.0, 2.0, 64)
     w = ga.weight_from(dom, lambda x: np.exp(-np.abs(x)))
     spec = ga.AmalgamSpec(
-        ga.GrandSpace(ga.GrandParams(2.0, w)),
-        ga.GrandSpace(ga.GrandParams(2.0, w)),
+        ga.GrandParams(2.0, w),
+        ga.GrandParams(2.0, w),
         ga.WindowSpec(8, 4),
     )
     f = ga.pointwise_abs(make_random_function(dom, 2))
@@ -149,8 +149,8 @@ def test_window_independence_band_reported():
         values = []
         for side, stride in ((4, 4), (16, 8)):
             spec = ga.AmalgamSpec(
-                ga.GrandSpace(ga.GrandParams(2.0, w)),
-                ga.GrandSpace(ga.GrandParams(2.0, w)),
+                ga.GrandParams(2.0, w),
+                ga.GrandParams(2.0, w),
                 ga.WindowSpec(side, stride),
             )
             values.append(ga.amalgam_norm(f, spec).value)
@@ -163,8 +163,8 @@ def test_window_independence_band_reported():
 def test_mixed_norm_family_endpoint_identity(box16):
     w = ga.weight_from(box16, lambda x: np.exp(-x))
     spec = ga.AmalgamSpec(
-        ga.GrandSpace(ga.GrandParams(2.0, w)),
-        ga.GrandSpace(ga.GrandParams(2.0, w)),
+        ga.GrandParams(2.0, w),
+        ga.GrandParams(2.0, w),
         ga.WindowSpec(4, 2),
     )
     f = make_random_function(box16, 7)
@@ -183,8 +183,8 @@ def test_mixed_norm_family_endpoint_identity(box16):
 def test_mixed_norm_family_range_checks(box16):
     w = ga.unit_weight(box16)
     spec = ga.AmalgamSpec(
-        ga.GrandSpace(ga.GrandParams(2.0, w)),
-        ga.GrandSpace(ga.GrandParams(2.0, w)),
+        ga.GrandParams(2.0, w),
+        ga.GrandParams(2.0, w),
         ga.WindowSpec(4, 2),
     )
     with pytest.raises(ValueError):
@@ -208,7 +208,7 @@ def test_mixed_norm_family_where_the_derived_weight_leaves_float_range(box16, ep
     full = ga.Variant.EXPONENT_FULL
     local = ga.GrandParams(3.0, ga.Weight(box16, np.full(16, 1e-200)), variant=full)
     glob = ga.GrandParams(3.0, ga.unit_weight(box16), variant=full)
-    spec = ga.AmalgamSpec(ga.GrandSpace(local), ga.GrandSpace(glob), ga.WindowSpec(4, 2))
+    spec = ga.AmalgamSpec(local, glob, ga.WindowSpec(4, 2))
     got = ga.mixed_norm_family(ga.constant(box16, 1.0), spec, eps, 1.0)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -218,7 +218,7 @@ def test_mixed_bound_with_augmented_grid(box16):
     for eps, eta in ((0.1, 0.5), (0.5, 0.1), (1.0, 1.0)):
         lp = ga.GrandParams(2.0, w).with_extra_eps(eps)
         gq = ga.GrandParams(2.0, w).with_extra_eps(eta)
-        spec = ga.AmalgamSpec(ga.GrandSpace(lp), ga.GrandSpace(gq), ga.WindowSpec(4, 2))
+        spec = ga.AmalgamSpec(lp, gq, ga.WindowSpec(4, 2))
         for seed in range(3):
             f = make_random_function(box16, seed)
             mixed = ga.mixed_norm_family(f, spec, eps, eta)
@@ -376,7 +376,7 @@ def test_batched_grand_control_matches_per_window(shape, side, stride, variant, 
     f, a = _kernel_input(shape, side)
     window = ga.WindowSpec(side, stride)
     gp = ga.GrandParams(p, a, theta=1.3, variant=variant)
-    got = ga.control_function(f, ga.GrandSpace(gp), window).values
+    got = ga.control_function(f, gp, window).values
     want = _per_window(f, window, lambda g: ga.grand_norm(g, gp).value)
     assert want.flat[0] == 0.0  # the all-zero window
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -404,7 +404,7 @@ def test_one_window_block_is_a_view():
 
 def test_amalgam_norm_reuses_a_given_control_function(box16):
     gp = ga.GrandParams(2.0, ga.unit_weight(box16))
-    spec = ga.AmalgamSpec(ga.GrandSpace(gp), ga.GrandSpace(gp), ga.WindowSpec(4, 2))
+    spec = ga.AmalgamSpec(gp, gp, ga.WindowSpec(4, 2))
     f = make_random_function(box16, 3)
     cf = ga.control_function(f, spec.local_space, spec.window)
     assert ga.amalgam_norm(f, spec, control=cf) == ga.amalgam_norm(f, spec)
@@ -438,7 +438,7 @@ def test_control_values_match_each_window_restriction(case, weighted, variant, s
     gp = ga.GrandParams(2.7, a, theta=1.3, variant=variant)
     for local, norm in (
         (classical, lambda g: ga.weighted_lp_norm(g, classical.p, classical.weight)),
-        (ga.GrandSpace(gp), lambda g: ga.grand_norm(g, gp).value),
+        (gp, lambda g: ga.grand_norm(g, gp).value),
     ):
         got = ga.control_function(f, local, window).values
         assert np.all(np.isfinite(got))
@@ -448,7 +448,7 @@ def test_control_values_match_each_window_restriction(case, weighted, variant, s
 def _stage(kind, p, weight):
     if kind == "classical":
         return ga.ClassicalSpace(p, weight)
-    return ga.GrandSpace(ga.GrandParams(p, weight))
+    return ga.GrandParams(p, weight)
 
 
 @pytest.mark.parametrize("shape, side, stride", [((600,), (64,), (24,)), ((26, 25), (8, 6), (5, 4))])

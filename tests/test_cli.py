@@ -133,13 +133,17 @@ def test_cli_amalgam_summary_keeps_both_exponents(local, global_, tmp_path):
     out = tmp_path / "a"
     code = cli.main(
         ["amalgam", "--f", "const:1", "--local", local, "--global", global_,
-         "--p", "3", "--q", "2", "--window-side", "16", "--window-stride", "16",
+         "--p", "3", "--q", "2", "--theta", "2", "--window-side", "16", "--window-stride", "16",
          "--box", "0,1", "--cells", "64", "--out", str(out)]
     )
     assert code == 0
     summary = json.loads((out / "amalgam_summary.json").read_text())
     assert (summary["p"], summary["q"]) == (3.0, 2.0)
     assert (summary["local"], summary["global"]) == (local, global_)
+    # each stage's theta and variant under its own keys, as a classical stage writes them
+    for stage, theta, variant in ((local, "local_theta", "local_variant"), (global_, "theta", "variant")):
+        want = (2.0, "over_p") if stage == "grand" else (None, "classical")
+        assert (summary[theta], summary[variant]) == want
 
 
 def test_cli_input_from_csv(tmp_path):
@@ -258,6 +262,11 @@ def test_sampler_specs():
         (["amalgam", "--q", "1e17"], "param.q: 1e+17 - 1 is not exact in float64; need at most 2**53"),
         (["norm", "--box", "-1e308,1e308", "--cells", "4"],
          "param.box: axis 0: the extent upper - lower of [-1e+308, 1e+308] overflows"),
+        # words and the seed, which the parameter table checks, not argparse
+        (["grand", "--variant", "foo"], "param.variant: expected 'over_p' or 'full'"),
+        (["grand", "--eps-mode", "log"], "param.eps_mode: expected 'geometric' or 'linear'"),
+        (["amalgam", "--global", "x"], "param.global: expected 'classical' or 'grand'"),
+        (["verify", "--check", "norm_axioms", "--seed", "x"], "seed: expected an integer, got 'x'"),
     ],
 )
 def test_bad_numeric_value_names_the_parameter(tmp_path, capsys, argv, message):
@@ -266,6 +275,12 @@ def test_bad_numeric_value_names_the_parameter(tmp_path, capsys, argv, message):
     assert cli.main([argv[0], *f, *argv[1:], "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.strip() == f"config error: {message}"
     assert not (tmp_path / "o").exists()  # rejected before the output directory is made
+
+
+def test_a_missing_input_names_its_key(tmp_path, capsys):
+    assert cli.main(["grand", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: input: required (a built-in sampler spec or a grid CSV path)\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_weight_specs_are_checked_where_they_are_sampled(tmp_path, capsys):
@@ -417,7 +432,8 @@ def test_maximal_probe_reuses_the_maximal_function(tmp_path, monkeypatch):
 
 
 def test_readme_examples_run(tmp_path):
-    """Each `grandamalgam` command of the README runs, and its config block parses."""
+    """Each `grandamalgam` command of the README runs, its config block parses, and its
+    library sketch runs."""
     blocks = re.findall(r"```(\w+)\n(.*?)```", (Path(__file__).parents[1] / "README.md").read_text(), re.S)
     lines = [ln for lang, b in blocks if lang == "sh" for ln in b.replace("\\\n", " ").splitlines()]
     argvs = [shlex.split(ln)[1:] for ln in lines if ln.startswith("grandamalgam ")]
@@ -430,3 +446,5 @@ def test_readme_examples_run(tmp_path):
         assert cli.main([*argv, "--out", str(tmp_path / str(k))]) == 0, argv
     (ini,) = [b for lang, b in blocks if lang == "ini"]
     assert parse_config(ini).subcommand == "grand"
+    (sketch,) = [b for lang, b in blocks if lang == "python"]
+    exec(compile(sketch, "README.md", "exec"), {})

@@ -215,7 +215,7 @@ def test_real_samples_are_stored_real_with_the_same_norms(shape, center, sigma, 
     assert c.values.dtype == np.complex128
     w = ga.weight_from(dom, lambda *xs: 1.0 + sum(x * x for x in xs))
     gp = ga.GrandParams(2.5, w)
-    spec = ga.AmalgamSpec(ga.GrandSpace(gp), ga.ClassicalSpace(1.5, w), ga.WindowSpec(2, 2))
+    spec = ga.AmalgamSpec(gp, ga.ClassicalSpace(1.5, w), ga.WindowSpec(2, 2))
     rs = ga.RadiusSet.full(dom)
     assert ga.weighted_lp_norm(f, 1.7, w) == ga.weighted_lp_norm(c, 1.7, w)
     assert ga.grand_norm(f, gp) == ga.grand_norm(c, gp)

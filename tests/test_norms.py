@@ -295,11 +295,12 @@ def test_eps_grid_constructors_share_one_check(mode, capsys, tmp_path):
 
 
 def test_eps_grid_with_extra():
-    grid = EpsGrid.geometric(2.0, count=5)
-    grid2 = grid.with_extra(0.123)
-    assert 0.123 in grid2.values
-    assert grid2.values[-1] == 1.0
-    assert grid.with_extra(grid.values[2]) is grid
+    w = ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4))
+    gp = ga.GrandParams(2.0, w, eps_grid=EpsGrid.geometric(2.0, count=5))
+    gp2 = gp.with_extra_eps(0.123)
+    assert 0.123 in gp2.eps_grid.values
+    assert gp2.eps_grid.values[-1] == 1.0
+    assert gp.with_extra_eps(gp.eps_grid.values[2]) is gp
 
 
 def random_block(rng, rows, cells):
@@ -482,7 +483,7 @@ def test_norms_scale_exactly_across_float_range(k, seed):
     gp = ga.GrandParams(2.5, w)
     window = ga.WindowSpec(4, 4)
     classical = ga.AmalgamSpec(ga.ClassicalSpace(2.0, w), ga.ClassicalSpace(3.0), window)
-    grand = ga.AmalgamSpec(ga.GrandSpace(gp), ga.GrandSpace(gp), window)
+    grand = ga.AmalgamSpec(gp, gp, window)
     for norm in (
         lambda g: ga.weighted_lp_norm(g, 2.5, w),
         lambda g: ga.grand_norm(g, gp).value,
@@ -557,7 +558,7 @@ def test_chunked_rows_agree_with_one_chunk(monkeypatch):
     dom2 = ga.BoxDomain((0.0, 0.0), (1.0, 1.0), (48, 48))
     f2 = make_random_function(dom2, 5)
     gp2 = ga.GrandParams(2.0, ga.weight_from(dom2, lambda x, y: 1.0 + x * y))
-    spec = ga.AmalgamSpec(ga.GrandSpace(gp2), ga.GrandSpace(gp2), ga.WindowSpec(16, 8))
+    spec = ga.AmalgamSpec(gp2, gp2, ga.WindowSpec(16, 8))
     want2 = ga.amalgam_norm(f2, spec)
     got2 = _chunked(monkeypatch, 100, lambda: ga.amalgam_norm(f2, spec))
     assert got2.value == pytest.approx(want2.value, rel=1e-14, abs=0.0)

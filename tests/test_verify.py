@@ -3,7 +3,7 @@ import pytest
 
 import grandamalgam as ga
 from grandamalgam import verify
-from grandamalgam.amalgam import AmalgamSpec, ClassicalSpace, GrandSpace, WindowSpec
+from grandamalgam.amalgam import AmalgamSpec, ClassicalSpace, WindowSpec
 from grandamalgam.norms import GrandParams
 from grandamalgam.reporting import CheckResult, Verdict, write_check_csv
 
@@ -14,7 +14,7 @@ def expdecay(x):
 
 def grand(domain, window):
     w = ga.weight_from(domain, expdecay)
-    return AmalgamSpec(GrandSpace(GrandParams(2.0, w)), GrandSpace(GrandParams(2.0, w)), window)
+    return AmalgamSpec(GrandParams(2.0, w), GrandParams(2.0, w), window)
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,7 @@ def setup():
     win = WindowSpec(8, 4)
     aw = ga.weight_from(dom, expdecay)
     spec = AmalgamSpec(
-        GrandSpace(GrandParams(2.0, aw)), GrandSpace(GrandParams(2.0, aw)), win
+        GrandParams(2.0, aw), GrandParams(2.0, aw), win
     )
     return dom, corpus, win, spec
 
@@ -169,8 +169,8 @@ def test_grand_global_stage_values_do_not_depend_on_the_stack(local_kind):
     dom = ga.BoxDomain(-8.0, 8.0, 256)
     fs = [e.gridfn for e in verify.build_corpus(dom, seed=7).entries]
     w = ga.weight_from(dom, expdecay)
-    local = ClassicalSpace(2.0, w) if local_kind == "classical" else GrandSpace(GrandParams(2.0, w))
-    spec = AmalgamSpec(local, GrandSpace(GrandParams(2.0, w)), WindowSpec(16, 8))
+    local = ClassicalSpace(2.0, w) if local_kind == "classical" else GrandParams(2.0, w)
+    spec = AmalgamSpec(local, GrandParams(2.0, w), WindowSpec(16, 8))
     assert len(fs) == 9
     assert [r.value for r in ga.amalgam_norms(fs, spec)] == [ga.amalgam_norm(f, spec).value for f in fs]
 

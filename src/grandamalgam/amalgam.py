@@ -181,30 +181,30 @@ def _window_blocks(values: np.ndarray, window: WindowSpec) -> np.ndarray:
 
 
 def _local_stage(
-    absf: np.ndarray, local: SpaceDescriptor, window: WindowSpec, cell_volume: float
+    fs: np.ndarray, local: SpaceDescriptor, window: WindowSpec, cell_volume: float
 ) -> np.ndarray:
-    """(k, anchors) control values of a (k, *shape) stack of |f|, every window of every
-    function a row of one block."""
-    k = len(absf)
+    """(k, anchors) control values of a (k, *shape) stack of samples (or of their moduli),
+    every window of every function a row of one block."""
+    k = len(fs)
     w = _weight_of(local)  # the weight's windows once per function, like the functions'
-    wrows = w and _window_blocks(np.broadcast_to(w.values, absf.shape), window)
-    blocks = _window_blocks(absf, window)
+    wrows = w and _window_blocks(np.broadcast_to(w.values, fs.shape), window)
+    blocks = _window_blocks(fs, window)
     if isinstance(local, GrandParams):
         return _grand_scan(blocks, wrows, local, cell_volume)[0].reshape(k, -1)
     return _classical_rows(blocks, wrows, local.p, cell_volume).reshape(k, -1)
 
 
 def _outer_stage(
-    absg: np.ndarray, glob: SpaceDescriptor, window: WindowSpec, domain: BoxDomain
+    ctrl: np.ndarray, glob: SpaceDescriptor, window: WindowSpec, domain: BoxDomain
 ) -> list[NormReport]:
     """Global norm of each row of a (k, anchors) block of control values, as one block."""
     w = _weight_of(glob)
     if w is not None:  # one lattice weight row, read by every control row
-        w = np.broadcast_to(lattice_weight(w, window, domain).values.reshape(1, -1), absg.shape)
+        w = np.broadcast_to(lattice_weight(w, window, domain).values.reshape(1, -1), ctrl.shape)
     vol = _lattice(domain, window).cell_volume
     if isinstance(glob, GrandParams):
-        return _grand_report(absg, w, glob, vol)
-    values = _classical_rows(absg, w, glob.p, vol).tolist()
+        return _grand_report(ctrl, w, glob, vol)
+    values = _classical_rows(ctrl, w, glob.p, vol).tolist()
     return [NormReport(v, None, (), p=glob.p, variant="classical") for v in values]
 
 
@@ -220,7 +220,7 @@ def control_function(f: GridFunction, local: SpaceDescriptor, window: WindowSpec
     window = _window_on(dom, window)
     _check_space_domain(local, dom, "control_function")
     lattice = _lattice(dom, window)
-    out = _local_stage(np.abs(f.values)[None], local, window, dom.cell_volume)
+    out = _local_stage(f.values[None], local, window, dom.cell_volume)
     return ControlFunction(gridfn=GridFunction(lattice, out.reshape(lattice.shape)), window=window)
 
 
@@ -263,6 +263,7 @@ def amalgam_norms(fs: list[GridFunction], spec: AmalgamSpec) -> list[NormReport]
     per = max(1, _STACK_CELLS // dom.size)
     reports = []
     for i in range(0, len(fs), per):
+        # moduli, not samples: a complex stack and its window rows would take twice the room
         absf = np.stack([np.abs(f.values) for f in fs[i : i + per]])
         ctrl = _local_stage(absf, spec.local_space, window, dom.cell_volume)
         reports += _outer_stage(ctrl, spec.global_space, window, dom)
@@ -284,8 +285,7 @@ def amalgam_norm(
     elif control.window != window:
         raise ValueError("amalgam_norm: the control function was made with a different window")
     _check_space_domain(spec.global_space, f.domain, "amalgam_norm")
-    absg = np.abs(control.gridfn.values).reshape(1, -1)
-    return _outer_stage(absg, spec.global_space, window, f.domain)[0]
+    return _outer_stage(control.gridfn.values.reshape(1, -1), spec.global_space, window, f.domain)[0]
 
 
 def mixed_norm_family(f: GridFunction, spec: AmalgamSpec, eps: float, eta: float) -> float:
@@ -303,7 +303,7 @@ def mixed_norm_family(f: GridFunction, spec: AmalgamSpec, eps: float, eta: float
     dom = f.domain
     window = _window_on(dom, spec.window)
     _check_space_domain(spec.local_space, dom, "mixed_norm_family")
-    blocks = _window_blocks(np.abs(f.values)[None], window)
+    blocks = _window_blocks(f.values[None], window)
     form = _grand_form(blocks, _window_blocks(lp.grandizer.values[None], window), lp)
     local = _inner_norms(form, lp.p, np.array([eps]), dom.cell_volume).reshape(1, -1)
     b = lattice_weight(gq.grandizer, window, dom)

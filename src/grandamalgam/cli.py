@@ -539,7 +539,10 @@ def run(config: RunConfig) -> int:
             raise ConfigError(f"param.{key}: {exc}") from None
     outdir.mkdir(parents=True, exist_ok=True)
     runner = {"norm": _run_norm, "grand": _run_grand, "amalgam": _run_amalgam, "maximal": _run_maximal}
-    return runner[config.subcommand](config.parameters, f, grid, outdir)
+    try:
+        return runner[config.subcommand](config.parameters, f, grid, outdir)
+    except ValueError as exc:  # what is left to fail is the input itself: a norm past float range
+        raise ConfigError(f"input: {exc}") from None
 
 
 # ----------------------------------------------------------------------------

@@ -4,10 +4,13 @@ A grand norm is a supremum over epsilon in (0, p-1] of epsilon-weighted
 L^(p-eps) norms.  With m = max|f| and g = |f| / m, every inner sum is
 m^(p-eps) sum exp(A + eps B), A = p ln g, B = ln a / p - ln g (ln a - ln g
 for ``EXPONENT_FULL``), summed as a log-sum-exp shifted by its row max: no
-|f| or grandizer overflows or underflows it.  A row of at most
-``_GRID_BLOCK_CELLS`` cells is summed as one chunk; a longer row is summed
-chunk by chunk in one cache-sized buffer and the chunks are merged, so no
-pass allocates an array the size of the row.  A classical L^q(w) norm is
+|f| or grandizer overflows or underflows it.  The log form takes the samples
+themselves, real or complex, and owns one row of its own: it takes |f| into
+that row and builds ln g and then A there, so a norm holds that row and B
+above its inputs.  An inner norm past float range is an error, not inf.  A
+row of at most ``_GRID_BLOCK_CELLS`` cells is summed as one chunk; a longer
+row is summed chunk by chunk in one cache-sized buffer and the chunks are
+merged, so no pass allocates an array the size of the row.  A classical L^q(w) norm is
 the ``EXPONENT_FULL`` inner norm at p = q + 1, eps = 1.  The sup is taken
 on an epsilon grid (geometric by default, so eps -> 0 is resolved), then
 refined by safeguarded Newton steps on ln(term), for all rows of a
@@ -49,6 +52,7 @@ __all__ = [
 _GRID_BLOCK_CELLS = 1 << 14  # cells of one (rows, eps, cells) block of the grid stage (128 KiB)
 _REL_TOL = 1e-12  # refinement stops at this fraction of max(bracket end, 1)
 _MAX_ITER = 96  # refinement passes per row at most
+_LN_FLOAT_MAX = math.log(np.finfo(np.float64).max)  # the largest x whose exp is a finite float64
 
 DEFAULT_EPS_COUNT = 33
 DEFAULT_EPS_MIN_FRACTION = 1e-4
@@ -179,21 +183,23 @@ def _one_window(values: np.ndarray) -> np.ndarray:
     return values.reshape(1, -1)
 
 
-def _log_form(absw: np.ndarray, p: float, aw=None, root: float = 1.0):
-    """(ln m, A, B) of a (rows, cells) block: A = p ln g, B = ln(a) / root - ln g.
+def _log_form(samples: np.ndarray, p: float, aw=None, root: float = 1.0):
+    """(ln m, A, B) of a (rows, cells) block of samples f, real or complex: A = p ln g,
+    B = ln(a) / root - ln g.
 
-    a is the grandizer or weight (``None``: 1), m the row max of |f| over live cells, and
-    ln g = ln|f| - ln m.  Dead cells (|f| or a zero) get A = -inf, B = 0; a row with no live
-    cell gets ln m = -inf, A = B = 0.
+    a is the grandizer or weight (``None``: 1), m the row max of |f|, and ln g = ln|f| - ln m.
+    The form owns one row of its own: it takes |f| into it and builds ln g and then A there,
+    so ``samples`` is never written.  A weight is strictly positive and zero-padded where f
+    is, so the live cells are those with |f| > 0.  Dead cells get A = -inf, B = 0; a row with
+    no live cell gets ln m = -inf, A = B = 0.
     """
-    live = absw > 0
-    if aw is not None:
-        live &= aw > 0
-    m = np.max(absw, axis=1, initial=0.0, where=live)
+    lng = np.abs(samples)
+    live = lng > 0
+    m = lng.max(axis=1, initial=0.0)
     lnm = np.log(m, out=np.full(m.shape, -np.inf), where=m > 0)
-    lng = np.log(absw, out=np.zeros(absw.shape), where=live)
+    np.log(lng, out=lng, where=live)
     np.subtract(lng, lnm[:, None], out=lng, where=live)
-    b = np.zeros(absw.shape) if aw is None else np.log(aw, out=np.zeros(absw.shape), where=live)
+    b = np.zeros(lng.shape) if aw is None else np.log(aw, out=np.zeros(lng.shape), where=live)
     b /= root
     b -= lng
     a = np.multiply(lng, p, out=lng)
@@ -203,9 +209,9 @@ def _log_form(absw: np.ndarray, p: float, aw=None, root: float = 1.0):
     return lnm, a, b
 
 
-def _grand_form(absw: np.ndarray, aw: np.ndarray, gp: GrandParams):
+def _grand_form(samples: np.ndarray, aw: np.ndarray, gp: GrandParams):
     """Log form of a grand stage: weight a**(eps/p), or a**eps for ``EXPONENT_FULL``."""
-    return _log_form(absw, gp.p, aw, gp.p if gp.variant is Variant.EXPONENT_OVER_P else 1.0)
+    return _log_form(samples, gp.p, aw, gp.p if gp.variant is Variant.EXPONENT_OVER_P else 1.0)
 
 
 def _shifted_sums(t: np.ndarray, axis: int):
@@ -262,13 +268,23 @@ def _inner_norms(form, p: float, eps: np.ndarray, cell_volume: float) -> np.ndar
     lns += math.log(cell_volume)
     lns /= (p - eps)[:, None]
     lns += lnm
-    return np.exp(lns, out=lns).T
+    return _exp_norms(lns).T
 
 
-def _classical_rows(absw: np.ndarray, wrows, q: float, cell_volume: float) -> np.ndarray:
+def _exp_norms(ln_norms: np.ndarray) -> np.ndarray:
+    """exp of the logs of norms, in place; a norm beyond float range is an error, not inf."""
+    top = ln_norms.max(initial=-np.inf)
+    if top > _LN_FLOAT_MAX:
+        raise ValueError(
+            f"the norm exceeds float range: its logarithm is {top:.6g} > {_LN_FLOAT_MAX:.6g}"
+        )
+    return np.exp(ln_norms, out=ln_norms)
+
+
+def _classical_rows(samples: np.ndarray, wrows, q: float, cell_volume: float) -> np.ndarray:
     """Weighted L^q norms of the rows (``wrows=None``: unweighted): L^q(w) is the
     full-weighting member L^(p-eps)(w^eps) at p = q + 1, eps = 1."""
-    return _inner_norms(_log_form(absw, q + 1.0, wrows), q + 1.0, np.ones(1), cell_volume)[:, 0]
+    return _inner_norms(_log_form(samples, q + 1.0, wrows), q + 1.0, np.ones(1), cell_volume)[:, 0]
 
 
 def weighted_lp_norm(f: GridFunction, p: float, w: Weight | None = None) -> float:
@@ -278,7 +294,7 @@ def weighted_lp_norm(f: GridFunction, p: float, w: Weight | None = None) -> floa
     if w is not None:
         _check_same_domain(f, w, "weighted_lp_norm")
     wrows = None if w is None else _one_window(w.values)
-    return float(_classical_rows(_one_window(np.abs(f.values)), wrows, p, f.domain.cell_volume)[0])
+    return float(_classical_rows(_one_window(f.values), wrows, p, f.domain.cell_volume)[0])
 
 
 def _moments(a: np.ndarray, b: np.ndarray, x: np.ndarray):
@@ -346,7 +362,7 @@ def _newton_rows(lnm, a, b, gp: GrandParams, cell_volume: float, grid, k, value,
         lns += lnh
         r = 1.0 / (p - xs)
         if it:  # the first pass is at the grid argmax, already counted
-            inner_s = np.exp(lnm[sel] + r * lns)
+            inner_s = _exp_norms(lnm[sel] + r * lns)
             v = gp.prefactor(xs) * inner_s
             up = v > best_v[sel]
             won = sel[up]
@@ -379,7 +395,7 @@ def _newton_rows(lnm, a, b, gp: GrandParams, cell_volume: float, grid, k, value,
     return best_x, best_v, best_in
 
 
-def _grand_scan(absw: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volume: float):
+def _grand_scan(samples: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volume: float):
     """Epsilon scan of every row of a (windows, cells) block at once.
 
     The grid stage is :func:`_inner_norms` over the epsilon grid; a grid of
@@ -388,7 +404,7 @@ def _grand_scan(absw: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volume: 
     per-row values and maximizers, the (rows, grid) inner norms and terms,
     and the inner norm at each maximizer.
     """
-    form = _grand_form(absw, aw, gp)
+    form = _grand_form(samples, aw, gp)
     grid = np.array(gp.eps_grid.values)
     inner = _inner_norms(form, gp.p, grid, cell_volume)
     terms = inner * gp.prefactor(grid)
@@ -401,10 +417,10 @@ def _grand_scan(absw: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volume: 
 
 
 def _grand_report(
-    absw: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volume: float
+    samples: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volume: float
 ) -> list[NormReport]:
     """Grand norm of every row of a (rows, cells) block with its curve, from one batched scan."""
-    value, argmax, inner, terms, peak = _grand_scan(absw, aw, gp, cell_volume)
+    value, argmax, inner, terms, peak = _grand_scan(samples, aw, gp, cell_volume)
     return [
         NormReport(v, x, _Curve(gp.eps_grid.values, row_inner, row_terms, (x, pk, v)),
                    gp.p, gp.theta, gp.variant.value)
@@ -452,14 +468,17 @@ class _Curve(Sequence):
 def grand_norm(f: GridFunction, gp: GrandParams) -> NormReport:
     """Grand norm of ``f``: sup over the epsilon grid, refined between grid points.
 
-    Refinement never decreases the value: the Newton steps from the grid
+    The samples of ``f`` go to the log form as they are, real or complex; the form owns
+    the one row that becomes A, so the norm holds two rows (A and B) above ``f`` and the
+    grandizer, with a mask and chunk buffers.  An inner norm past float range raises
+    ``ValueError``.  Refinement never decreases the value: the Newton steps from the grid
     argmax only replace the grid maximum when they find a larger term.  The
     curve has a row at every grid point, and one more at the maximizer when
     that is not a grid point.
     """
     _check_same_domain(f, gp.grandizer, "grand_norm")
-    absf, avals = _one_window(np.abs(f.values)), _one_window(gp.grandizer.values)
-    return _grand_report(absf, avals, gp, f.domain.cell_volume)[0]
+    samples, avals = _one_window(f.values), _one_window(gp.grandizer.values)
+    return _grand_report(samples, avals, gp, f.domain.cell_volume)[0]
 
 
 def sup_eps_factor(mass: float, p: float, theta: float = 1.0) -> float:

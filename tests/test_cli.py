@@ -277,6 +277,15 @@ def test_bad_numeric_value_names_the_parameter(tmp_path, capsys, argv, message):
     assert not (tmp_path / "o").exists()  # rejected before the output directory is made
 
 
+def test_a_norm_past_float_range_is_an_input_error(tmp_path, capsys):
+    """|f| = a = 1e300 with full weighting: the grand norm is about 1e900 at eps = p - 1 = 2.
+    That is an error naming the input, not a summary that reads Infinity."""
+    argv = ["grand", "--f", "const:1e300", "--a", "const:1e300", "--variant", "full", "--p", "3",
+            "--box", "0,1", "--cells", "4", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: input: the norm exceeds float range")
+
+
 def test_a_missing_input_names_its_key(tmp_path, capsys):
     assert cli.main(["grand", "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "config error: input: required (a built-in sampler spec or a grid CSV path)\n"

@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 
 import grandamalgam as ga
 from grandamalgam import cli, norms
+from grandamalgam.amalgam import _window_blocks
 from grandamalgam.norms import EpsGrid, _grand_scan
 
 
@@ -451,23 +452,32 @@ def _assert_matches_in_range(got, log_want):
 )
 def test_inner_norms_match_a_log_space_reference_across_float_range(cells, p, variant):
     """Grandizers and weights spanning 1e+-300: every grid inner norm and
-    weighted_lp_norm that is a normal float is right to 1e-12; out of range
-    they may be inf or 0.  |f| spans 1e+-30 with some cells 0: the rounding
-    of a log-domain term grows with |ln|f||, and |f| across 600 decades has
-    its own test above."""
+    weighted_lp_norm that is a normal float is right to 1e-12; below range
+    they may be 0, and a norm past float range is an error.  |f| spans 1e+-30
+    with some cells 0: the rounding of a log-domain term grows with |ln|f||,
+    and |f| across 600 decades has its own test above."""
     dom = ga.BoxDomain(0.0, 1.0, len(cells))
     absf = np.array([0.0 if d is None else 10.0**d for d, _ in cells])
     a = np.array([10.0**d for _, d in cells])
     f, w = ga.GridFunction(dom, absf), ga.Weight(dom, a)
     gp = ga.GrandParams(p, w, variant=variant)
     root = p if variant is ga.Variant.EXPONENT_OVER_P else 1.0
-    with np.errstate(over="ignore"):  # a norm beyond float range is inf
-        curve = _grid_rows(ga.grand_norm(f, gp), gp)
-        lp = ga.weighted_lp_norm(f, p, w)
     h = dom.cell_volume
-    for eps, inner, _ in curve:
-        _assert_matches_in_range(inner, _log_inner(absf, eps / root * np.log(a), p - eps, h))
-    _assert_matches_in_range(lp, _log_inner(absf, np.log(a), p, h))
+    logs = [_log_inner(absf, eps / root * np.log(a), p - eps, h) for eps in gp.eps_grid.values]
+    if max(logs) > _HUGE_LOG:
+        with pytest.raises(ValueError, match="the norm exceeds float range"):
+            ga.grand_norm(f, gp)
+    else:
+        with np.errstate(over="ignore"):  # a term eps**theta times a finite norm may still be inf
+            curve = _grid_rows(ga.grand_norm(f, gp), gp)
+        for (eps, inner, _), log_want in zip(curve, logs, strict=True):
+            _assert_matches_in_range(inner, log_want)
+    log_lp = _log_inner(absf, np.log(a), p, h)
+    if log_lp > _HUGE_LOG:
+        with pytest.raises(ValueError, match="the norm exceeds float range"):
+            ga.weighted_lp_norm(f, p, w)
+    else:
+        _assert_matches_in_range(ga.weighted_lp_norm(f, p, w), log_lp)
 
 
 @settings(max_examples=30, deadline=None)
@@ -513,7 +523,8 @@ def _fsum_inner(absf, a, p, eps, root, h):
 def test_long_rows_stream_through_ragged_cell_chunks(variant):
     """A row of three chunks and 5 cells, one chunk of it all zero, with |f| across
     1e+-30 and the grandizer across 1e+-300: every curve row, the maximizer's
-    included, is the fsum of its terms to 1e-13 and the rounding of ln S."""
+    included, is the fsum of its terms to 1e-13 and the rounding of ln S.  A curve
+    with a grid norm past float range (full weighting at p = 3) is an error."""
     cells = 3 * norms._GRID_BLOCK_CELLS + 5
     rng = np.random.default_rng(17)
     dom = ga.BoxDomain(0.0, 1.0, cells)
@@ -524,8 +535,12 @@ def test_long_rows_stream_through_ragged_cell_chunks(variant):
     for p in (1.5, 3.0):
         gp = ga.GrandParams(p, ga.Weight(dom, a), theta=0.7, variant=variant)
         root = p if variant is ga.Variant.EXPONENT_OVER_P else 1.0
-        with np.errstate(over="ignore"):  # a norm beyond float range is inf
-            rep = ga.grand_norm(ga.GridFunction(dom, absf), gp)
+        g = ga.GridFunction(dom, absf)
+        if any(_fsum_inner(absf, a, p, eps, root, dom.cell_volume)[0] is None for eps in gp.eps_grid.values):
+            with pytest.raises(ValueError, match="the norm exceeds float range"):
+                ga.grand_norm(g, gp)
+            continue
+        rep = ga.grand_norm(g, gp)
         for eps, inner, term in rep.curve:
             want, rel = _fsum_inner(absf, a, p, eps, root, dom.cell_volume)
             if want is not None:
@@ -564,21 +579,98 @@ def test_chunked_rows_agree_with_one_chunk(monkeypatch):
     assert got2.value == pytest.approx(want2.value, rel=1e-14, abs=0.0)
 
 
-def test_grand_norm_of_a_long_row_allocates_little_beyond_its_log_form():
-    """On 2^18 cells the scan streams each row through chunk buffers: the traced peak
-    rises by |f| and the two log-form arrays, plus less than half a row."""
-    dom = ga.BoxDomain(0.0, 1.0, 1 << 18)
-    f = ga.build(dom, lambda x: np.exp(-((x - 0.4) ** 2) / 0.02))
-    gp = ga.GrandParams(2.0, ga.weight_from(dom, lambda x: np.exp(-x)))
-    row = 8 * dom.size
+def _traced_rows(run, cells):
+    """The traced peak of ``run()`` above what was allocated before it, in float64 rows of
+    ``cells``."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        ga.grand_norm(f, gp)
+        run()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * row
+    return peak / (8 * cells)
+
+
+def _long_row():
+    """A Gaussian and a weight on 2^18 cells."""
+    dom = ga.BoxDomain(0.0, 1.0, 1 << 18)
+    f = ga.build(dom, lambda x: np.exp(-((x - 0.4) ** 2) / 0.02))
+    return f, ga.weight_from(dom, lambda x: np.exp(-x))
+
+
+def test_grand_norm_of_a_long_row_allocates_little_beyond_its_log_form():
+    """On 2^18 cells the log form owns two rows, |f| (which becomes ln g, then A) and B,
+    and the scan streams each row through chunk buffers: the traced peak rises by those
+    two rows and the log form's mask, an eighth of a row, under 2.5 rows in all."""
+    f, a = _long_row()
+    gp = ga.GrandParams(2.0, a)
+    assert _traced_rows(lambda: ga.grand_norm(f, gp), f.domain.size) < 2.5
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_weighted_lp_norm_of_a_long_row_allocates_little_beyond_its_log_form(weighted):
+    """weighted_lp_norm runs the same log form, once: under 2.5 rows on 2^18 cells, with
+    a weight or without."""
+    f, w = _long_row()
+    w = w if weighted else None
+    assert _traced_rows(lambda: ga.weighted_lp_norm(f, 3.0, w), f.domain.size) < 2.5
+
+
+def _log_form_block(rng, rows, cells, kind):
+    """A (rows, cells) block with zero cells and, for ``kind`` "zero row", a zero row;
+    for "padded", the windows of a function whose last window hangs over the box, with
+    its weight's windows (both zero-padded there)."""
+    if kind == "padded":
+        n = cells * rows
+        vals = rng.normal(size=n) * 10.0 ** rng.uniform(-30.0, 30.0, n)
+        vals[rng.random(n) < 0.25] = 0.0
+        window = ga.WindowSpec(cells, max(1, cells - 1))
+        a = 10.0 ** rng.uniform(-30.0, 30.0, n)
+        return _window_blocks(vals[None], window), _window_blocks(a[None], window)
+    vals = rng.normal(size=(rows, cells)) * 10.0 ** rng.uniform(-30.0, 30.0, (rows, cells))
+    vals[rng.random((rows, cells)) < 0.25] = 0.0
+    if kind == "zero row":
+        vals[rng.integers(rows)] = 0.0
+    return vals, 10.0 ** rng.uniform(-30.0, 30.0, (rows, cells))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 9),
+    st.sampled_from(["zeros", "zero row", "padded"]),
+    st.booleans(),
+    st.booleans(),
+    st.floats(1.2, 6.0),
+    st.integers(0, 10_000),
+)
+def test_log_form_of_samples_is_the_log_form_of_their_moduli(rows, cells, kind, complex_, weighted, p, seed):
+    """The log form takes real or complex samples: bit for bit what it gives on their
+    moduli, and the block it is given, which may be a view of the caller's array, is
+    left as it was."""
+    rng = np.random.default_rng(seed)
+    samples, a = _log_form_block(rng, rows, cells, kind)
+    if complex_:
+        samples = samples * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, samples.shape))
+    a = a if weighted else None
+    before = samples.copy()
+    got = norms._log_form(samples, p, a, p)
+    want = norms._log_form(np.abs(samples), p, a, p)
+    assert samples.dtype == before.dtype and samples.tobytes() == before.tobytes()
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype == np.float64 and g.tobytes() == w.tobytes()
+
+
+def test_norms_past_float_range_are_errors():
+    """|f| = a = 1e300 on the unit box: the full-weighting grand norm is about 1e900 at
+    eps = p - 1 = 2, and the L^1(a) norm 1e600.  Both are errors, not inf."""
+    dom = ga.BoxDomain(0.0, 1.0, 4)
+    f, a = ga.constant(dom, 1e300), ga.Weight(dom, np.full(4, 1e300))
+    with pytest.raises(ValueError, match="the norm exceeds float range"):
+        ga.grand_norm(f, ga.GrandParams(3.0, a, variant=ga.Variant.EXPONENT_FULL))
+    with pytest.raises(ValueError, match="the norm exceeds float range"):
+        ga.weighted_lp_norm(f, 1.0, a)
 
 
 def test_norm_report_csv(tmp_path, unit_box):

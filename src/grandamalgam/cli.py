@@ -1,24 +1,17 @@
 """Command-line front end: validated run configurations and report emission.
 
-Every run is described by a :class:`RunConfig` (subcommand, input function,
-parameter map, output directory, seed), whether it was assembled from flags
-or parsed from a line-oriented ``key = value`` config file.  Each parameter
-is declared once, in one table: ``_PARAMS`` gives each subcommand's keys and
-their default strings, ``_KINDS`` gives each key's kind (float, int, a tuple
-of allowed words, or a sampler spec).  Everything else is derived from it:
-the keys a config file accepts and the defaults it gets, the ``--flag`` for
-each key (``eps_count`` becomes ``--eps-count``, unset flags fall through to
-the same defaults), and the conversion and word checks of validation, so a
-bad word, a missing input or a malformed seed is reported by its key.
-Validation happens before any computation; outputs are CSV/JSON files
-written with fixed 17-significant-digit formatting, so identical
-configurations produce byte-identical artifacts.
+A run is a :class:`RunConfig`, from argv or a ``key = value`` config file.
+``_PARAMS`` declares each subcommand's keys and defaults, ``_KINDS`` each key's
+kind (float, int, allowed words, or a sampler spec).  The config-file keys, the
+``--flag`` of each key (``eps_count`` is ``--eps-count``), the help and the
+validation all come from them, so a bad flag or value is reported by its name
+before any computation.  Outputs carry 17 significant digits, so identical
+configurations give identical files.
 Exit codes: 0 success, 1 any FAIL verdict, 2 configuration error.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -41,14 +34,7 @@ from .norms import EpsGrid, GrandParams, Variant, grand_norm, weighted_lp_norm, 
 from .reporting import write_check_csv, write_check_json, write_csv, write_json
 from . import verify as verify_mod
 
-__all__ = [
-    "ConfigError",
-    "RunConfig",
-    "parse_config",
-    "emit_config",
-    "run",
-    "main",
-]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "emit_config", "run", "main"]
 
 # The parameter table, part one.  Per subcommand: every accepted ``param.``
 # key and its default string.
@@ -159,7 +145,6 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("missing required keys: subcommand")
     if "seed" in top:
         top["seed"] = _seed(top["seed"])
-    # Top-level keys left out take RunConfig's defaults, as unset flags do.
     config = RunConfig(parameters=params, **top)
     return validate_config(config)
 
@@ -330,11 +315,8 @@ def validate_config(config: RunConfig) -> RunConfig:
         if _parse_cells(params, 1)[0] < 16:
             raise ConfigError("param.cells: verify needs at least 16 cells")
         if params["checks"] != "all":
-            unknown = [
-                n.strip()
-                for n in params["checks"].split(",")
-                if n.strip() not in verify_mod.CHECK_NAMES
-            ]
+            names = [n.strip() for n in params["checks"].split(",")]
+            unknown = [n for n in names if n not in verify_mod.CHECK_NAMES]
             if unknown:
                 raise ConfigError(f"param.checks: unknown check(s) {', '.join(unknown)}")
     if box is not None:
@@ -499,27 +481,16 @@ def _run_verify(config: RunConfig, outdir: Path) -> int:
     names = None if wanted == "all" else [n.strip() for n in wanted.split(",")]
     cells = _parse_cells(params, 1)[0]
     results = verify_mod.run_all_checks(seed=config.seed, cells=cells, names=names)
-    failed = False
-    summary_rows = []
     for result in results:
         write_check_json(result, outdir / f"{result.name}.json")
         write_check_csv(result, outdir / f"{result.name}.csv")
         if result.name == "maximal_unbounded":
             rows = [(row["T"], row["log_T"], row["norm"]) for row in result.details]
             write_csv(outdir / "growth_curve.csv", ["T", "log_T", "norm"], rows)
-        summary_rows.append(
-            {
-                "name": result.name,
-                "verdict": result.verdict.value,
-                "estimated_constant": result.estimated_constant,
-            }
-        )
-        failed = failed or result.failed
-    write_json(
-        outdir / "summary.json",
-        {"seed": config.seed, "cells": cells, "checks": summary_rows},
-    )
-    return 1 if failed else 0
+    checks = [{"name": r.name, "verdict": r.verdict.value, "estimated_constant": r.estimated_constant}
+              for r in results]
+    write_json(outdir / "summary.json", {"seed": config.seed, "cells": cells, "checks": checks})
+    return 1 if any(r.failed for r in results) else 0
 
 
 def run(config: RunConfig) -> int:
@@ -546,108 +517,98 @@ def run(config: RunConfig) -> int:
 
 
 # ----------------------------------------------------------------------------
-# argparse front end
+# argv front end
 # ----------------------------------------------------------------------------
 
 
-# Help of each subcommand, and of the flags whose name and default do not say enough.
+# Help of each subcommand, and of the names that a flag and default do not explain.
 _HELP = {
     "norm": "weighted L^p norm",
     "grand": "grand norm with the epsilon-sup curve",
     "amalgam": "two-stage amalgam norm",
     "maximal": "centered Hardy-Littlewood maximal function",
     "verify": "run proposition checks",
+    "run": "execute a config file",
     "box": "lo,up (1-D) or lo0,up0,lo1,up1 (2-D)",
     "cells": "cells per axis",
     "a": "grandizer sampler",
     "radii": "'full', 'dyadic', or a comma list of cells",
     "probe": "comma list of probe points",
+    "input": "sampler spec or grid CSV path (required)",
+    "check": "check name (repeatable)",
+    "config": "key = value config file (required)",
 }
 
-# Keys set by their own flags: --no-center, and verify's --all/--check.
-_SPECIAL_KEYS = ("include_center", "checks")
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    """One subparser per row of the table, one ``--flag`` per key."""
-    ap = argparse.ArgumentParser(
-        prog="grandamalgam",
-        description="Grand Wiener amalgam norms, maximal operators, and proposition checks",
-    )
-    sub = ap.add_subparsers(dest="subcommand", required=True)
-    parsers = {}
-    for name, defaults in _PARAMS.items():
-        sp = parsers[name] = sub.add_parser(name, help=_HELP[name])
-        if name != "verify":
-            sp.add_argument("--f", help="sampler spec (e.g. const:1) or grid CSV path (required)")
-        for key, default in defaults.items():
-            if key in _SPECIAL_KEYS:
-                continue
-            kind = _KINDS.get(key)
-            sp.add_argument(
-                "--" + key.replace("_", "-"),
-                dest=key,
-                default=None,
-                metavar="{%s}" % ",".join(kind) if isinstance(kind, tuple) else None,
-                help=f"{_HELP.get(key, '')} (default {default!r})".lstrip(),
-            )
-        sp.add_argument("--out", default=RunConfig.output_dir, help="output directory")
-        sp.add_argument("--seed", default=RunConfig.seed)
-    parsers["maximal"].add_argument(
-        "--no-center", action="store_true", help="drop the radius-0 term |f(x)|"
-    )
-    parsers["verify"].add_argument("--all", action="store_true")
-    parsers["verify"].add_argument(
-        "--check", action="append", default=[], help="check name (repeatable)"
-    )
-
-    sp = sub.add_parser("run", help="execute a config file")
-    sp.add_argument("--config", required=True, help="path to a key = value config file")
-    return ap
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    sub = args.subcommand
+def _flags(sub: str) -> dict:
+    """Each --flag of ``sub`` and the name it sets; 'name=value' for a flag that takes none."""
     if sub == "run":
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        return parse_config(path.read_text())
-    given = vars(args)
-    # Flags left unset are absent here, so validation fills the table's defaults.
-    params = {key: given[key] for key in _PARAMS[sub] if given.get(key) is not None}
-    if sub == "maximal" and args.no_center:
-        params["include_center"] = "false"
-    if sub == "verify" and args.check and not args.all:
-        params["checks"] = ",".join(args.check)
-    return RunConfig(sub, given.get("f") or "", params, output_dir=args.out, seed=_seed(args.seed))
+        return {"--config": "config"}
+    lead = {"--all": "checks=all", "--check": "check"} if sub == "verify" else {"--f": "input"}
+    table = {"--" + key.replace("_", "-"): key for key in _PARAMS[sub]}
+    if sub == "maximal":
+        table["--no-center"] = "include_center=false"
+    return {**lead, **table, "--out": "output_dir", "--seed": "seed"}
 
 
-_COORD_FLAGS = ("--box", "--probe")
+def _help(sub: str) -> str:
+    """Help of ``sub`` from the parameter table; for "", the list of subcommands."""
+    rows = {name: _HELP[name] for name in (*SUBCOMMANDS, "run")}
+    if sub:
+        defaults = {**_PARAMS.get(sub, {}), "output_dir": RunConfig.output_dir, "seed": RunConfig.seed}
+        rows = {}
+        for flag, name in _flags(sub).items():
+            kind = _KINDS.get(name)
+            notes = [_HELP.get(name), isinstance(kind, tuple) and "one of " + ", ".join(kind),
+                     name in defaults and f"default {defaults[name]!r}"]
+            rows[flag] = "; ".join(filter(None, notes)) or "sets " + name
+    width = max(map(len, rows)) + 2
+    head = [f"usage: grandamalgam {sub or '<subcommand>'} [--flag value ...]",
+            _HELP.get(sub, "subcommands") + ":"]
+    return "\n".join(head + [f"  {key:<{width}}{text}" for key, text in rows.items()])
 
 
-def _join_negative_values(argv: list[str]) -> list[str]:
-    """Let coordinate flags take values like '-8,8' without argparse tripping."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _COORD_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
+def _config_from_argv(argv: list) -> RunConfig | None:
+    """The configuration ``argv`` gives, or None once -h/--help is answered.  A flag's value is
+    the next token, even ``-8,8``; a repeated flag keeps its last, but --check collects."""
+    subs, sub = (*SUBCOMMANDS, "run"), argv[0] if argv else ""
+    if "-h" in argv or "--help" in argv:
+        print(_help(sub if sub in subs else ""))
+        return None
+    if sub not in subs:
+        raise ConfigError(f"subcommand: expected one of {', '.join(subs)}, got {sub!r}")
+    flags, given = _flags(sub), {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        name, switch, fixed = flags.get(flag, "").partition("=")
+        if not name:
+            raise ConfigError(f"{flag}: unknown flag for subcommand {sub}" if token.startswith("-")
+                              else f"subcommand: unexpected argument {token!r}")
+        if switch and eq:
+            raise ConfigError(f"{flag}: takes no value")
+        value = fixed if switch else value if eq else next(tokens, None)
+        if value is None:
+            raise ConfigError(f"{flag}: expected a value")
+        given[name] = [*given.get(name, ()), value] if name == "check" else value
+    if sub == "run":
+        path = given.get("config", "")
+        if not Path(path).is_file():
+            raise ConfigError(f"--config: expected a config file, got {path!r}")
+        return parse_config(Path(path).read_text())
+    checks = given.pop("check", None)
+    if checks and given.get("checks") != "all":
+        given["checks"] = ",".join(checks)
+    top = {key: given.pop(key) for key in _TOP_KEYS if key in given}
+    if "seed" in top:
+        top["seed"] = _seed(top["seed"])
+    return RunConfig(sub, parameters=given, **top)
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _build_parser().parse_args(_join_negative_values(list(argv)))
     try:
-        config = _config_from_args(args)
-        return run(config)
+        config = _config_from_argv(sys.argv[1:] if argv is None else argv)
+        return 0 if config is None else run(config)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

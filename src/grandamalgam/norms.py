@@ -146,6 +146,10 @@ class GrandParams:
             return eps**self.theta
         return eps ** (self.theta / (self.p - eps))
 
+    def ln_prefactor(self, eps: np.ndarray) -> np.ndarray:
+        t = self.theta if self.variant is Variant.EXPONENT_OVER_P else self.theta / (self.p - eps)
+        return t * np.log(eps)
+
     def with_extra_eps(self, eps: float) -> "GrandParams":
         """The same norm with ``eps`` on its grid (used to make sup bounds exact); a value
         within 1e-15 of a grid point is already on it."""
@@ -362,7 +366,9 @@ def _newton_rows(lnm, a, b, gp: GrandParams, cell_volume: float, grid, k, value,
         lns += lnh
         r = 1.0 / (p - xs)
         if it:  # the first pass is at the grid argmax, already counted
-            inner_s = _exp_norms(lnm[sel] + r * lns)
+            ln_inner = lnm[sel] + r * lns
+            _exp_norms(ln_inner + gp.ln_prefactor(xs))  # as in _grand_scan
+            inner_s = _exp_norms(ln_inner)
             v = gp.prefactor(xs) * inner_s
             up = v > best_v[sel]
             won = sel[up]
@@ -407,6 +413,8 @@ def _grand_scan(samples: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volum
     form = _grand_form(samples, aw, gp)
     grid = np.array(gp.eps_grid.values)
     inner = _inner_norms(form, gp.p, grid, cell_volume)
+    # each eps's largest term, checked on its log before the product
+    _exp_norms(np.log(inner.max(axis=0, initial=np.finfo(float).tiny)) + gp.ln_prefactor(grid))
     terms = inner * gp.prefactor(grid)
     k = np.argmax(terms, axis=1)  # first maximum: ties break toward the lowest eps
     rows = np.arange(len(terms))

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import shlex
@@ -262,11 +263,17 @@ def test_sampler_specs():
         (["amalgam", "--q", "1e17"], "param.q: 1e+17 - 1 is not exact in float64; need at most 2**53"),
         (["norm", "--box", "-1e308,1e308", "--cells", "4"],
          "param.box: axis 0: the extent upper - lower of [-1e+308, 1e+308] overflows"),
-        # words and the seed, which the parameter table checks, not argparse
+        # words, the seed and argv itself, which the parameter table checks
         (["grand", "--variant", "foo"], "param.variant: expected 'over_p' or 'full'"),
         (["grand", "--eps-mode", "log"], "param.eps_mode: expected 'geometric' or 'linear'"),
         (["amalgam", "--global", "x"], "param.global: expected 'classical' or 'grand'"),
         (["verify", "--check", "norm_axioms", "--seed", "x"], "seed: expected an integer, got 'x'"),
+        (["grand", "--bogus", "1"], "--bogus: unknown flag for subcommand grand"),
+        (["verify", "--all", "--p", "2"], "--p: unknown flag for subcommand verify"),
+        (["norm", "--p", "--cells", "4"], "subcommand: unexpected argument '4'"),  # --p's value dropped
+        (["maximal", "--no-center=yes"], "--no-center: takes no value"),
+        (["grand", "stray"], "subcommand: unexpected argument 'stray'"),
+        (["frob"], "subcommand: expected one of norm, grand, amalgam, maximal, verify, run, got 'frob'"),
     ],
 )
 def test_bad_numeric_value_names_the_parameter(tmp_path, capsys, argv, message):
@@ -284,6 +291,75 @@ def test_a_norm_past_float_range_is_an_input_error(tmp_path, capsys):
             "--box", "0,1", "--cells", "4", "--out", str(tmp_path / "o")]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: input: the norm exceeds float range")
+
+
+def test_a_weighted_term_past_float_range_is_an_input_error(tmp_path, capsys):
+    """|f| = 1e308: the inner norm is finite, but the term eps**theta times it is 8e308 at
+    eps = p - 1 = 2.  That is an error naming the input too, not Infinity."""
+    argv = ["grand", "--f", "const:1e308", "--p", "3", "--theta", "3", "--box", "0,1", "--cells", "4",
+            "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: input: the norm exceeds float range")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["grand", "--f", "const:1", "--p"], "--p: expected a value"),
+        ([], "subcommand: expected one of norm, grand, amalgam, maximal, verify, run, got ''"),
+    ],
+)
+def test_a_missing_value_or_subcommand_is_named(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)  # where the default --out, out/, would be made
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_rejected_command_leaves_no_cyclic_garbage(tmp_path, capsys):
+    """Reference counting frees everything a rejected call made: no parser, or any other
+    cycle, is left for a later collection to find at a time that depends on unrelated code."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(["grand", "--f", "const:1", "--p", "0.5", "--out", str(tmp_path / "o")]) == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _help_lines(capsys, argv) -> dict:
+    """The help that ``main(argv)`` prints, by first word of each line."""
+    assert cli.main(argv) == 0
+    return {line.split()[0]: line for line in capsys.readouterr().out.splitlines() if line.strip()}
+
+
+@pytest.mark.parametrize("subcommand", [*cli.SUBCOMMANDS, "run"])
+def test_help_lists_every_flag_with_its_default_and_words(capsys, subcommand):
+    lines = _help_lines(capsys, [subcommand, "--help"])
+    for key, default in cli._PARAMS.get(subcommand, {"config": None}).items():
+        line = lines["--" + key.replace("_", "-")]
+        assert default is None or f"default {default!r}" in line
+        kind = cli._KINDS.get(key)
+        assert all(word in line for word in kind) if isinstance(kind, tuple) else True
+    assert _help_lines(capsys, [subcommand, "--out", "x", "-h"]) == lines
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    lines = _help_lines(capsys, ["--help"])
+    assert all(sub in lines for sub in (*cli.SUBCOMMANDS, "run"))
+    assert _help_lines(capsys, ["-h"]) == lines
+
+
+def test_negative_values_follow_a_flag_or_an_equals_sign(tmp_path):
+    """The token after a flag is its value, even when it starts with '-'."""
+    argv = ["maximal", "--f", "indicator:-1,1", "--cells", "256"]
+    forms = [["--box", "-8,8", "--probe", "-2"], ["--box=-8,8", "--probe=-2"], ["--probe", "-2"]]
+    outputs = []
+    for k, form in enumerate(forms):
+        assert cli.main([*argv, *form, "--out", str(tmp_path / str(k))]) == 0
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / str(k)).iterdir()})
+    assert outputs[0] == outputs[1] == outputs[2] and "probes.csv" in outputs[0]
 
 
 def test_a_missing_input_names_its_key(tmp_path, capsys):
@@ -343,6 +419,22 @@ def test_flags_and_config_file_share_defaults(monkeypatch, subcommand):
 def test_flag_config_round_trips_through_a_config_file(monkeypatch, argv):
     config = _flag_config(monkeypatch, argv)
     assert parse_config(emit_config(config)) == config
+
+
+@pytest.mark.parametrize(
+    "argv, same",
+    [
+        (["maximal", "--f", "const:1", "--include-center", "false"], ["maximal", "--f", "const:1", "--no-center"]),
+        (["verify", "--checks", "norm_axioms,invariance"],
+         ["verify", "--check", "norm_axioms", "--check", "invariance"]),
+        (["verify", "--check", "norm_axioms", "--all"], ["verify"]),
+        (["grand", "--f", "const:1", "--p", "3", "--p=2.5"], ["grand", "--f=const:1", "--p", "2.5"]),
+    ],
+)
+def test_flag_forms_that_give_the_same_config(monkeypatch, argv, same):
+    """Each table key's own flag, the short forms, --all over --check, and the last of a
+    repeated flag."""
+    assert _flag_config(monkeypatch, argv) == _flag_config(monkeypatch, same)
 
 
 def test_probe_on_a_2d_box_is_rejected_before_computing(tmp_path, capsys, monkeypatch):

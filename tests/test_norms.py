@@ -453,9 +453,9 @@ def _assert_matches_in_range(got, log_want):
 def test_inner_norms_match_a_log_space_reference_across_float_range(cells, p, variant):
     """Grandizers and weights spanning 1e+-300: every grid inner norm and
     weighted_lp_norm that is a normal float is right to 1e-12; below range
-    they may be 0, and a norm past float range is an error.  |f| spans 1e+-30
-    with some cells 0: the rounding of a log-domain term grows with |ln|f||,
-    and |f| across 600 decades has its own test above."""
+    they may be 0, and a norm or weighted term past float range is an error.
+    |f| spans 1e+-30 with some cells 0: the rounding of a log-domain term grows
+    with |ln|f||, and |f| across 600 decades has its own test above."""
     dom = ga.BoxDomain(0.0, 1.0, len(cells))
     absf = np.array([0.0 if d is None else 10.0**d for d, _ in cells])
     a = np.array([10.0**d for _, d in cells])
@@ -464,12 +464,12 @@ def test_inner_norms_match_a_log_space_reference_across_float_range(cells, p, va
     root = p if variant is ga.Variant.EXPONENT_OVER_P else 1.0
     h = dom.cell_volume
     logs = [_log_inner(absf, eps / root * np.log(a), p - eps, h) for eps in gp.eps_grid.values]
-    if max(logs) > _HUGE_LOG:
+    terms = [log + math.log(gp.prefactor(eps)) for log, eps in zip(logs, gp.eps_grid.values)]
+    if max(logs + terms) > _HUGE_LOG:
         with pytest.raises(ValueError, match="the norm exceeds float range"):
             ga.grand_norm(f, gp)
     else:
-        with np.errstate(over="ignore"):  # a term eps**theta times a finite norm may still be inf
-            curve = _grid_rows(ga.grand_norm(f, gp), gp)
+        curve = _grid_rows(ga.grand_norm(f, gp), gp)
         for (eps, inner, _), log_want in zip(curve, logs, strict=True):
             _assert_matches_in_range(inner, log_want)
     log_lp = _log_inner(absf, np.log(a), p, h)
@@ -671,6 +671,25 @@ def test_norms_past_float_range_are_errors():
         ga.grand_norm(f, ga.GrandParams(3.0, a, variant=ga.Variant.EXPONENT_FULL))
     with pytest.raises(ValueError, match="the norm exceeds float range"):
         ga.weighted_lp_norm(f, 1.0, a)
+
+
+def test_weighted_terms_past_float_range_are_errors():
+    """Finite inner norms whose terms eps**theta * inner pass float range are errors, not inf:
+    at the grid's last eps (|f| = 1e308, theta = 3: 8e308 at eps = 2), and at Newton's
+    interior maximum alone (|f| on half the box, p = 10, theta = 5: the grid's largest term
+    is 0.7% below it, and |f| is scaled to put the float maximum between the two)."""
+    dom = ga.BoxDomain(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="the norm exceeds float range"):
+        ga.grand_norm(ga.constant(dom, 1e308), ga.GrandParams(3.0, ga.unit_weight(dom), theta=3.0))
+    half = ga.GridFunction(dom, np.array([1.0, 1.0, 0.0, 0.0]))
+    grid = ga.EpsGrid.geometric(10.0, count=2)
+    gp = ga.GrandParams(10.0, ga.unit_weight(dom), theta=5.0, eps_grid=grid)
+    rep = ga.grand_norm(half, gp)
+    ln_grid, ln_top = math.log(max(t for _, _, t in _grid_rows(rep, gp))), math.log(rep.value)
+    ln_c = _HUGE_LOG - 0.5 * (ln_grid + ln_top)
+    assert ln_c + ln_grid < _HUGE_LOG - 1e-3 and ln_c + ln_top > _HUGE_LOG + 1e-3
+    with pytest.raises(ValueError, match="the norm exceeds float range"):
+        ga.grand_norm(ga.scale(half, math.exp(ln_c)), gp)
 
 
 def test_norm_report_csv(tmp_path, unit_box):

@@ -402,11 +402,14 @@ def _window(params: dict, domain: BoxDomain) -> WindowSpec:
 # ----------------------------------------------------------------------------
 
 
-def _run_norm(params: dict, f: GridFunction, grid: dict, outdir: Path) -> int:
+# A runner computes everything its subcommand reports and returns its exit code and its
+# files: each file's name and the writer that takes the file's path.
+
+
+def _run_norm(params: dict, f: GridFunction, grid: dict):
     p = _number(params, "p")
     value = weighted_lp_norm(f, p, grid["w"])
-    write_json(outdir / "norm_summary.json", {"value": value, "p": p})
-    return 0
+    return 0, {"norm_summary.json": lambda path: write_json(path, {"value": value, "p": p})}
 
 
 def _grand_params_from(params: dict, grandizer: Weight) -> GrandParams:
@@ -423,14 +426,15 @@ def _grand_params_from(params: dict, grandizer: Weight) -> GrandParams:
     )
 
 
-def _run_grand(params: dict, f: GridFunction, grid: dict, outdir: Path) -> int:
+def _run_grand(params: dict, f: GridFunction, grid: dict):
     report = grand_norm(f, _grand_params_from(params, grid["a"]))
-    write_norm_csv(report, outdir / "grand_curve.csv")
-    write_json(outdir / "grand_summary.json", report.summary())
-    return 0
+    return 0, {
+        "grand_curve.csv": lambda path: write_norm_csv(report, path),
+        "grand_summary.json": lambda path: write_json(path, report.summary()),
+    }
 
 
-def _run_amalgam(params: dict, f: GridFunction, grid: dict, outdir: Path) -> int:
+def _run_amalgam(params: dict, f: GridFunction, grid: dict):
     def space(kind: str, exponent_key: str, weight_key: str):
         exponent = _number(params, exponent_key)
         if kind == "grand":  # the library's default epsilon grid and variant
@@ -443,9 +447,7 @@ def _run_amalgam(params: dict, f: GridFunction, grid: dict, outdir: Path) -> int
         window=grid["window"],
     )
     cf = control_function(f, spec.local_space, spec.window)
-    write_control_csv(cf, outdir / "control.csv")
     report = amalgam_norm(f, spec, control=cf)
-    write_norm_csv(report, outdir / "outer_curve.csv")
     summary = report.summary()
     # The outer report's own p is the global exponent q; p is the local exponent.
     local = spec.local_space
@@ -454,66 +456,74 @@ def _run_amalgam(params: dict, f: GridFunction, grid: dict, outdir: Path) -> int
                     "p": local.p, "q": spec.global_space.p,
                     "local_theta": local.theta if grand else None,
                     "local_variant": local.variant.value if grand else "classical"})
-    write_json(outdir / "amalgam_summary.json", summary)
-    return 0
+    return 0, {
+        "control.csv": lambda path: write_control_csv(cf, path),
+        "outer_curve.csv": lambda path: write_norm_csv(report, path),
+        "amalgam_summary.json": lambda path: write_json(path, summary),
+    }
 
 
-def _run_maximal(params: dict, f: GridFunction, grid: dict, outdir: Path) -> int:
+def _run_maximal(params: dict, f: GridFunction, grid: dict):
     rs = grid["radii"]
     result = maximal_fast(f, rs)
-    write_maximal_csv(result, outdir / "maximal.csv")
     summary = {
         "radii": params["radii"],
         "include_center": rs.include_center,
         "max_value": float(np.max(result.mf.values)),
     }
+    files = {"maximal.csv": lambda path: write_maximal_csv(result, path)}
     if params["probe"]:
         probes = _sample_profile(result, grid["probe"])
-        write_csv(outdir / "probes.csv", ["x", "mf"], probes)
+        files["probes.csv"] = lambda path: write_csv(path, ["x", "mf"], probes)
         summary["probes"] = [{"x": x, "mf": v} for x, v in probes]
-    write_json(outdir / "maximal_summary.json", summary)
-    return 0
+    files["maximal_summary.json"] = lambda path: write_json(path, summary)
+    return 0, files
 
 
-def _run_verify(config: RunConfig, outdir: Path) -> int:
+def _run_verify(config: RunConfig):
     params = config.parameters
     wanted = params["checks"]
     names = None if wanted == "all" else [n.strip() for n in wanted.split(",")]
     cells = _parse_cells(params, 1)[0]
     results = verify_mod.run_all_checks(seed=config.seed, cells=cells, names=names)
+    files = {}
     for result in results:
-        write_check_json(result, outdir / f"{result.name}.json")
-        write_check_csv(result, outdir / f"{result.name}.csv")
+        files[f"{result.name}.json"] = lambda path, r=result: write_check_json(r, path)
+        files[f"{result.name}.csv"] = lambda path, r=result: write_check_csv(r, path)
         if result.name == "maximal_unbounded":
             rows = [(row["T"], row["log_T"], row["norm"]) for row in result.details]
-            write_csv(outdir / "growth_curve.csv", ["T", "log_T", "norm"], rows)
+            files["growth_curve.csv"] = lambda path: write_csv(path, ["T", "log_T", "norm"], rows)
     checks = [{"name": r.name, "verdict": r.verdict.value, "estimated_constant": r.estimated_constant}
               for r in results]
-    write_json(outdir / "summary.json", {"seed": config.seed, "cells": cells, "checks": checks})
-    return 1 if any(r.failed for r in results) else 0
+    files["summary.json"] = lambda path: write_json(path, {"seed": config.seed, "cells": cells, "checks": checks})
+    return (1 if any(r.failed for r in results) else 0), files
 
 
 def run(config: RunConfig) -> int:
-    """Execute a validated configuration; returns the process exit code."""
+    """Execute a validated configuration; returns the process exit code.  Everything is
+    computed before the output directory is made, so a run that fails makes none."""
     config = validate_config(config)
-    outdir = Path(config.output_dir)
     if config.subcommand == "verify":
-        outdir.mkdir(parents=True, exist_ok=True)
-        return _run_verify(config, outdir)
-    # Everything that can fail on the input's grid fails before the output directory is made.
-    f = _load_input(config)
-    grid = _on_grid(config.parameters, f.domain, "grid")
-    for key in [k for k in grid if _KINDS.get(k) == "sampler"]:
+        code, files = _run_verify(config)
+    else:
+        # Everything that can fail on the input's grid fails before the run computes.
+        f = _load_input(config)
+        grid = _on_grid(config.parameters, f.domain, "grid")
+        for key in [k for k in grid if _KINDS.get(k) == "sampler"]:
+            try:
+                grid[key] = weight_from(f.domain, grid[key])
+            except ValueError as exc:  # a value that is not positive, found only when sampled
+                raise ConfigError(f"param.{key}: {exc}") from None
+        runner = {"norm": _run_norm, "grand": _run_grand, "amalgam": _run_amalgam, "maximal": _run_maximal}
         try:
-            grid[key] = weight_from(f.domain, grid[key])
-        except ValueError as exc:  # a value that is not positive, found only when sampled
-            raise ConfigError(f"param.{key}: {exc}") from None
+            code, files = runner[config.subcommand](config.parameters, f, grid)
+        except ValueError as exc:  # what is left to fail is the input itself: a norm past float range
+            raise ConfigError(f"input: {exc}") from None
+    outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    runner = {"norm": _run_norm, "grand": _run_grand, "amalgam": _run_amalgam, "maximal": _run_maximal}
-    try:
-        return runner[config.subcommand](config.parameters, f, grid, outdir)
-    except ValueError as exc:  # what is left to fail is the input itself: a norm past float range
-        raise ConfigError(f"input: {exc}") from None
+    for name, write in files.items():
+        write(outdir / name)
+    return code
 
 
 # ----------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+_GRID_BLOCK_CELLS = 1 << 14  # cells of one block: a slab of `build`, a chunk of a row's log form, CSV rows (128 KiB)
+
 __all__ = [
     "EmptyIndicatorWarning",
     "BoxDomain",
@@ -155,12 +157,30 @@ def _check_same_domain(a, b, what: str) -> None:
         raise ValueError(f"domain mismatch in {what}: {a.domain} vs {b.domain}")
 
 
+def _frozen(values: np.ndarray, dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array of ``shape``: kept (reshaped as a view where
+    it can be) when no one can write it, else copied."""
+    base = values.base
+    kept = (
+        values.dtype == dtype
+        and not values.flags.writeable
+        and (base is None or isinstance(base, np.ndarray) and not base.flags.writeable)
+    )
+    vals = values.reshape(shape)
+    if not kept:
+        vals = np.array(vals, dtype=dtype)
+    vals.setflags(write=False)
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Real or complex cell-centered samples of a function on a :class:`BoxDomain`.
 
-    The samples are stored as float64 when they are real and as complex128 when
-    they are complex, in a read-only copy: the caller's array is left as it is.
+    The samples are stored read-only, as float64 when they are real and as
+    complex128 when they are complex.  An array that is read-only, already of that
+    dtype, and whose base (if any) is read-only too is kept as it is; any other is
+    copied, and the caller's array is left as it is.
     """
 
     domain: BoxDomain
@@ -169,11 +189,10 @@ class GridFunction:
     def __post_init__(self):
         vals = np.asarray(self.values)
         dtype = np.complex128 if np.iscomplexobj(vals) else np.float64
-        vals = np.array(vals, dtype=dtype).reshape(self.domain.shape)
+        vals = _frozen(vals, dtype, self.domain.shape)
         if not np.all(np.isfinite(vals)):
             bad = np.argwhere(~np.isfinite(vals))[0]
             raise ValueError(f"non-finite sample at cell {tuple(int(i) for i in bad)}")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
@@ -192,7 +211,9 @@ class GridFunction:
 
 @dataclass(frozen=True, eq=False)
 class Weight:
-    """Strictly positive real samples; plays the role of a weight function."""
+    """Strictly positive real samples; plays the role of a weight function.
+
+    Stored as read-only float64, by the rule of :class:`GridFunction`."""
 
     domain: BoxDomain
     values: np.ndarray
@@ -200,41 +221,58 @@ class Weight:
     def __post_init__(self):
         if np.iscomplexobj(self.values):
             raise ValueError("weight values must be real, got complex samples")
-        vals = np.array(self.values, dtype=np.float64).reshape(self.domain.shape)
+        vals = _frozen(np.asarray(self.values), np.float64, self.domain.shape)
         if not np.all(np.isfinite(vals)):
             raise ValueError("weight contains non-finite values")
         if not np.all(vals > 0.0):
             raise ValueError("weight values must be strictly positive")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
 
 def build(domain: BoxDomain, sampler: Callable) -> GridFunction:
-    """Sample ``sampler`` at every cell center.
+    """Sample ``sampler`` at every cell center, slab by slab.
 
-    The sampler first gets one coordinate array per axis (the cell-center
-    mesh).  If that raises or gives the wrong shape, it is called cell by
-    cell with one scalar coordinate per axis.
+    A slab is a run of axis-0 rows of at most ``_GRID_BLOCK_CELLS`` cells (one row at
+    least), so a grid that fits is one slab.  The sampler first gets one coordinate array
+    per axis (the slab's cell-center mesh, the bits of ``center_mesh``).  If that raises or
+    gives neither a scalar nor the slab's shape, it is called cell by cell with one scalar
+    coordinate per axis.  Each slab is written into one read-only array, complex once a
+    slab is; a non-finite sample is an error that names its cell and center.
     """
-    mesh = domain.center_mesh()
-    arr = None
+    shape, h = domain.shape, domain.spacing[0]
+    tail = [domain.axis_centers(d) for d in range(1, domain.ndim)]
+    rows = max(1, _GRID_BLOCK_CELLS // int(np.prod(shape[1:])))
+    out = np.empty(shape)
+    for start in range(0, shape[0], rows):
+        stop = min(start + rows, shape[0])
+        head = domain.lower[0] + (np.arange(start, stop) + 0.5) * h
+        mesh = tuple(np.meshgrid(head, *tail, indexing="ij")) if tail else (head,)
+        slab = _sample_slab(sampler, mesh, (stop - start, *shape[1:]))
+        if not np.all(np.isfinite(slab)):
+            bad = tuple(int(i) for i in np.argwhere(~np.isfinite(slab))[0])
+            center = tuple(float(m[bad]) for m in mesh)
+            cell = (bad[0] + start, *bad[1:])
+            raise ValueError(f"sampler returned a non-finite value at cell {cell} (center {center})")
+        if np.iscomplexobj(slab) and not np.iscomplexobj(out):
+            out = out.astype(np.complex128)
+        out[start:stop] = slab
+    out.setflags(write=False)
+    return GridFunction(domain, out)
+
+
+def _sample_slab(sampler: Callable, mesh: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> np.ndarray:
+    """``sampler`` on the cell centers ``mesh`` of one slab of ``shape``: on the mesh at
+    once if that gives a scalar or ``shape``, else cell by cell."""
     try:
         cand = np.asarray(sampler(*mesh))
         if cand.shape == ():
-            arr = np.full(domain.shape, cand)
-        elif cand.shape == domain.shape:
-            arr = cand
+            return np.full(shape, cand)
+        if cand.shape == shape:
+            return cand
     except Exception:
-        arr = None
-    if arr is None:
-        cells = np.ndindex(domain.shape)
-        arr = np.array([sampler(*(float(m[idx]) for m in mesh)) for idx in cells])
-        arr = arr.reshape(domain.shape)
-    if not np.all(np.isfinite(arr)):
-        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
-        center = tuple(float(mesh[d][bad]) for d in range(domain.ndim))
-        raise ValueError(f"sampler returned a non-finite value at cell {bad} (center {center})")
-    return GridFunction(domain, arr)
+        pass
+    cells = np.ndindex(shape)
+    return np.array([sampler(*(float(m[idx]) for m in mesh)) for idx in cells]).reshape(shape)
 
 
 # The sampler families of the CLI's specs, the verification corpus and `indicator`:
@@ -362,30 +400,35 @@ def pointwise_product(f: GridFunction, g: GridFunction) -> GridFunction:
 def _write_cell_csv(path, f: GridFunction, **int_columns: np.ndarray) -> None:
     """The grid CSV layout of ``f`` with ``int_columns`` appended, one row per cell.
 
-    Columns are zipped from ``tolist()`` and each row is rendered by one
-    %-template; '%d' and '%.17g' give the text of :func:`reporting.fmt`.  Each
-    axis's centres are formatted once and meshed as in ``center_mesh``; the ``im``
-    column of real samples is the constant 0 in the template.
+    Rows are written through one open file in blocks of ``_GRID_BLOCK_CELLS`` cells.  A
+    block's columns are zipped from ``tolist()`` and each row is rendered by one
+    %-template; '%d' and '%.17g' give the text of :func:`reporting.fmt`.  Each axis's
+    centres are formatted once and indexed per block as ``center_mesh`` meshes them; the
+    ``im`` column of real samples is the constant 0 in the template.
     """
     dom = f.domain
     flat = f.values.reshape(-1)
+    extra = [c.reshape(-1) for c in int_columns.values()]
     header = ["index", *(f"x{d}" for d in range(dom.ndim)), "re", "im", *int_columns]
     centres = [
         np.array(["%.17g" % x for x in dom.axis_centers(d).tolist()], dtype=object)
         for d in range(dom.ndim)
     ]
-    imag = [flat.imag.tolist()] if np.iscomplexobj(flat) else []
-    template = ",".join(["%d"] + ["%s"] * dom.ndim + ["%.17g", "%.17g" if imag else "0"]
-                        + ["%d"] * len(int_columns))
-    columns = [
-        range(dom.size),
-        *(m.reshape(-1).tolist() for m in np.meshgrid(*centres, indexing="ij")),
-        flat.real.tolist(),
-        *imag,
-        *(c.reshape(-1).tolist() for c in int_columns.values()),
-    ]
-    lines = [",".join(header), *(template % row for row in zip(*columns))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    parts = [flat.real, flat.imag] if np.iscomplexobj(flat) else [flat.real]
+    template = ",".join(["%d"] + ["%s"] * dom.ndim + ["%.17g", "%.17g" if len(parts) > 1 else "0"]
+                        + ["%d"] * len(extra))
+    with Path(path).open("w") as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, dom.size, _GRID_BLOCK_CELLS):
+            cells = range(start, min(start + _GRID_BLOCK_CELLS, dom.size))
+            index = np.unravel_index(np.arange(cells.start, cells.stop), dom.shape)
+            columns = [
+                cells,
+                *(c[i].tolist() for c, i in zip(centres, index)),
+                *(c[cells.start : cells.stop].tolist() for c in parts + extra),
+            ]
+            out.write("\n".join(template % row for row in zip(*columns)))
+            out.write("\n")
 
 
 def write_grid_csv(f: GridFunction, path) -> None:

@@ -5,12 +5,12 @@ L^(p-eps) norms.  With m = max|f| and g = |f| / m, every inner sum is
 m^(p-eps) sum exp(A + eps B), A = p ln g, B = ln a / p - ln g (ln a - ln g
 for ``EXPONENT_FULL``), summed as a log-sum-exp shifted by its row max: no
 |f| or grandizer overflows or underflows it.  The log form takes the samples
-themselves, real or complex, and owns one row of its own: it takes |f| into
-that row and builds ln g and then A there, so a norm holds that row and B
-above its inputs.  An inner norm past float range is an error, not inf.  A
-row of at most ``_GRID_BLOCK_CELLS`` cells is summed as one chunk; a longer
-row is summed chunk by chunk in one cache-sized buffer and the chunks are
-merged, so no pass allocates an array the size of the row.  A classical L^q(w) norm is
+themselves, real or complex, keeps ln m per row, and builds A and B per cell
+chunk when a pass asks for them.  A row of at most ``gridfn._GRID_BLOCK_CELLS``
+cells is one chunk, built once, so a norm holds its A and B above its inputs;
+a longer row is built and summed chunk by chunk in cache-sized buffers and the
+chunks are merged, so a norm holds no array the size of the row.  An inner
+norm past float range is an error, not inf.  A classical L^q(w) norm is
 the ``EXPONENT_FULL`` inner norm at p = q + 1, eps = 1.  The sup is taken
 on an epsilon grid (geometric by default, so eps -> 0 is resolved), then
 refined by safeguarded Newton steps on ln(term), for all rows of a
@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import gridfn
 from .gridfn import GridFunction, Weight, _check_same_domain
 from .reporting import write_csv
 
@@ -49,7 +50,6 @@ __all__ = [
     "write_norm_csv",
 ]
 
-_GRID_BLOCK_CELLS = 1 << 14  # cells of one (rows, eps, cells) block of the grid stage (128 KiB)
 _REL_TOL = 1e-12  # refinement stops at this fraction of max(bracket end, 1)
 _MAX_ITER = 96  # refinement passes per row at most
 _LN_FLOAT_MAX = math.log(np.finfo(np.float64).max)  # the largest x whose exp is a finite float64
@@ -187,35 +187,66 @@ def _one_window(values: np.ndarray) -> np.ndarray:
     return values.reshape(1, -1)
 
 
-def _log_form(samples: np.ndarray, p: float, aw=None, root: float = 1.0):
-    """(ln m, A, B) of a (rows, cells) block of samples f, real or complex: A = p ln g,
-    B = ln(a) / root - ln g.
+class _LogForm:
+    """The log form (ln m, A, B) of a (rows, cells) block of samples f, real or complex, built
+    chunk by chunk: A = p ln g, B = ln(a) / root - ln g.
 
     a is the grandizer or weight (``None``: 1), m the row max of |f|, and ln g = ln|f| - ln m.
-    The form owns one row of its own: it takes |f| into it and builds ln g and then A there,
-    so ``samples`` is never written.  A weight is strictly positive and zero-padded where f
-    is, so the live cells are those with |f| > 0.  Dead cells get A = -inf, B = 0; a row with
-    no live cell gets ln m = -inf, A = B = 0.
+    The form keeps ln m, found by one abs-max walk over the cell chunks (:func:`_cell_chunks`),
+    and builds a chunk's A and B from the samples and the weight when it is asked for them,
+    so no array the size of the block is held.  A block of one chunk is built once, when the
+    form is made.  ``samples`` is never written.  A weight is strictly positive and
+    zero-padded where f is, so the live cells are those with |f| > 0.  Dead cells get
+    A = -inf, B = 0; a row with no live cell gets ln m = -inf, A = B = 0.
     """
-    lng = np.abs(samples)
-    live = lng > 0
-    m = lng.max(axis=1, initial=0.0)
-    lnm = np.log(m, out=np.full(m.shape, -np.inf), where=m > 0)
-    np.log(lng, out=lng, where=live)
-    np.subtract(lng, lnm[:, None], out=lng, where=live)
-    b = np.zeros(lng.shape) if aw is None else np.log(aw, out=np.zeros(lng.shape), where=live)
-    b /= root
-    b -= lng
-    a = np.multiply(lng, p, out=lng)
-    dead = np.logical_not(live, out=live)
-    dead &= (m > 0)[:, None]
-    np.copyto(a, -np.inf, where=dead)
-    return lnm, a, b
+
+    def __init__(self, samples: np.ndarray, p: float, aw=None, root: float = 1.0):
+        self._samples, self._aw, self._p, self._root = samples, aw, p, root
+        self._rows = slice(None)  # the rows of the block that the form is of
+        self.chunks = _cell_chunks(samples.shape[1])
+        one = len(self.chunks) == 1
+        absf = np.abs(samples) if one else None
+        m = absf.max(axis=1, initial=0.0) if one else functools.reduce(
+            np.maximum, [np.abs(samples[:, cut]).max(axis=1, initial=0.0) for cut in self.chunks])
+        self.lnm = np.log(m, out=np.full(m.shape, -np.inf), where=m > 0)
+        self._whole = self._build(absf, aw) if one else None  # (A, B) of a block of one chunk
+
+    def select(self, rows: np.ndarray) -> "_LogForm":
+        """The form of the rows ``rows`` of the block alone."""
+        sub = object.__new__(_LogForm)
+        vars(sub).update(vars(self))
+        sub.lnm = self.lnm[rows]
+        if self._whole is None:
+            sub._rows = rows
+        else:
+            sub._whole = tuple(t[rows] for t in self._whole)
+        return sub
+
+    def chunk(self, cut: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) of the cells ``cut`` of every row of the form."""
+        if self._whole is not None:
+            return self._whole
+        at = (self._rows, cut)
+        return self._build(np.abs(self._samples[at]), None if self._aw is None else self._aw[at])
+
+    def _build(self, lng: np.ndarray, aw) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) of a chunk from its |f|, whose array becomes ln g and then A."""
+        live = lng > 0
+        np.log(lng, out=lng, where=live)
+        np.subtract(lng, self.lnm[:, None], out=lng, where=live)
+        b = np.zeros(lng.shape) if aw is None else np.log(aw, out=np.zeros(lng.shape), where=live)
+        b /= self._root
+        b -= lng
+        a = np.multiply(lng, self._p, out=lng)
+        dead = np.logical_not(live, out=live)
+        dead &= (self.lnm > -np.inf)[:, None]
+        np.copyto(a, -np.inf, where=dead)
+        return a, b
 
 
-def _grand_form(samples: np.ndarray, aw: np.ndarray, gp: GrandParams):
+def _grand_form(samples: np.ndarray, aw: np.ndarray, gp: GrandParams) -> _LogForm:
     """Log form of a grand stage: weight a**(eps/p), or a**eps for ``EXPONENT_FULL``."""
-    return _log_form(samples, gp.p, aw, gp.p if gp.variant is Variant.EXPONENT_OVER_P else 1.0)
+    return _LogForm(samples, gp.p, aw, gp.p if gp.variant is Variant.EXPONENT_OVER_P else 1.0)
 
 
 def _shifted_sums(t: np.ndarray, axis: int):
@@ -229,38 +260,37 @@ def _shifted_sums(t: np.ndarray, axis: int):
 
 def _cell_chunks(cells: int) -> list[slice]:
     """The cells of a row in chunks of at most ``_GRID_BLOCK_CELLS``: one chunk if it fits."""
-    width = min(cells, _GRID_BLOCK_CELLS)
+    width = min(cells, gridfn._GRID_BLOCK_CELLS)
     return [slice(j, min(j + width, cells)) for j in range(0, cells, width)]
 
 
-def _inner_norms(form, p: float, eps: np.ndarray, cell_volume: float) -> np.ndarray:
+def _inner_norms(form: _LogForm, p: float, eps: np.ndarray, cell_volume: float) -> np.ndarray:
     """(rows, eps) inner norms exp(ln m + (ln S + ln h) / (p - eps)).
 
-    A row walks its cells in chunks (:func:`_cell_chunks`), one preallocated buffer for every
-    chunk and eps.  A pass takes as many epsilons as fit ``_GRID_BLOCK_CELLS`` cells, cells
-    first, so a chunk's max c_k and sum s_k reduce over the leading axis in cell order
-    (pairwise for a lone row and eps).  The chunks merge as an online log-sum-exp (Milakov and
-    Gimelshein 2018): C = max c_k, S = sum s_k exp(c_k - C), in chunk order.  A row that fits
-    is one chunk, whose merge is exact (C = c_0, weight 1), so S is its one sum.  So a row
-    summed alone at one eps (as a classical row always is) may differ by a few ulp from that
-    row summed in a block of several, and a long row from the same row in one chunk;
-    otherwise no row depends on the block.
+    A row walks its cells in chunks (:func:`_cell_chunks`), each built by the form once, one
+    preallocated buffer for every chunk and eps.  A pass takes as many epsilons as fit
+    ``_GRID_BLOCK_CELLS`` cells, cells first, so a chunk's max c_k and sum s_k reduce over the
+    leading axis in cell order (pairwise for a lone row and eps).  The chunks merge as an
+    online log-sum-exp (Milakov and Gimelshein 2018): C = max c_k, S = sum s_k exp(c_k - C),
+    in chunk order.  A row that fits is one chunk, whose merge is exact (C = c_0, weight 1),
+    so S is its one sum.  So a row summed alone at one eps (as a classical row always is) may
+    differ by a few ulp from that row summed in a block of several, and a long row from the
+    same row in one chunk; otherwise no row depends on the block.
     """
-    lnm, a, b = form
-    rows, cells = a.shape
-    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    chunks = _cell_chunks(cells)
+    rows, chunks = form.lnm.size, form.chunks
     width = chunks[0].stop
-    n = min(eps.size, max(1, _GRID_BLOCK_CELLS // (rows * width)))
+    n = min(eps.size, max(1, gridfn._GRID_BLOCK_CELLS // (rows * width)))
     buf = np.empty(width * n * rows)
     c = np.empty((len(chunks), eps.size, rows))
     s = np.empty_like(c)
     for k, cut in enumerate(chunks):
+        a, b = form.chunk(cut)
+        at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
         for i in range(0, eps.size, n):
             e = eps[i : i + n]
             t = buf[: (cut.stop - cut.start) * e.size * rows].reshape(-1, e.size, rows)
-            np.multiply(bt[cut, None, :], e[:, None], out=t)
-            t += at[cut, None, :]
+            np.multiply(bt[:, None, :], e[:, None], out=t)
+            t += at[:, None, :]
             c[k, i : i + n], s[k, i : i + n] = _shifted_sums(t, 0)
     # The merge and the root work in place: a block of many short rows keeps
     # no (eps, rows) temporary beyond C and the chunk arrays.
@@ -271,7 +301,7 @@ def _inner_norms(form, p: float, eps: np.ndarray, cell_volume: float) -> np.ndar
     lns += top
     lns += math.log(cell_volume)
     lns /= (p - eps)[:, None]
-    lns += lnm
+    lns += form.lnm
     return _exp_norms(lns).T
 
 
@@ -288,7 +318,7 @@ def _exp_norms(ln_norms: np.ndarray) -> np.ndarray:
 def _classical_rows(samples: np.ndarray, wrows, q: float, cell_volume: float) -> np.ndarray:
     """Weighted L^q norms of the rows (``wrows=None``: unweighted): L^q(w) is the
     full-weighting member L^(p-eps)(w^eps) at p = q + 1, eps = 1."""
-    return _inner_norms(_log_form(samples, q + 1.0, wrows), q + 1.0, np.ones(1), cell_volume)[:, 0]
+    return _inner_norms(_LogForm(samples, q + 1.0, wrows), q + 1.0, np.ones(1), cell_volume)[:, 0]
 
 
 def weighted_lp_norm(f: GridFunction, p: float, w: Weight | None = None) -> float:
@@ -301,42 +331,43 @@ def weighted_lp_norm(f: GridFunction, p: float, w: Weight | None = None) -> floa
     return float(_classical_rows(_one_window(f.values), wrows, p, f.domain.cell_volume)[0])
 
 
-def _moments(a: np.ndarray, b: np.ndarray, x: np.ndarray):
+def _moments(form: _LogForm, x: np.ndarray):
     """ln S_0, S_1 / S_0, S_2 / S_0 per row, S_j = sum B^j exp(A + x B), one x per row.
 
     Rows stay rows: each sums its own cells, whatever else is in the block.  A row takes two
-    walks over its chunks (:func:`_cell_chunks`) in one buffer: the first finds the row max C,
-    the second sums each chunk's B^j exp(A + x B - C) pairwise, and the chunk sums are summed
-    pairwise.  A row that fits is one chunk, so its sums are plain pairwise sums.  (Merging
-    each chunk's own shift instead would round B^2 exp(t - C) differently from the one-chunk
-    sum, so one-cell chunks would not reproduce it.)
+    walks over its chunks (:func:`_cell_chunks`) in one buffer, and the form builds each chunk
+    again for each walk (a block of one chunk is built already): the first finds the row max
+    C, the second sums each chunk's B^j exp(A + x B - C) pairwise, and the chunk sums are
+    summed pairwise.  A row that fits is one chunk, so its sums are plain pairwise sums.
+    (Merging each chunk's own shift instead would round B^2 exp(t - C) differently from the
+    one-chunk sum, so one-cell chunks would not reproduce it.)
     """
-    rows, cells = a.shape
-    chunks = _cell_chunks(cells)
+    rows, chunks = x.size, form.chunks
     buf = np.empty(rows * chunks[0].stop)
     x = x[:, None]
 
-    def exponents(cut: slice) -> np.ndarray:
+    def exponents(cut: slice) -> tuple[np.ndarray, np.ndarray]:
+        a, b = form.chunk(cut)
         e = buf[: rows * (cut.stop - cut.start)].reshape(rows, -1)
-        np.multiply(b[:, cut], x, out=e)
-        e += a[:, cut]
-        return e
+        np.multiply(b, x, out=e)
+        e += a
+        return e, b
 
-    c = functools.reduce(np.maximum, [exponents(cut).max(axis=-1, keepdims=True) for cut in chunks])
+    c = functools.reduce(np.maximum, [exponents(cut)[0].max(axis=-1, keepdims=True) for cut in chunks])
     sums = np.empty((3, rows, len(chunks)))
     for k, cut in enumerate(chunks):
-        e = exponents(cut)
+        e, b = exponents(cut)
         e -= c
         np.exp(e, out=e)
         for j in range(3):
             if j:
-                e *= b[:, cut]
+                e *= b
             e.sum(axis=-1, out=sums[j, :, k])
     s0, s1, s2 = sums.sum(axis=-1)
     return c[:, 0] + np.log(s0), s1 / s0, s2 / s0
 
 
-def _newton_rows(lnm, a, b, gp: GrandParams, cell_volume: float, grid, k, value, inner):
+def _newton_rows(form: _LogForm, gp: GrandParams, cell_volume: float, grid, k, value, inner):
     """Refine each row's grid argmax by safeguarded Newton steps on phi = ln(term).
 
     phi' and phi'' come from one :func:`_moments` pass.  The first pass, at
@@ -362,14 +393,15 @@ def _newton_rows(lnm, a, b, gp: GrandParams, cell_volume: float, grid, k, value,
             break
         xs = x[sel]
         # while every row is still running, use the block itself: no copy
-        lns, mu, m2 = _moments(a, b, xs) if sel.size == x.size else _moments(a[sel], b[sel], xs)
+        rows = form if sel.size == x.size else form.select(sel)
+        lns, mu, m2 = _moments(rows, xs)
         lns += lnh
         r = 1.0 / (p - xs)
         if it:  # the first pass is at the grid argmax, already counted
-            ln_inner = lnm[sel] + r * lns
+            ln_inner = rows.lnm + r * lns
             _exp_norms(ln_inner + gp.ln_prefactor(xs))  # as in _grand_scan
             inner_s = _exp_norms(ln_inner)
-            v = gp.prefactor(xs) * inner_s
+            v = _terms(gp, xs, inner_s)
             up = v > best_v[sel]
             won = sel[up]
             best_x[won], best_v[won], best_in[won] = xs[up], v[up], inner_s[up]
@@ -401,6 +433,23 @@ def _newton_rows(lnm, a, b, gp: GrandParams, cell_volume: float, grid, k, value,
     return best_x, best_v, best_in
 
 
+def _terms(gp: GrandParams, eps: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """The weighted terms prefactor(eps) * inner, ``inner`` broadcast against ``eps``.
+
+    A prefactor past float range (eps**theta with eps > 1 and a large theta) would make an
+    inf of a finite term: where its logarithm passes ``_LN_FLOAT_MAX``, the term is
+    exp(ln prefactor + ln inner) instead, which the callers have checked is in range.  In
+    either variant the largest prefactor on (0, p - 1] is (p - 1)**theta, at eps = p - 1.
+    """
+    if gp.theta * math.log(gp.p - 1.0) <= _LN_FLOAT_MAX:
+        return inner * gp.prefactor(eps)
+    ln_pre = gp.ln_prefactor(eps)
+    big = ln_pre > _LN_FLOAT_MAX
+    terms = inner * gp.prefactor(np.where(big, 1.0, eps))
+    ln_inner = np.log(inner, out=np.full(inner.shape, -np.inf), where=inner > 0)
+    return np.exp(ln_inner + ln_pre, out=terms, where=big)
+
+
 def _grand_scan(samples: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volume: float):
     """Epsilon scan of every row of a (windows, cells) block at once.
 
@@ -415,12 +464,12 @@ def _grand_scan(samples: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volum
     inner = _inner_norms(form, gp.p, grid, cell_volume)
     # each eps's largest term, checked on its log before the product
     _exp_norms(np.log(inner.max(axis=0, initial=np.finfo(float).tiny)) + gp.ln_prefactor(grid))
-    terms = inner * gp.prefactor(grid)
+    terms = _terms(gp, grid, inner)
     k = np.argmax(terms, axis=1)  # first maximum: ties break toward the lowest eps
     rows = np.arange(len(terms))
     value, argmax, peak = terms[rows, k], grid[k], inner[rows, k]
     if grid.size > 1:
-        argmax, value, peak = _newton_rows(*form, gp, cell_volume, grid, k, value, peak)
+        argmax, value, peak = _newton_rows(form, gp, cell_volume, grid, k, value, peak)
     return value, argmax, inner, terms, peak
 
 
@@ -476,10 +525,10 @@ class _Curve(Sequence):
 def grand_norm(f: GridFunction, gp: GrandParams) -> NormReport:
     """Grand norm of ``f``: sup over the epsilon grid, refined between grid points.
 
-    The samples of ``f`` go to the log form as they are, real or complex; the form owns
-    the one row that becomes A, so the norm holds two rows (A and B) above ``f`` and the
-    grandizer, with a mask and chunk buffers.  An inner norm past float range raises
-    ``ValueError``.  Refinement never decreases the value: the Newton steps from the grid
+    The samples of ``f`` go to the log form as they are, real or complex.  On a grid of at
+    most ``gridfn._GRID_BLOCK_CELLS`` cells the norm holds A and B, two rows, above ``f`` and
+    the grandizer; on a larger grid it holds a few chunks of them and its buffers, which
+    every pass rebuilds.  An inner norm past float range raises ``ValueError``.  Refinement never decreases the value: the Newton steps from the grid
     argmax only replace the grid maximum when they find a larger term.  The
     curve has a row at every grid point, and one more at the maximizer when
     that is not a grid point.

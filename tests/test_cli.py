@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -300,6 +301,40 @@ def test_a_weighted_term_past_float_range_is_an_input_error(tmp_path, capsys):
             "--out", str(tmp_path / "o")]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: input: the norm exceeds float range")
+
+
+@pytest.mark.parametrize("variant", ["over_p", "full"])
+def test_a_prefactor_past_float_range_gives_its_finite_term(tmp_path, variant):
+    """theta = 1100 at p = 3: eps**theta passes float range for eps above 1.906, but the
+    term at eps = p - 1 = 2, 2**1100 * 1e-30 = 1.358e301, does not.  The sup is that term,
+    and no term on the curve is inf."""
+    out = tmp_path / "o"
+    argv = ["grand", "--f", "const:1e-30", "--p", "3", "--theta", "1100", "--variant", variant,
+            "--box", "0,1", "--cells", "4", "--out", str(out)]
+    assert cli.main(argv) == 0
+    summary = json.loads((out / "grand_summary.json").read_text())
+    assert summary["value"] == pytest.approx(math.ldexp(1e-30, 1100), rel=1e-12, abs=0.0)
+    assert summary["argmax_eps"] == 2.0
+    rows = [line.split(",") for line in (out / "grand_curve.csv").read_text().splitlines()[1:]]
+    terms = [float(row[2]) for row in rows]
+    assert all(map(math.isfinite, terms)) and max(terms) == summary["value"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the grand norm is about 1e900 at eps = p - 1 = 2
+        ["grand", "--f", "const:1e300", "--a", "const:1e300", "--variant", "full", "--p", "3"],
+        # the local L^1 norms are 1e300, the outer L^1(b^(2/3)) norm at eta = 2 about 1e500
+        ["amalgam", "--f", "const:1e300", "--local", "classical", "--p", "1", "--q", "3",
+         "--b", "const:1e300", "--window-side", "4", "--window-stride", "4"],
+    ],
+)
+def test_a_run_that_fails_while_computing_makes_no_output_directory(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--box", "0,1", "--cells", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: input: the norm exceeds float range")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import grandamalgam as ga
+from grandamalgam import gridfn
 
 
 def test_build_samples_cell_centers():
@@ -23,6 +26,75 @@ def test_build_rejects_nonfinite_naming_cell():
     dom = ga.BoxDomain(0.0, 1.0, 4)
     with pytest.raises(ValueError, match=r"cell \(2,\)"):
         ga.build(dom, lambda x: math.inf if 0.5 < x < 0.75 else 0.0)
+
+
+def _slab_grid():
+    """A 1-D grid of three slabs and five cells."""
+    return ga.BoxDomain(-1.0, 2.0, 3 * gridfn._GRID_BLOCK_CELLS + 5)
+
+
+def test_build_samples_slab_by_slab():
+    """On three slabs and five cells: a sampler that needs the cell-by-cell fallback, a
+    non-finite value in the third slab (named by its cell in the whole grid), and a complex
+    value in the last slab alone.  Every sample is the bits of ``center_mesh``."""
+    dom = _slab_grid()
+    (x,) = dom.center_mesh()
+    assert ga.build(dom, lambda t: t).values.tobytes() == x.tobytes()
+    calls = []
+    f = ga.build(dom, lambda t: calls.append(1) or math.cos(t))  # math.cos rejects arrays
+    assert f.values.tobytes() == np.array([math.cos(t) for t in x.tolist()]).tobytes()
+    assert len(calls) == 4 + dom.size  # each slab tries its mesh once
+    bad = 2 * gridfn._GRID_BLOCK_CELLS + 7
+    with pytest.raises(ValueError, match=re.escape(f"cell ({bad},) (center ({float(x[bad])!r},))")):
+        ga.build(dom, lambda t: np.where(t == x[bad], np.inf, t))
+    last = x[-1]
+    g = ga.build(dom, lambda t: np.where(t == last, 1j, t) if last in t else t)
+    assert g.values.dtype == np.complex128 and g.values[-1] == 1j
+    assert g.values[:-1].tobytes() == x[:-1].astype(np.complex128).tobytes()
+
+
+def test_build_samples_a_2d_grid_slab_by_slab(monkeypatch):
+    """Slabs of two axis-0 rows of a (5, 3) grid, and of one row when a row alone is too
+    long: the samples of one slab, bit for bit."""
+    dom = ga.BoxDomain((0.0, -1.0), (1.0, 2.0), (5, 3))
+    want = ga.build(dom, lambda x, y: np.exp(x) + 1j * y)
+    for cells in (6, 2):
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(gridfn, "_GRID_BLOCK_CELLS", cells)
+            got = ga.build(dom, lambda x, y: calls.append(x.shape) or np.exp(x) + 1j * y)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert calls == [(2, 3), (2, 3), (1, 3)] if cells == 6 else [(1, 3)] * 5
+
+
+def _traced_rows(run, cells):
+    """The traced peak of ``run()`` above what was allocated before it, in float64 rows of
+    ``cells``."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * cells)
+
+
+def test_build_and_weight_from_hold_one_row():
+    """On 2^18 cells a slab's mesh and samples are a sixteenth of a row each, and the weight
+    keeps the read-only row that ``build`` fills: the output row and the masks of the checks
+    on it, under 1.5 rows."""
+    dom = ga.BoxDomain(0.0, 1.0, 1 << 18)
+    assert _traced_rows(lambda: ga.build(dom, lambda x: np.exp(-x)), dom.size) < 1.5
+    assert _traced_rows(lambda: ga.weight_from(dom, lambda x: np.exp(-x)), dom.size) < 1.5
+
+
+def test_write_grid_csv_streams_its_rows(tmp_path):
+    """A 256 x 256 grid is written in blocks of rows: under 12 float64 rows of the grid,
+    where the whole file as one string of rows would take more than 30."""
+    dom = ga.BoxDomain((0.0, 0.0), (1.0, 1.0), (256, 256))
+    f = ga.build(dom, lambda x, y: np.exp(-x * y) + 0.5j * x)
+    assert _traced_rows(lambda: ga.write_grid_csv(f, tmp_path / "f.csv"), dom.size) < 12
 
 
 def test_build_scalar_only_sampler():
@@ -182,6 +254,19 @@ def test_gridfunction_copies_the_callers_array():
     assert f.values[0] == 1.0
     ints = np.arange(4)
     assert ga.GridFunction(dom, ints).values.dtype == np.float64 and ints.dtype.kind == "i"
+    # an array that no one can write is kept, not copied
+    w = ga.Weight(dom, [1.0, 2.0, 3.0, 4.0])
+    assert np.shares_memory(ga.GridFunction(dom, f.values).values, f.values)
+    assert np.shares_memory(ga.Weight(dom, w.values).values, w.values)
+    # a writeable array, and a read-only view of one, are still copied
+    assert not np.shares_memory(ga.GridFunction(dom, arr).values, arr)
+    view = arr[:]
+    view.setflags(write=False)
+    g = ga.GridFunction(dom, view)
+    assert not np.shares_memory(g.values, arr)
+    arr[1] = 5.0
+    assert g.values[1] == -2.0
+    assert not np.shares_memory(ga.Weight(dom, view + 10.0).values, view)
 
 
 def test_sample_dtype_follows_the_samples():
@@ -310,6 +395,10 @@ def test_grid_csv_matches_generic_writer(tmp_path):
     ]
     write_csv(tmp_path / "generic.csv", ["index", "x0", "x1", "re", "im"], rows)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+    with pytest.MonkeyPatch.context() as patch:  # in blocks of three rows, the last one short
+        patch.setattr(gridfn, "_GRID_BLOCK_CELLS", 3)
+        ga.write_grid_csv(f, tmp_path / "blocks.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
     g = ga.read_grid_csv(tmp_path / "fast.csv")
     assert g.values.tobytes() == f.values.tobytes()  # bit-exact, signed zeros included
 

@@ -9,7 +9,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
 import grandamalgam as ga
-from grandamalgam import cli, norms
+from grandamalgam import cli, gridfn, norms
 from grandamalgam.amalgam import _window_blocks
 from grandamalgam.norms import EpsGrid, _grand_scan
 
@@ -373,7 +373,7 @@ def test_grid_block_size_changes_no_bit(monkeypatch, cells_per_block):
         absw, aw = random_block(rng, 9, 21)
         want = _grand_scan(absw, aw, gp, 0.1)
         with monkeypatch.context() as patch:
-            patch.setattr(norms, "_GRID_BLOCK_CELLS", cells_per_block)
+            patch.setattr(gridfn, "_GRID_BLOCK_CELLS", cells_per_block)
             got = _grand_scan(absw, aw, gp, 0.1)
         for a, b in zip(want, got):
             assert np.array_equal(a, b)
@@ -525,11 +525,11 @@ def test_long_rows_stream_through_ragged_cell_chunks(variant):
     1e+-30 and the grandizer across 1e+-300: every curve row, the maximizer's
     included, is the fsum of its terms to 1e-13 and the rounding of ln S.  A curve
     with a grid norm past float range (full weighting at p = 3) is an error."""
-    cells = 3 * norms._GRID_BLOCK_CELLS + 5
+    cells = 3 * gridfn._GRID_BLOCK_CELLS + 5
     rng = np.random.default_rng(17)
     dom = ga.BoxDomain(0.0, 1.0, cells)
     absf = 10.0 ** rng.uniform(-30.0, 30.0, cells)
-    absf[norms._GRID_BLOCK_CELLS : 2 * norms._GRID_BLOCK_CELLS] = 0.0
+    absf[gridfn._GRID_BLOCK_CELLS : 2 * gridfn._GRID_BLOCK_CELLS] = 0.0
     a = 10.0 ** rng.uniform(-300.0, 300.0, cells)
     compared = 0
     for p in (1.5, 3.0):
@@ -552,7 +552,7 @@ def test_long_rows_stream_through_ragged_cell_chunks(variant):
 
 def _chunked(monkeypatch, cells_per_chunk, run):
     with monkeypatch.context() as patch:
-        patch.setattr(norms, "_GRID_BLOCK_CELLS", cells_per_chunk)
+        patch.setattr(gridfn, "_GRID_BLOCK_CELLS", cells_per_chunk)
         return run()
 
 
@@ -569,6 +569,17 @@ def test_chunked_rows_agree_with_one_chunk(monkeypatch):
         assert inner == pytest.approx(inner_want, rel=1e-14, abs=0.0)
     lp = _chunked(monkeypatch, 100, lambda: ga.weighted_lp_norm(f, 3.0, gp.grandizer))
     assert lp == pytest.approx(ga.weighted_lp_norm(f, 3.0, gp.grandizer), rel=1e-14, abs=0.0)
+
+    # An interior maximum on a row of ten chunks, one all zero: Newton's passes rebuild the
+    # chunks they sum, and find the maximizer of one chunk.
+    g = ga.build(dom, lambda x: np.where((x > 0.5) & (x < 0.6), 0.0, np.exp(-40.0 * (x - 0.3) ** 2)))
+    assert not g.values[500:600].any()
+    gp = ga.GrandParams(3.0, ga.weight_from(dom, lambda x: np.exp(-3.0 * x)))
+    want = ga.grand_norm(g, gp)
+    got = _chunked(monkeypatch, 100, lambda: ga.grand_norm(g, gp))
+    assert want.argmax_eps not in gp.eps_grid.values
+    assert got.argmax_eps == pytest.approx(want.argmax_eps, rel=1e-8, abs=0.0)
+    assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
 
     dom2 = ga.BoxDomain((0.0, 0.0), (1.0, 1.0), (48, 48))
     f2 = make_random_function(dom2, 5)
@@ -600,21 +611,21 @@ def _long_row():
 
 
 def test_grand_norm_of_a_long_row_allocates_little_beyond_its_log_form():
-    """On 2^18 cells the log form owns two rows, |f| (which becomes ln g, then A) and B,
-    and the scan streams each row through chunk buffers: the traced peak rises by those
-    two rows and the log form's mask, an eighth of a row, under 2.5 rows in all."""
+    """On 2^18 cells the log form keeps ln m and builds each chunk's A and B when asked, and
+    the scan and the Newton passes stream them through chunk buffers: the traced peak is a
+    few chunks of 2^14 cells, under half a row."""
     f, a = _long_row()
     gp = ga.GrandParams(2.0, a)
-    assert _traced_rows(lambda: ga.grand_norm(f, gp), f.domain.size) < 2.5
+    assert _traced_rows(lambda: ga.grand_norm(f, gp), f.domain.size) < 0.5
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_weighted_lp_norm_of_a_long_row_allocates_little_beyond_its_log_form(weighted):
-    """weighted_lp_norm runs the same log form, once: under 2.5 rows on 2^18 cells, with
+    """weighted_lp_norm runs the same log form, once: under half a row on 2^18 cells, with
     a weight or without."""
     f, w = _long_row()
     w = w if weighted else None
-    assert _traced_rows(lambda: ga.weighted_lp_norm(f, 3.0, w), f.domain.size) < 2.5
+    assert _traced_rows(lambda: ga.weighted_lp_norm(f, 3.0, w), f.domain.size) < 0.5
 
 
 def _log_form_block(rng, rows, cells, kind):
@@ -644,22 +655,29 @@ def _log_form_block(rng, rows, cells, kind):
     st.booleans(),
     st.floats(1.2, 6.0),
     st.integers(0, 10_000),
+    st.integers(1, 10),
 )
-def test_log_form_of_samples_is_the_log_form_of_their_moduli(rows, cells, kind, complex_, weighted, p, seed):
-    """The log form takes real or complex samples: bit for bit what it gives on their
-    moduli, and the block it is given, which may be a view of the caller's array, is
-    left as it was."""
+def test_log_form_of_samples_is_the_log_form_of_their_moduli(rows, cells, kind, complex_, weighted, p, seed, width):
+    """The log form takes real or complex samples: in every chunk of ``width`` cells, and for
+    a selection of its rows, bit for bit what it gives on their moduli.  The block it is
+    given, which may be a view of the caller's array, is left as it was."""
     rng = np.random.default_rng(seed)
     samples, a = _log_form_block(rng, rows, cells, kind)
     if complex_:
         samples = samples * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, samples.shape))
     a = a if weighted else None
     before = samples.copy()
-    got = norms._log_form(samples, p, a, p)
-    want = norms._log_form(np.abs(samples), p, a, p)
+    sel = np.flatnonzero(rng.random(len(samples)) < 0.5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gridfn, "_GRID_BLOCK_CELLS", width)
+        got, want = norms._LogForm(samples, p, a, p), norms._LogForm(np.abs(samples), p, a, p)
+        assert len(got.chunks) == -(-samples.shape[1] // width)
+        for g, w in ((got, want), (got.select(sel), want.select(sel))):
+            assert g.lnm.tobytes() == w.lnm.tobytes()
+            for cut in g.chunks:
+                for x, y in zip(g.chunk(cut), w.chunk(cut), strict=True):
+                    assert x.dtype == y.dtype == np.float64 and x.tobytes() == y.tobytes()
     assert samples.dtype == before.dtype and samples.tobytes() == before.tobytes()
-    for g, w in zip(got, want, strict=True):
-        assert g.dtype == w.dtype == np.float64 and g.tobytes() == w.tobytes()
 
 
 def test_norms_past_float_range_are_errors():

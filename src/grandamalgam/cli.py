@@ -1,12 +1,23 @@
-"""Command-line front end: validated run configurations and report emission.
+"""Command-line front end: run configurations, resolved once, and report emission.
 
 A run is a :class:`RunConfig`, from argv or a ``key = value`` config file.
 ``_PARAMS`` declares each subcommand's keys and defaults, ``_KINDS`` each key's
 kind (float, int, allowed words, or a sampler spec).  The config-file keys, the
-``--flag`` of each key (``eps_count`` is ``--eps-count``), the help and the
-validation all come from them, so a bad flag or value is reported by its name
-before any computation.  Outputs carry 17 significant digits, so identical
-configurations give identical files.
+``--flag`` of each key (``eps_count`` is ``--eps-count``) and the help all come
+from them.
+
+One pass, :func:`_resolve`, turns each parameter into its value once: numbers by
+``_KINDS``, the box, each sampler spec, the epsilon grid, the window, the radius set
+and the probe points.  The library object a value builds checks its rules: grand
+p > 1 with p - 1 exact and theta > 0 (``GrandParams``), eps_count and eps_min
+(``EpsGrid``), classical p >= 1 (``ClassicalSpace``), window side and stride
+(``WindowSpec``) and check names (``verify``); its ``ValueError`` becomes a
+configuration error that names the key.  The values that need the input's grid
+(the weights and the stages on them, the window's stride, the radii and the probes)
+are checked on the box of a sampler input before it is sampled, and on the grid of a
+CSV input when it is read.  So a bad flag or value is reported by its name before
+any computation.  Outputs carry 17 significant digits, so identical configurations
+give identical files.
 Exit codes: 0 success, 1 any FAIL verdict, 2 configuration error.
 """
 
@@ -28,16 +39,16 @@ from .amalgam import (
     control_function,
     write_control_csv,
 )
-from .gridfn import BoxDomain, GridFunction, Weight, _SAMPLERS, build, read_grid_csv, weight_from
+from .gridfn import BoxDomain, GridFunction, _SAMPLERS, build, read_grid_csv, weight_from
 from .maximal import RadiusSet, _sample_profile, maximal_fast, write_maximal_csv
 from .norms import EpsGrid, GrandParams, Variant, grand_norm, weighted_lp_norm, write_norm_csv
 from .reporting import write_check_csv, write_check_json, write_csv, write_json
 from . import verify as verify_mod
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "emit_config", "run", "main"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
 # The parameter table, part one.  Per subcommand: every accepted ``param.``
-# key and its default string.
+# key and its default string; a key whose default is empty may be left empty.
 _PARAMS = {
     "norm": {"p": "2", "w": "const:1", "box": "0,1", "cells": "64"},
     "grand": {
@@ -121,6 +132,12 @@ _TOP_KEYS = ("subcommand", "input", "output_dir", "seed")
 
 
 def parse_config(text: str) -> RunConfig:
+    """The configuration of a config file's ``text``, checked by :func:`validate_config`."""
+    return validate_config(_read_config(text))
+
+
+def _read_config(text: str) -> RunConfig:
+    """The configuration that ``text`` states, with no value checked but the seed."""
     top: dict[str, str] = {}
     params: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -145,14 +162,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("missing required keys: subcommand")
     if "seed" in top:
         top["seed"] = _seed(top["seed"])
-    config = RunConfig(parameters=params, **top)
-    return validate_config(config)
-
-
-def emit_config(config: RunConfig) -> str:
-    lines = [f"{key} = {getattr(config, key)}" for key in _TOP_KEYS]
-    lines += [f"param.{key} = {config.parameters[key]}" for key in sorted(config.parameters)]
-    return "\n".join(lines) + "\n"
+    return RunConfig(parameters=params, **top)
 
 
 def _seed(text) -> int:
@@ -175,6 +185,15 @@ def _number(params: dict, key: str):
     return value
 
 
+def _made(key: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a library object whose ``ValueError`` is a configuration
+    error of ``param.<key>``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"param.{key}: {exc}") from None
+
+
 def _parse_floats(text: str, label: str) -> list[float]:
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -183,45 +202,6 @@ def _parse_floats(text: str, label: str) -> list[float]:
     if not all(map(math.isfinite, vals)):
         raise ConfigError(f"{label}: expected finite numbers, got {text!r}")
     return vals
-
-
-def _probe_points(params: dict, domain: BoxDomain, what: str) -> list[float]:
-    """The probe points, each checked against the 1-D ``domain``, a ``what``."""
-    if domain.ndim != 1:
-        raise ConfigError(f"param.probe: probe points need a 1-D {what}")
-    points = _parse_floats(params["probe"], "param.probe")
-    (lo,), (up,) = domain.lower, domain.upper
-    for x in points:
-        if not lo <= x <= up:
-            raise ConfigError(f"param.probe: point {x} outside the {what} [{lo}, {up}]")
-    return points
-
-
-def _explicit_radii(params: dict) -> RadiusSet | None:
-    """The comma list of ``param.radii`` as a radius set; None for 'full' or 'dyadic'."""
-    if params["radii"] in ("full", "dyadic"):
-        return None
-    try:
-        radii = tuple(int(tok) for tok in params["radii"].split(","))
-    except ValueError:
-        raise ConfigError("param.radii: 'full', 'dyadic', or positive integers") from None
-    try:
-        return RadiusSet(radii, params["include_center"] == "true")
-    except ValueError as exc:  # a radius below one cell, or a repeated one
-        raise ConfigError(f"param.radii: {exc}") from None
-
-
-def _radius_set(params: dict, domain: BoxDomain) -> RadiusSet:
-    """``param.radii`` on ``domain``, whose extent bounds explicit radii."""
-    rs = _explicit_radii(params)
-    if rs is None:
-        named = RadiusSet.full if params["radii"] == "full" else RadiusSet.dyadic
-        return named(domain, params["include_center"] == "true")
-    try:
-        rs.validate_for(domain)
-    except ValueError as exc:
-        raise ConfigError(f"param.radii: {exc}") from None
-    return rs
 
 
 def _parse_cells(params: dict, ndim: int) -> tuple[int, ...]:
@@ -239,8 +219,23 @@ def _parse_cells(params: dict, ndim: int) -> tuple[int, ...]:
     return cells
 
 
+def _domain_from(params: dict) -> BoxDomain:
+    vals = _parse_floats(params["box"], "param.box")
+    if len(vals) not in (2, 4):
+        raise ConfigError("param.box: expected 'lo,up' or 'lo0,up0,lo1,up1'")
+    return _made("box", BoxDomain, vals[0::2], vals[1::2], _parse_cells(params, len(vals) // 2))
+
+
 def validate_config(config: RunConfig) -> RunConfig:
-    """Fill defaults and check every invariant before any computation."""
+    """``config`` with its defaults filled in, once :func:`_resolve` has checked its values;
+    for a CSV input, those that need its grid are checked when :func:`run` reads it."""
+    return _resolve(config)[0]
+
+
+def _resolve(config: RunConfig) -> tuple[RunConfig, dict]:
+    """``config`` with its defaults filled in, and the value of each of its parameters,
+    each resolved once and checked by the library object it builds.  A sampler input's
+    values on its box are there too; a CSV input's come when it is read (:func:`_load_input`)."""
     sub = config.subcommand
     if sub not in SUBCOMMANDS:
         raise ConfigError(f"subcommand: expected one of {', '.join(SUBCOMMANDS)}, got {sub!r}")
@@ -250,17 +245,15 @@ def validate_config(config: RunConfig) -> RunConfig:
     params = {**_PARAMS[sub], **config.parameters}
     config = replace(config, parameters=params)
 
-    box = None  # a CSV's grid is known on load; the checks on the grid run there
+    values = {}
     if sub != "verify":
         if not config.input:
             raise ConfigError("input: required (a built-in sampler spec or a grid CSV path)")
-        box = _domain_from(params)
+        values["box"] = _domain_from(params)
         if not _is_csv(config.input):
-            make_sampler(config.input, box.ndim)
+            values["input"] = make_sampler(config.input, values["box"].ndim)
         elif not Path(config.input).exists():
             raise ConfigError(f"input: file not found: {config.input}")
-        else:
-            box = None
 
     for key, kind in _KINDS.items():
         if key not in params or kind == "sampler":
@@ -269,77 +262,90 @@ def validate_config(config: RunConfig) -> RunConfig:
             if params[key] not in kind:
                 words = " or ".join(repr(word) for word in kind)
                 raise ConfigError(f"param.{key}: expected {words}")
-        elif params[key] != "":
-            _number(params, key)
+        elif params[key] or _PARAMS[sub][key]:
+            values[key] = _number(params, key)
 
-    def above(key: str, bound: float) -> float:
-        v = _number(params, key)
-        if not v > bound:
-            raise ConfigError(f"param.{key}: invariant {key} > {bound} violated by {v}")
-        return v
-
-    def grand_exponent(key: str) -> float:
-        v = above(key, 1.0)
-        if v - (v - 1.0) != 1.0:  # as GrandParams: the grid's last eps, p - 1, must be exact
-            raise ConfigError(f"param.{key}: {v} - 1 is not exact in float64; need at most 2**53")
-        return v
-
-    def classical_exponent(key: str) -> None:
-        if above(key, 0.0) < 1.0:
-            raise ConfigError(f"param.{key}: invariant {key} >= 1 violated")
-
-    if sub == "norm":
-        classical_exponent("p")
-    elif sub == "grand":
-        top = grand_exponent("p") - 1.0
-        above("theta", 0.0)
-        if _number(params, "eps_count") < 2:
-            raise ConfigError("param.eps_count: need at least 2")
-        eps_min = _number(params, "eps_min") if params["eps_min"] else None
-        if eps_min is not None and not 0.0 < eps_min < top:
-            raise ConfigError(f"param.eps_min: need 0 < eps_min < p - 1 = {top}, got {eps_min}")
-    elif sub == "amalgam":
-        for key, stage in (("p", "local"), ("q", "global")):
-            if params[stage] == "grand":
-                grand_exponent(key)
-            else:
-                classical_exponent(key)
-        above("theta", 0.0)
-        if _number(params, "window_side") < 1 or _number(params, "window_stride") < 1:
-            raise ConfigError("param.window_side/window_stride: need at least one cell")
+    if sub == "amalgam":  # a tiling window first, so that a bad side is told from a bad stride
+        window = _made("window_side", WindowSpec, values["window_side"], values["window_side"])
+        values["window"] = _made("window_stride", replace, window, stride_cells=values["window_stride"])
     elif sub == "maximal":
-        _explicit_radii(params)
+        if params["radii"] not in ("full", "dyadic"):
+            try:
+                radii = tuple(int(tok) for tok in params["radii"].split(","))
+            except ValueError:
+                raise ConfigError("param.radii: 'full', 'dyadic', or positive integers") from None
+            values["radii"] = _made("radii", RadiusSet, radii, params["include_center"] == "true")
+        if params["probe"]:
+            values["probe"] = _parse_floats(params["probe"], "param.probe")
     elif sub == "verify":
         if config.seed < 0:
             raise ConfigError(f"seed: expected a non-negative integer, got {config.seed}")
-        if _parse_cells(params, 1)[0] < 16:
+        values["cells"] = _parse_cells(params, 1)[0]
+        if values["cells"] < 16:
             raise ConfigError("param.cells: verify needs at least 16 cells")
-        if params["checks"] != "all":
-            names = [n.strip() for n in params["checks"].split(",")]
-            unknown = [n for n in names if n not in verify_mod.CHECK_NAMES]
-            if unknown:
-                raise ConfigError(f"param.checks: unknown check(s) {', '.join(unknown)}")
-    if box is not None:
-        _on_grid(params, box, "box")
-    return config
+        names = None if params["checks"] == "all" else [n.strip() for n in params["checks"].split(",")]
+        values["checks"] = _made("checks", verify_mod._checks_named, names)
+
+    if "input" in values:  # a sampler input, whose grid is the box
+        values.update(_on_grid(config, values, values["box"], "box"))
+    return config, values
 
 
-def _on_grid(params: dict, domain: BoxDomain, what: str) -> dict:
-    """The values of ``params`` that depend on the grid, checked against ``domain``, a
-    ``what``: the weight specs as samplers, the window, the radius set and the probe
-    points, by key ("radii" and "probe" for the last two).  Errors name their key."""
+def _on_grid(config: RunConfig, values: dict, domain: BoxDomain, what: str) -> dict:
+    """The values of ``config`` that need the grid, on ``domain``, a ``what``: each weight
+    spec's weight by its key, the stages on them ("space", or amalgam's "spec" with its
+    window), and maximal's named radius set ("radii"); an explicit one and the probe points
+    are checked against ``domain``."""
+    sub, params = config.subcommand, config.parameters
     out = {
-        key: make_sampler(params[key], domain.ndim, f"param.{key}")
+        key: _made(key, weight_from, domain, make_sampler(params[key], domain.ndim, f"param.{key}"))
         for key, kind in _KINDS.items()
         if kind == "sampler" and key in params
     }
-    if "window_side" in params:
-        out["window"] = _window(params, domain)
-    if "radii" in params:
-        out["radii"] = _radius_set(params, domain)
-        if params["probe"]:
-            out["probe"] = _probe_points(params, domain, what)
+    if sub == "norm":
+        out["space"] = _stage("classical", "p", values, out["w"])
+    elif sub == "grand":
+        stage = _stage("grand", "p", values, out["a"])
+        make = EpsGrid.geometric if params["eps_mode"] == "geometric" else EpsGrid.linear
+        eps = _made("eps_count", make, stage.p, values["eps_count"])
+        if "eps_min" in values:  # with a count that is known good, only eps_min can be at fault
+            eps = _made("eps_min", make, stage.p, values["eps_count"], values["eps_min"])
+        out["space"] = replace(stage, variant=Variant(params["variant"]), eps_grid=eps)
+    elif sub == "amalgam":
+        out["spec"] = AmalgamSpec(
+            local_space=_stage(params["local"], "p", values, out["a"]),
+            global_space=_stage(params["global"], "q", values, out["b"]),
+            window=_made("window_stride", _window_on, domain, values["window"]),
+        )
+    elif sub == "maximal":
+        if "radii" in values:
+            _made("radii", values["radii"].validate_for, domain)
+        else:
+            named = RadiusSet.full if params["radii"] == "full" else RadiusSet.dyadic
+            out["radii"] = named(domain, params["include_center"] == "true")
+        if "probe" in values:
+            _check_probes(values["probe"], domain, what)
     return out
+
+
+def _stage(kind: str, key: str, values: dict, weight) -> ClassicalSpace | GrandParams:
+    """The ``kind`` stage of exponent ``key`` on ``weight``; a grand one gets theta only once
+    its exponent is checked, so that each error names its key.  Its epsilon grid and
+    variant are the library's defaults."""
+    if kind == "classical":
+        return _made(key, ClassicalSpace, values[key], weight)
+    stage = _made(key, GrandParams, values[key], weight)
+    return _made("theta", replace, stage, theta=values["theta"])
+
+
+def _check_probes(points: list[float], domain: BoxDomain, what: str) -> None:
+    """Each probe point checked against the 1-D ``domain``, a ``what``."""
+    if domain.ndim != 1:
+        raise ConfigError(f"param.probe: probe points need a 1-D {what}")
+    (lo,), (up,) = domain.lower, domain.upper
+    for x in points:
+        if not lo <= x <= up:
+            raise ConfigError(f"param.probe: point {x} outside the {what} [{lo}, {up}]")
 
 
 # ----------------------------------------------------------------------------
@@ -366,35 +372,18 @@ def _is_csv(text: str) -> bool:
     return Path(text).suffix == ".csv"
 
 
-def _load_input(config: RunConfig) -> GridFunction:
-    """The input as a grid function; a sampled one that is zero at every cell center,
-    which no grid could tell from the zero function, is an error unless it is constant."""
+def _load_input(config: RunConfig, values: dict) -> GridFunction:
+    """The input as a grid function; a CSV input's values on its grid go into ``values``.
+    A sampled input that is zero at every cell center, which no grid could tell from the
+    zero function, is an error unless it is constant."""
     if _is_csv(config.input):
-        return read_grid_csv(config.input)
-    domain = _domain_from(config.parameters)
-    f = build(domain, make_sampler(config.input, domain.ndim))
+        f = read_grid_csv(config.input)
+        values.update(_on_grid(config, values, f.domain, "grid"))
+        return f
+    f = build(values["box"], values["input"])
     if not f.values.any() and config.input.partition(":")[0] != "const":
         raise ConfigError(f"input: {config.input} is zero at every cell center of the box")
     return f
-
-
-def _domain_from(params: dict) -> BoxDomain:
-    vals = _parse_floats(params["box"], "param.box")
-    if len(vals) not in (2, 4):
-        raise ConfigError("param.box: expected 'lo,up' or 'lo0,up0,lo1,up1'")
-    cells = _parse_cells(params, len(vals) // 2)
-    try:
-        return BoxDomain(vals[0::2], vals[1::2], cells)
-    except ValueError as exc:  # lower >= upper on an axis
-        raise ConfigError(f"param.box: {exc}") from None
-
-
-def _window(params: dict, domain: BoxDomain) -> WindowSpec:
-    window = WindowSpec(_number(params, "window_side"), _number(params, "window_stride"))
-    try:
-        return _window_on(domain, window)
-    except ValueError as exc:  # a stride longer than the box
-        raise ConfigError(f"param.window_stride: {exc}") from None
 
 
 # ----------------------------------------------------------------------------
@@ -406,46 +395,22 @@ def _window(params: dict, domain: BoxDomain) -> WindowSpec:
 # files: each file's name and the writer that takes the file's path.
 
 
-def _run_norm(params: dict, f: GridFunction, grid: dict):
-    p = _number(params, "p")
-    value = weighted_lp_norm(f, p, grid["w"])
-    return 0, {"norm_summary.json": lambda path: write_json(path, {"value": value, "p": p})}
+def _run_norm(params: dict, values: dict, f: GridFunction):
+    space = values["space"]
+    value = weighted_lp_norm(f, space.p, space.weight)
+    return 0, {"norm_summary.json": lambda path: write_json(path, {"value": value, "p": space.p})}
 
 
-def _grand_params_from(params: dict, grandizer: Weight) -> GrandParams:
-    p = _number(params, "p")
-    grid_factory = EpsGrid.geometric if params["eps_mode"] == "geometric" else EpsGrid.linear
-    min_eps = _number(params, "eps_min") if params["eps_min"] else None
-    grid = grid_factory(p, count=_number(params, "eps_count"), min_eps=min_eps)
-    return GrandParams(
-        p=p,
-        grandizer=grandizer,
-        theta=_number(params, "theta"),
-        variant=Variant.EXPONENT_OVER_P if params["variant"] == "over_p" else Variant.EXPONENT_FULL,
-        eps_grid=grid,
-    )
-
-
-def _run_grand(params: dict, f: GridFunction, grid: dict):
-    report = grand_norm(f, _grand_params_from(params, grid["a"]))
+def _run_grand(params: dict, values: dict, f: GridFunction):
+    report = grand_norm(f, values["space"])
     return 0, {
         "grand_curve.csv": lambda path: write_norm_csv(report, path),
         "grand_summary.json": lambda path: write_json(path, report.summary()),
     }
 
 
-def _run_amalgam(params: dict, f: GridFunction, grid: dict):
-    def space(kind: str, exponent_key: str, weight_key: str):
-        exponent = _number(params, exponent_key)
-        if kind == "grand":  # the library's default epsilon grid and variant
-            return GrandParams(exponent, grid[weight_key], _number(params, "theta"))
-        return ClassicalSpace(exponent, grid[weight_key])
-
-    spec = AmalgamSpec(
-        local_space=space(params["local"], "p", "a"),
-        global_space=space(params["global"], "q", "b"),
-        window=grid["window"],
-    )
+def _run_amalgam(params: dict, values: dict, f: GridFunction):
+    spec = values["spec"]
     cf = control_function(f, spec.local_space, spec.window)
     report = amalgam_norm(f, spec, control=cf)
     summary = report.summary()
@@ -463,8 +428,8 @@ def _run_amalgam(params: dict, f: GridFunction, grid: dict):
     }
 
 
-def _run_maximal(params: dict, f: GridFunction, grid: dict):
-    rs = grid["radii"]
+def _run_maximal(params: dict, values: dict, f: GridFunction):
+    rs = values["radii"]
     result = maximal_fast(f, rs)
     summary = {
         "radii": params["radii"],
@@ -472,20 +437,17 @@ def _run_maximal(params: dict, f: GridFunction, grid: dict):
         "max_value": float(np.max(result.mf.values)),
     }
     files = {"maximal.csv": lambda path: write_maximal_csv(result, path)}
-    if params["probe"]:
-        probes = _sample_profile(result, grid["probe"])
+    if "probe" in values:
+        probes = _sample_profile(result, values["probe"])
         files["probes.csv"] = lambda path: write_csv(path, ["x", "mf"], probes)
         summary["probes"] = [{"x": x, "mf": v} for x, v in probes]
     files["maximal_summary.json"] = lambda path: write_json(path, summary)
     return 0, files
 
 
-def _run_verify(config: RunConfig):
-    params = config.parameters
-    wanted = params["checks"]
-    names = None if wanted == "all" else [n.strip() for n in wanted.split(",")]
-    cells = _parse_cells(params, 1)[0]
-    results = verify_mod.run_all_checks(seed=config.seed, cells=cells, names=names)
+def _run_verify(config: RunConfig, values: dict):
+    cells = values["cells"]
+    results = verify_mod.run_all_checks(seed=config.seed, cells=cells, names=values["checks"])
     files = {}
     for result in results:
         files[f"{result.name}.json"] = lambda path, r=result: write_check_json(r, path)
@@ -500,23 +462,18 @@ def _run_verify(config: RunConfig):
 
 
 def run(config: RunConfig) -> int:
-    """Execute a validated configuration; returns the process exit code.  Everything is
-    computed before the output directory is made, so a run that fails makes none."""
-    config = validate_config(config)
+    """Execute ``config``; returns the process exit code.  Its values are resolved once
+    (:func:`_resolve`), and everything is computed before the output directory is made,
+    so a run that fails makes none."""
+    config, values = _resolve(config)
     if config.subcommand == "verify":
-        code, files = _run_verify(config)
+        code, files = _run_verify(config, values)
     else:
         # Everything that can fail on the input's grid fails before the run computes.
-        f = _load_input(config)
-        grid = _on_grid(config.parameters, f.domain, "grid")
-        for key in [k for k in grid if _KINDS.get(k) == "sampler"]:
-            try:
-                grid[key] = weight_from(f.domain, grid[key])
-            except ValueError as exc:  # a value that is not positive, found only when sampled
-                raise ConfigError(f"param.{key}: {exc}") from None
+        f = _load_input(config, values)
         runner = {"norm": _run_norm, "grand": _run_grand, "amalgam": _run_amalgam, "maximal": _run_maximal}
         try:
-            code, files = runner[config.subcommand](config.parameters, f, grid)
+            code, files = runner[config.subcommand](config.parameters, values, f)
         except ValueError as exc:  # what is left to fail is the input itself: a norm past float range
             raise ConfigError(f"input: {exc}") from None
     outdir = Path(config.output_dir)
@@ -605,7 +562,7 @@ def _config_from_argv(argv: list) -> RunConfig | None:
         path = given.get("config", "")
         if not Path(path).is_file():
             raise ConfigError(f"--config: expected a config file, got {path!r}")
-        return parse_config(Path(path).read_text())
+        return _read_config(Path(path).read_text())
     checks = given.pop("check", None)
     if checks and given.get("checks") != "all":
         given["checks"] = ",".join(checks)

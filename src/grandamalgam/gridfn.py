@@ -191,8 +191,9 @@ class GridFunction:
         dtype = np.complex128 if np.iscomplexobj(vals) else np.float64
         vals = _frozen(vals, dtype, self.domain.shape)
         if not np.all(np.isfinite(vals)):
-            bad = np.argwhere(~np.isfinite(vals))[0]
-            raise ValueError(f"non-finite sample at cell {tuple(int(i) for i in bad)}")
+            cell = tuple(int(i) for i in np.argwhere(~np.isfinite(vals))[0])
+            center = tuple(float(self.domain.axis_centers(d)[i]) for d, i in enumerate(cell))
+            raise ValueError(f"non-finite sample at cell {cell} (center {center})")
         object.__setattr__(self, "values", vals)
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
@@ -237,7 +238,7 @@ def build(domain: BoxDomain, sampler: Callable) -> GridFunction:
     per axis (the slab's cell-center mesh, the bits of ``center_mesh``).  If that raises or
     gives neither a scalar nor the slab's shape, it is called cell by cell with one scalar
     coordinate per axis.  Each slab is written into one read-only array, complex once a
-    slab is; a non-finite sample is an error that names its cell and center.
+    slab is; :class:`GridFunction` rejects a non-finite sample by its cell and center.
     """
     shape, h = domain.shape, domain.spacing[0]
     tail = [domain.axis_centers(d) for d in range(1, domain.ndim)]
@@ -248,11 +249,6 @@ def build(domain: BoxDomain, sampler: Callable) -> GridFunction:
         head = domain.lower[0] + (np.arange(start, stop) + 0.5) * h
         mesh = tuple(np.meshgrid(head, *tail, indexing="ij")) if tail else (head,)
         slab = _sample_slab(sampler, mesh, (stop - start, *shape[1:]))
-        if not np.all(np.isfinite(slab)):
-            bad = tuple(int(i) for i in np.argwhere(~np.isfinite(slab))[0])
-            center = tuple(float(m[bad]) for m in mesh)
-            cell = (bad[0] + start, *bad[1:])
-            raise ValueError(f"sampler returned a non-finite value at cell {cell} (center {center})")
         if np.iscomplexobj(slab) and not np.iscomplexobj(out):
             out = out.astype(np.complex128)
         out[start:stop] = slab
@@ -444,21 +440,24 @@ def read_grid_csv(path) -> GridFunction:
     of 0..N-1 exactly once, and every row's coordinates must be the center
     of the cell its index names (C order in 2-D).
     """
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty grid CSV")
-    header = lines[0].split(",")
-    ndim = len(header) - 3
-    if header[0] != "index" or ndim not in (1, 2):
-        raise ValueError(f"{path}: unrecognized grid CSV header {header!r}")
-    table = [ln.split(",") for ln in lines[1:]]
-    for lineno, row in enumerate(table, start=2):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: line {lineno} has {len(row)} fields, expected {len(header)}")
-    try:
-        data = np.array(table, dtype=np.float64).reshape(len(table), len(header))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    with Path(path).open() as lines:
+        first = next((ln for ln in lines if ln.strip()), None)
+        if first is None:
+            raise ValueError(f"{path}: empty grid CSV")
+        header = first.rstrip("\r\n").split(",")
+        ndim = len(header) - 3
+        if header[0] != "index" or ndim not in (1, 2):
+            raise ValueError(f"{path}: unrecognized grid CSV header {header!r}")
+        try:
+            with warnings.catch_warnings():  # a header alone is no data, and fails below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if data.size == 0:
+        data = data.reshape(0, len(header))
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: rows have {data.shape[1]} fields, expected {len(header)}")
     index = data[:, 0]
     if not np.array_equal(index, np.floor(index)):
         bad = index[np.flatnonzero(index != np.floor(index))[0]]

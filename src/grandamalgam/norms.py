@@ -93,7 +93,7 @@ class EpsGrid:
         if min_eps is None:
             min_eps = top * DEFAULT_EPS_MIN_FRACTION
         if not 0.0 < min_eps < top:
-            raise ValueError("need 0 < min_eps < p - 1")
+            raise ValueError(f"need 0 < min_eps < p - 1 = {top}, got {min_eps}")
         return min_eps, top
 
     @staticmethod

@@ -743,16 +743,22 @@ def _grand_pair(domain: BoxDomain, window: WindowSpec) -> AmalgamSpec:
     return _grand_pair_spec(2.0, 2.0, w, w, window)
 
 
+def _checks_named(names: Sequence[str] | None) -> tuple[str, ...]:
+    """The names of the battery's checks that ``names`` selects (all of them for None)."""
+    selected = CHECK_NAMES if names is None else tuple(names)
+    unknown = [n for n in selected if n not in _BATTERY]
+    if unknown:
+        raise ValueError(f"unknown check(s): {', '.join(unknown)}")
+    return selected
+
+
 def run_all_checks(seed: int = 7, cells: int = 256, names: Sequence[str] | None = None) -> list[CheckResult]:
     """The battery on the standard configuration, or a named subset of it.
 
     Domain [-8, 8] with ``cells`` cells, physical window of one unit sliding
     by half a unit, exponential grandizers; deterministic given (seed, cells).
     """
-    selected = CHECK_NAMES if names is None else tuple(names)
-    unknown = [n for n in selected if n not in _BATTERY]
-    if unknown:
-        raise ValueError(f"unknown check(s): {', '.join(unknown)}")
+    selected = _checks_named(names)
     dom = BoxDomain(-8.0, 8.0, cells)
     corpus = build_corpus(dom, seed)
     win = WindowSpec(max(1, cells // 16), max(1, cells // 32))

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import math
 import re
@@ -7,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grandamalgam as ga
-from grandamalgam import cli
-from grandamalgam.cli import ConfigError, RunConfig, emit_config, parse_config
+from grandamalgam import cli, gridfn
+from grandamalgam.cli import ConfigError, RunConfig, parse_config
 
 
 SAMPLE_CONFIG = """\
@@ -23,6 +26,13 @@ param.p = 2
 param.box = 0,1
 param.cells = 64
 """
+
+
+def emit_config(config: RunConfig) -> str:
+    """``config`` as a config file, in the canonical order of its keys."""
+    lines = [f"{key} = {getattr(config, key)}" for key in cli._TOP_KEYS]
+    lines += [f"param.{key} = {config.parameters[key]}" for key in sorted(config.parameters)]
+    return "\n".join(lines) + "\n"
 
 
 def test_parse_emit_round_trip():
@@ -231,7 +241,7 @@ def test_sampler_specs():
         (["grand", "--theta", "inf"], "param.theta: expected a finite number, got 'inf'"),
         (["grand", "--eps-min", "nan"], "param.eps_min: expected a finite number, got 'nan'"),
         (["grand", "--p", "1e999"], "param.p: expected a finite number, got '1e999'"),
-        (["grand", "--p", "2", "--eps-min", "1.5"], "param.eps_min: need 0 < eps_min < p - 1 = 1.0, got 1.5"),
+        (["grand", "--p", "2", "--eps-min", "1.5"], "param.eps_min: need 0 < min_eps < p - 1 = 1.0, got 1.5"),
         (["maximal", "--cells", "64", "--radii", "5000"],
          "param.radii: max radius 5000 exceeds the grid extent 64"),
         (["maximal", "--radii", "3,3"], "param.radii: radii must be distinct"),
@@ -565,6 +575,168 @@ def test_maximal_probe_reuses_the_maximal_function(tmp_path, monkeypatch):
     want = ga.maximal_tail_profile(chi, ga.RadiusSet.full(dom), [2.0, 4.0, -7.5])
     summary = json.loads((out / "maximal_summary.json").read_text())
     assert [(p["x"], p["mf"]) for p in summary["probes"]] == want
+
+
+def _spec(name: str, lower: list, upper: list) -> str:
+    """A spec of the sampler family ``name`` that is positive on the whole box."""
+    mid = [(lo + up) / 2 for lo, up in zip(lower, upper)]
+    width = max(up - lo for lo, up in zip(lower, upper))
+    args = {
+        "const": [1.5],
+        "indicator": [v for lo, up in zip(lower, upper) for v in (lo - 1.0, up + 1.0)],
+        "gaussian": [*mid, width],
+        "ramp": [lower[0] - width, upper[0] + 1.0],
+        "bump": [*mid, 2.0 * width],
+    }[name]
+    assert len(args) == gridfn._SAMPLERS[name][1](len(lower))
+    return f"{name}:" + ",".join(map(repr, args))
+
+
+@st.composite
+def _valid_run(draw):
+    """A valid norm, grand, amalgam or maximal run from the parameter tables, on a box of at
+    most 16 cells: its subcommand, its values by key ("input" for --f), and its box."""
+    sub = draw(st.sampled_from(["norm", "grand", "amalgam", "maximal"]))
+    ndim = draw(st.sampled_from([1, 2]))
+    cells = [draw(st.integers(2, 16))] if ndim == 1 else [draw(st.integers(2, 4)) for _ in range(2)]
+    lower = [float(draw(st.integers(-4, 4))) for _ in range(ndim)]
+    upper = [lo + draw(st.sampled_from([0.5, 1.0, 3.0])) for lo in lower]
+    families = [name for name, (_, count, _, _) in gridfn._SAMPLERS.items() if count(ndim) is not None]
+    given = {
+        "input": _spec(draw(st.sampled_from(families)), lower, upper),
+        "box": ",".join(repr(v) for pair in zip(lower, upper) for v in pair),
+        "cells": ",".join(map(str, cells)),
+    }
+    for key, kind in cli._KINDS.items():
+        if key not in cli._PARAMS[sub]:
+            continue
+        if isinstance(kind, tuple):
+            given[key] = draw(st.sampled_from(kind))
+        elif kind == "sampler":
+            given[key] = _spec(draw(st.sampled_from(families)), lower, upper)
+    grand = {"p": sub == "grand" or given.get("local") == "grand", "q": given.get("global") == "grand"}
+    for key in ("p", "q"):
+        if key in cli._PARAMS[sub]:
+            given[key] = repr(draw(st.floats(1.5 if grand[key] else 1.0, 4.0)))
+    if "theta" in cli._PARAMS[sub]:
+        given["theta"] = repr(draw(st.floats(0.25, 3.0)))
+    if sub == "grand":
+        given["eps_count"] = str(draw(st.integers(2, 40)))
+        fraction = draw(st.one_of(st.none(), st.floats(0.01, 0.9)))
+        given["eps_min"] = "" if fraction is None else repr((float(given["p"]) - 1.0) * fraction)
+    elif sub == "amalgam":
+        given["window_side"] = str(draw(st.integers(1, min(cells))))
+        given["window_stride"] = str(draw(st.integers(1, min(cells))))
+    elif sub == "maximal":
+        radii = draw(st.sampled_from(["full", "dyadic"]) | st.lists(st.integers(1, max(cells)), min_size=1,
+                                                                   max_size=3, unique=True).map(
+            lambda rs: ",".join(map(str, rs))))
+        given["radii"] = radii
+        if ndim == 1:
+            points = draw(st.lists(st.floats(lower[0], upper[0]), max_size=2))
+            given["probe"] = ",".join(map(repr, points))
+    return sub, given, (lower, upper, cells, grand)
+
+
+@st.composite
+def _one_bad_key_or_flag(draw):
+    """A valid run with one key or flag corrupted: its argv before --out, the argv after it,
+    and the key or flag that the error must name."""
+    sub, given, (lower, upper, cells, grand) = draw(_valid_run())
+    params = cli._PARAMS[sub]
+    flag = {key: "--f" if key == "input" else "--" + key.replace("_", "-") for key in ["input", *params]}
+    numbers = [key for key in params if cli._KINDS.get(key) in (int, float)]
+    cases = [(key, bad) for key in numbers for bad in ("x", "nan", "1e999")]
+    cases += [(key, "2.5") for key in numbers if cli._KINDS[key] is int]
+    cases += [(key, "bogus") for key in params if isinstance(cli._KINDS.get(key), tuple)]
+    cases += [(key, "x") for key in ("box", "cells", "radii", "probe") if key in params]
+    # a value just past its rule
+    cases += [(key, "1" if grand[key] else "0.99") for key in ("p", "q") if key in params]
+    if "theta" in params and (grand["p"] or grand["q"]):
+        cases.append(("theta", "0"))
+    if sub == "grand":
+        cases += [("eps_min", repr(float(given["p"]) - 1.0)), ("eps_count", "1")]
+    elif sub == "amalgam":
+        cases += [("window_side", "0"), ("window_stride", str(min(cells) + 1))]
+    elif sub == "maximal":
+        cases.append(("radii", f"1,{max(cells) + 1}"))
+        if len(lower) == 1:
+            cases.append(("probe", repr(upper[0] + 1.0)))
+    # a malformed or non-positive sampler spec
+    for key in ["input", *(k for k in params if cli._KINDS.get(k) == "sampler")]:
+        ndim = len(lower)
+        cases += [(key, "wat:1"), (key, "gaussian:" + ",".join(["1"] * (ndim + 2))),
+                  (key, "gaussian:" + ",".join(["0"] * (ndim + 1))), (key, "bump:" + ",".join(["0"] * ndim + ["-1"]))]
+        if key != "input":
+            cases.append((key, "const:0"))
+    others = {f for s in (*cli.SUBCOMMANDS, "run") for f in cli._flags(s)} - set(cli._flags(sub))
+    argv_cases = ["unknown flag", "flag of another subcommand", "dropped value"]
+    case = draw(st.sampled_from(cases + argv_cases))
+    tail = []
+    if case == "unknown flag":
+        name, tail = "--bogus", ["--bogus", "1"]
+    elif case == "flag of another subcommand":
+        name = draw(st.sampled_from(sorted(others)))
+        tail = [name, "1"]
+    elif case == "dropped value":
+        key = draw(st.sampled_from(sorted(given)))
+        del given[key]
+        name, tail = flag[key], [flag[key]]
+    else:
+        key, given[key] = case
+        name = "input" if key == "input" else f"param.{key}"
+    head = [sub, *(token for key, value in given.items() for token in (flag[key], value))]
+    return head, tail, name
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_one_bad_key_or_flag())
+def test_one_bad_key_or_flag_is_named_and_makes_no_output(tmp_path_factory, case):
+    head, tail, name = case
+    out = tmp_path_factory.mktemp("run") / "o"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([*head, "--out", str(out), *tail])
+    assert code == 2 and err.getvalue().startswith(f"config error: {name}:"), (head, tail, err.getvalue())
+    assert not out.exists()
+
+
+def _count_args(monkeypatch, name, pick=lambda args: None):
+    """Wrap ``cli.<name>``; returns the log of ``pick(args)`` per call."""
+    calls = []
+    original = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(pick(args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_a_run_resolves_each_value_once(tmp_path, monkeypatch):
+    """The box, each sampler spec and each number are resolved once per run, from argv or from
+    a config file; ``run --config`` resolves the file's configuration once."""
+    specs = {"input": "gaussian:0.5,0.2", "a": "bump:0.5,2", "b": "gaussian:0.5,1"}
+    numbers = {"p": "3", "q": "2.5", "theta": "2", "window_side": "8", "window_stride": "4"}
+    argv = ["amalgam", "--f", specs["input"], "--a", specs["a"], "--b", specs["b"],
+            *(token for key, value in numbers.items() for token in ("--" + key.replace("_", "-"), value))]
+    config = "".join(f"{k} = {v}\n" for k, v in
+                     {"subcommand": "amalgam", "input": specs["input"], "output_dir": tmp_path / "c"}.items())
+    config += "".join(f"param.{k} = {v}\n" for k, v in {**specs, **numbers}.items() if k != "input")
+    (tmp_path / "run.cfg").write_text(config)
+    for args in ([*argv, "--out", str(tmp_path / "a")], ["run", "--config", str(tmp_path / "run.cfg")]):
+        with monkeypatch.context() as patch:
+            samplers = _count_args(patch, "make_sampler", lambda a: a[0])
+            boxes = _count_args(patch, "_domain_from")
+            parsed = _count_args(patch, "_number", lambda a: a[1])
+            resolved = _count_args(patch, "_resolve")
+            assert cli.main(args) == 0
+        assert sorted(samplers) == sorted(specs.values())
+        assert len(boxes) == 1 and len(resolved) == 1
+        assert sorted(parsed) == sorted(numbers)
+    outputs = [{p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("a", "c")]
+    assert outputs[0] == outputs[1]
 
 
 def test_readme_examples_run(tmp_path):

@@ -439,3 +439,33 @@ def test_read_grid_csv_places_shuffled_rows_by_index(tmp_path):
     header, *rows = path.read_text().splitlines()
     path.write_text("\n".join([header] + rows[::-1]) + "\n")
     np.testing.assert_array_equal(ga.read_grid_csv(path).values, f.values)
+
+
+def test_read_grid_csv_holds_no_table_of_strings(tmp_path):
+    """16,384 rows are parsed as numbers straight from the file: the traced peak stays below
+    2 MiB, eight rows of float64, where a list of lines and one of field lists took 10 MiB."""
+    dom = ga.BoxDomain(-8.0, 8.0, 16384)
+    f = ga.build(dom, lambda x: np.exp(-x * x) + 1j * np.sin(x))
+    ga.write_grid_csv(f, tmp_path / "f.csv")
+    read = []
+    assert _traced_rows(lambda: read.append(ga.read_grid_csv(tmp_path / "f.csv")), dom.size) < 16
+    assert read[0].domain == dom and read[0].values.tobytes() == f.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("", "empty grid CSV"),
+        ("index,x0,re\n0,0.25,1\n", "unrecognized grid CSV header"),
+        ("index,x0,re,im\n", "need at least two cells per axis"),
+        # numpy's own words after the path
+        ("index,x0,re,im\n0,0.25,1,0\n1,0.75,abc,0\n", "'abc'"),
+        ("index,x0,re,im\n0,0.25,1,0\n1,0.75,2\n", "columns"),
+        ("index,x0,re,im\n0,0.25,1,0,5\n1,0.75,2,0,5\n", "rows have 5 fields, expected 4"),
+    ],
+)
+def test_read_grid_csv_errors_start_with_the_path(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(rows)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+        ga.read_grid_csv(path)

@@ -291,7 +291,7 @@ def test_eps_grid_constructors_share_one_check(mode, capsys, tmp_path):
     args = ["grand", "--f", "const:1", "--p", "2", "--eps-mode", mode, "--eps-min", "1.5",
             "--out", str(tmp_path / "o")]
     assert cli.main(args) == 2
-    assert capsys.readouterr().err == "config error: param.eps_min: need 0 < eps_min < p - 1 = 1.0, got 1.5\n"
+    assert capsys.readouterr().err == "config error: param.eps_min: need 0 < min_eps < p - 1 = 1.0, got 1.5\n"
     assert not (tmp_path / "o").exists()
 
 

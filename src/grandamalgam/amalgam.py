@@ -23,8 +23,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .gridfn import BoxDomain, GridFunction, Weight, _int_vector
 from .norms import (
+    ClassicalSpace,
     GrandParams,
     NormReport,
+    _check_eps,
     _classical_rows,
     _grand_form,
     _grand_report,
@@ -79,18 +81,6 @@ class WindowSpec:
             tuple(s * factor for s in self.side_cells),
             tuple(s * factor for s in self.stride_cells),
         )
-
-
-@dataclass(frozen=True)
-class ClassicalSpace:
-    """Weighted L^p local/global stage; ``weight=None`` means unweighted."""
-
-    p: float
-    weight: Weight | None = None
-
-    def __post_init__(self):
-        if not self.p >= 1.0:
-            raise ValueError(f"need p >= 1, got p = {self.p}")
 
 
 # A stage is classical weighted L^p, or grand: a grand stage is its GrandParams.
@@ -296,10 +286,8 @@ def mixed_norm_family(f: GridFunction, spec: AmalgamSpec, eps: float, eta: float
     windows, then at eta over the lattice, with b reduced to it.
     """
     lp, gq = _grand_stages(spec, "mixed_norm_family")
-    if not 0.0 < eps <= lp.p - 1.0 + 1e-12:
-        raise ValueError(f"eps = {eps} outside (0, p - 1] with p = {lp.p}")
-    if not 0.0 < eta <= gq.p - 1.0 + 1e-12:
-        raise ValueError(f"eta = {eta} outside (0, q - 1] with q = {gq.p}")
+    _check_eps(eps, lp.p)
+    _check_eps(eta, gq.p)
     dom = f.domain
     window = _window_on(dom, spec.window)
     _check_space_domain(spec.local_space, dom, "mixed_norm_family")

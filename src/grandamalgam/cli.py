@@ -8,16 +8,13 @@ from them.
 
 One pass, :func:`_resolve`, turns each parameter into its value once: numbers by
 ``_KINDS``, the box, each sampler spec, the epsilon grid, the window, the radius set
-and the probe points.  The library object a value builds checks its rules: grand
-p > 1 with p - 1 exact and theta > 0 (``GrandParams``), eps_count and eps_min
-(``EpsGrid``), classical p >= 1 (``ClassicalSpace``), window side and stride
-(``WindowSpec``) and check names (``verify``); its ``ValueError`` becomes a
-configuration error that names the key.  The values that need the input's grid
-(the weights and the stages on them, the window's stride, the radii and the probes)
-are checked on the box of a sampler input before it is sampled, and on the grid of a
-CSV input when it is read.  So a bad flag or value is reported by its name before
-any computation.  Outputs carry 17 significant digits, so identical configurations
-give identical files.
+and the probe points.  Each rule on a value alone has one owner in the library, whose
+``ValueError`` becomes a configuration error that names the key, and it is checked
+before any grid exists.  The values that need the input's grid (the weights, the
+window's stride, the radii and the probes) are checked on the box of a sampler input
+before it is sampled, and on the grid of a CSV input when it is read.  So a bad flag or
+value is reported by its name before any computation.  Outputs carry 17 significant
+digits, so identical configurations give identical files.
 Exit codes: 0 success, 1 any FAIL verdict, 2 configuration error.
 """
 
@@ -32,7 +29,6 @@ import numpy as np
 
 from .amalgam import (
     AmalgamSpec,
-    ClassicalSpace,
     WindowSpec,
     _window_on,
     amalgam_norm,
@@ -41,7 +37,17 @@ from .amalgam import (
 )
 from .gridfn import BoxDomain, GridFunction, _SAMPLERS, build, read_grid_csv, weight_from
 from .maximal import RadiusSet, _sample_profile, maximal_fast, write_maximal_csv
-from .norms import EpsGrid, GrandParams, Variant, grand_norm, weighted_lp_norm, write_norm_csv
+from .norms import (
+    ClassicalSpace,
+    EpsGrid,
+    GrandParams,
+    Variant,
+    _check_theta,
+    _grand_exponent,
+    grand_norm,
+    weighted_lp_norm,
+    write_norm_csv,
+)
 from .reporting import write_check_csv, write_check_json, write_csv, write_json
 from . import verify as verify_mod
 
@@ -186,8 +192,8 @@ def _number(params: dict, key: str):
 
 
 def _made(key: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, a library object whose ``ValueError`` is a configuration
-    error of ``param.<key>``."""
+    """``make(*args, **kwargs)``, whose ``ValueError`` is a configuration error of
+    ``param.<key>``."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
@@ -234,7 +240,7 @@ def validate_config(config: RunConfig) -> RunConfig:
 
 def _resolve(config: RunConfig) -> tuple[RunConfig, dict]:
     """``config`` with its defaults filled in, and the value of each of its parameters,
-    each resolved once and checked by the library object it builds.  A sampler input's
+    each resolved once and checked by the owner of its rule.  A sampler input's
     values on its box are there too; a CSV input's come when it is read (:func:`_load_input`)."""
     sub = config.subcommand
     if sub not in SUBCOMMANDS:
@@ -265,7 +271,19 @@ def _resolve(config: RunConfig) -> tuple[RunConfig, dict]:
         elif params[key] or _PARAMS[sub][key]:
             values[key] = _number(params, key)
 
-    if sub == "amalgam":  # a tiling window first, so that a bad side is told from a bad stride
+    # each stage's exponent by its kind, and theta once a stage is grand
+    kinds = {"norm": ["classical"], "grand": ["grand"],
+             "amalgam": [params.get("local"), params.get("global")]}.get(sub, [])
+    for key, kind in zip(("p", "q"), kinds):
+        _made(key, ClassicalSpace if kind == "classical" else _grand_exponent, values[key])
+    if "grand" in kinds:
+        _made("theta", _check_theta, values["theta"])
+    if sub == "grand":
+        make = getattr(EpsGrid, params["eps_mode"])
+        values["eps_grid"] = _made("eps_count", make, values["p"], values["eps_count"])
+        if "eps_min" in values:  # with a count that is known good, only eps_min can be at fault
+            values["eps_grid"] = _made("eps_min", make, values["p"], values["eps_count"], values["eps_min"])
+    elif sub == "amalgam":  # a tiling window first, so that a bad side is told from a bad stride
         window = _made("window_side", WindowSpec, values["window_side"], values["window_side"])
         values["window"] = _made("window_stride", replace, window, stride_cells=values["window_stride"])
     elif sub == "maximal":
@@ -305,12 +323,8 @@ def _on_grid(config: RunConfig, values: dict, domain: BoxDomain, what: str) -> d
     if sub == "norm":
         out["space"] = _stage("classical", "p", values, out["w"])
     elif sub == "grand":
-        stage = _stage("grand", "p", values, out["a"])
-        make = EpsGrid.geometric if params["eps_mode"] == "geometric" else EpsGrid.linear
-        eps = _made("eps_count", make, stage.p, values["eps_count"])
-        if "eps_min" in values:  # with a count that is known good, only eps_min can be at fault
-            eps = _made("eps_min", make, stage.p, values["eps_count"], values["eps_min"])
-        out["space"] = replace(stage, variant=Variant(params["variant"]), eps_grid=eps)
+        out["space"] = GrandParams(values["p"], out["a"], values["theta"], Variant(params["variant"]),
+                                   values["eps_grid"])
     elif sub == "amalgam":
         out["spec"] = AmalgamSpec(
             local_space=_stage(params["local"], "p", values, out["a"]),
@@ -329,13 +343,11 @@ def _on_grid(config: RunConfig, values: dict, domain: BoxDomain, what: str) -> d
 
 
 def _stage(kind: str, key: str, values: dict, weight) -> ClassicalSpace | GrandParams:
-    """The ``kind`` stage of exponent ``key`` on ``weight``; a grand one gets theta only once
-    its exponent is checked, so that each error names its key.  Its epsilon grid and
-    variant are the library's defaults."""
+    """The ``kind`` stage of exponent ``key`` on ``weight``; a grand one has the library's
+    default epsilon grid and variant."""
     if kind == "classical":
-        return _made(key, ClassicalSpace, values[key], weight)
-    stage = _made(key, GrandParams, values[key], weight)
-    return _made("theta", replace, stage, theta=values["theta"])
+        return ClassicalSpace(values[key], weight)
+    return GrandParams(values[key], weight, values["theta"])
 
 
 def _check_probes(points: list[float], domain: BoxDomain, what: str) -> None:

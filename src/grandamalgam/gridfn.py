@@ -200,10 +200,6 @@ class GridFunction:
         _check_same_domain(self, other, "addition")
         return GridFunction(self.domain, self.values + other.values)
 
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        _check_same_domain(self, other, "subtraction")
-        return GridFunction(self.domain, self.values - other.values)
-
     def __mul__(self, lam) -> "GridFunction":
         return scale(self, lam)
 

@@ -43,6 +43,7 @@ __all__ = [
     "Variant",
     "EpsGrid",
     "GrandParams",
+    "ClassicalSpace",
     "NormReport",
     "weighted_lp_norm",
     "grand_norm",
@@ -65,6 +66,28 @@ class Variant(Enum):
     EXPONENT_FULL = "full"
 
 
+# One check per parameter rule.  A message names no argument, so that a caller can.
+
+
+def _grand_exponent(p: float) -> float:
+    """``p``, checked as a grand exponent: p > 1, with p - 1 exact."""
+    if not p > 1.0:
+        raise ValueError(f"need an exponent > 1, got {p}")
+    if p - (p - 1.0) != 1.0:  # above 2**53 the grid's last eps leaves p - eps off 1
+        raise ValueError(f"{p} - 1 is not exact in float64; need at most 2**53")
+    return p
+
+
+def _check_theta(theta: float) -> None:
+    if not theta > 0.0:
+        raise ValueError(f"need a power of epsilon > 0, got {theta}")
+
+
+def _check_eps(eps: float, p: float) -> None:
+    if not 0.0 < eps <= p - 1.0 + 1e-12:
+        raise ValueError(f"need an epsilon in (0, {p - 1.0}], got {eps}")
+
+
 @dataclass(frozen=True)
 class EpsGrid:
     """Strictly increasing epsilon values in (0, p-1], ending exactly at p-1."""
@@ -85,15 +108,13 @@ class EpsGrid:
     def _span(p: float, count: int, min_eps: float | None) -> tuple[float, float]:
         """Checked (min_eps, p - 1) of a generated grid of ``count`` points: one check,
         so every generator gives the same errors."""
-        top = p - 1.0
-        if top <= 0.0:
-            raise ValueError("need p > 1")
+        top = _grand_exponent(p) - 1.0
         if count < 2:
             raise ValueError("need at least two grid points")
         if min_eps is None:
             min_eps = top * DEFAULT_EPS_MIN_FRACTION
         if not 0.0 < min_eps < top:
-            raise ValueError(f"need 0 < min_eps < p - 1 = {top}, got {min_eps}")
+            raise ValueError(f"need a smallest epsilon in (0, {top}), got {min_eps}")
         return min_eps, top
 
     @staticmethod
@@ -112,6 +133,18 @@ class EpsGrid:
 
 
 @dataclass(frozen=True)
+class ClassicalSpace:
+    """Weighted L^p local/global stage; ``weight=None`` means unweighted."""
+
+    p: float
+    weight: Weight | None = None
+
+    def __post_init__(self):
+        if not self.p >= 1.0:
+            raise ValueError(f"need an exponent >= 1, got {self.p}")
+
+
+@dataclass(frozen=True)
 class GrandParams:
     """Parameters (p, theta, variant, grandizer, epsilon grid) of a grand norm."""
 
@@ -122,19 +155,11 @@ class GrandParams:
     eps_grid: EpsGrid | None = None
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError(f"need p > 1, got p = {self.p}")
-        if self.p - (self.p - 1.0) != 1.0:  # above 2**53 the grid's last eps leaves p - eps off 1
-            raise ValueError(f"{self.p} - 1 is not exact in float64; need at most 2**53")
-        if not self.theta > 0.0:
-            raise ValueError(f"need theta > 0, got theta = {self.theta}")
+        top = _grand_exponent(self.p) - 1.0
+        _check_theta(self.theta)
         grid = self.eps_grid if self.eps_grid is not None else EpsGrid.geometric(self.p)
-        top = self.p - 1.0
-        slack = 1e-12 * max(1.0, top)
-        if grid.values[-1] > top + slack:
-            raise ValueError(f"epsilon grid exceeds p - 1 = {top}")
-        if abs(grid.values[-1] - top) > slack:
-            raise ValueError(f"epsilon grid must end exactly at p - 1 = {top}")
+        if abs(grid.values[-1] - top) > 1e-12 * max(1.0, top):
+            raise ValueError(f"need an epsilon grid that ends at {top}, got {grid.values[-1]}")
         object.__setattr__(self, "eps_grid", grid)
 
     def weight_power(self, eps: float) -> np.ndarray:
@@ -153,8 +178,7 @@ class GrandParams:
     def with_extra_eps(self, eps: float) -> "GrandParams":
         """The same norm with ``eps`` on its grid (used to make sup bounds exact); a value
         within 1e-15 of a grid point is already on it."""
-        if not 0.0 < eps <= self.p - 1.0 + 1e-12:
-            raise ValueError(f"epsilon {eps} outside (0, p - 1]")
+        _check_eps(eps, self.p)
         eps, vals = min(eps, self.p - 1.0), self.eps_grid.values
         if any(abs(eps - v) <= 1e-15 for v in vals):
             return self
@@ -323,8 +347,7 @@ def _classical_rows(samples: np.ndarray, wrows, q: float, cell_volume: float) ->
 
 def weighted_lp_norm(f: GridFunction, p: float, w: Weight | None = None) -> float:
     """(integral of |f|^p w)^(1/p); ``w=None`` means the unweighted norm."""
-    if not p >= 1.0:
-        raise ValueError(f"need p >= 1, got p = {p}")
+    ClassicalSpace(p, w)
     if w is not None:
         _check_same_domain(f, w, "weighted_lp_norm")
     wrows = None if w is None else _one_window(w.values)
@@ -546,9 +569,8 @@ def sup_eps_factor(mass: float, p: float, theta: float = 1.0) -> float:
     """
     if mass <= 0.0:
         raise ValueError("mass must be positive")
-    top = p - 1.0
-    if top <= 0.0:
-        raise ValueError("need p > 1")
+    top = _grand_exponent(p) - 1.0
+    _check_theta(theta)
 
     def g(eps: float) -> float:
         return eps**theta * mass ** (eps / (p * (p - eps)))

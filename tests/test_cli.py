@@ -58,7 +58,7 @@ def test_parse_config_diagnostics():
 
 
 def test_validation_out_of_range_p_names_invariant():
-    with pytest.raises(ConfigError, match="p > 1"):
+    with pytest.raises(ConfigError, match="param.p: need an exponent > 1, got 0.5"):
         parse_config("subcommand = grand\ninput = const:1\nparam.p = 0.5\n")
 
 
@@ -182,7 +182,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("subcommand = grand\ninput = const:1\nparam.p = 0.5\n")
     assert cli.main(["run", "--config", str(cfg)]) == 2
-    assert "p > 1" in capsys.readouterr().err
+    assert "param.p: need an exponent > 1, got 0.5" in capsys.readouterr().err
     assert cli.main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
@@ -241,7 +241,7 @@ def test_sampler_specs():
         (["grand", "--theta", "inf"], "param.theta: expected a finite number, got 'inf'"),
         (["grand", "--eps-min", "nan"], "param.eps_min: expected a finite number, got 'nan'"),
         (["grand", "--p", "1e999"], "param.p: expected a finite number, got '1e999'"),
-        (["grand", "--p", "2", "--eps-min", "1.5"], "param.eps_min: need 0 < min_eps < p - 1 = 1.0, got 1.5"),
+        (["grand", "--p", "2", "--eps-min", "1.5"], "param.eps_min: need a smallest epsilon in (0, 1.0), got 1.5"),
         (["maximal", "--cells", "64", "--radii", "5000"],
          "param.radii: max radius 5000 exceeds the grid extent 64"),
         (["maximal", "--radii", "3,3"], "param.radii: radii must be distinct"),
@@ -285,6 +285,9 @@ def test_sampler_specs():
         (["maximal", "--no-center=yes"], "--no-center: takes no value"),
         (["grand", "stray"], "subcommand: unexpected argument 'stray'"),
         (["frob"], "subcommand: expected one of norm, grand, amalgam, maximal, verify, run, got 'frob'"),
+        # an exponent just past its stage kind's rule, named by its key
+        (["amalgam", "--global", "grand", "--q", "1"], "param.q: need an exponent > 1, got 1.0"),
+        (["amalgam", "--global", "classical", "--q", "0.5"], "param.q: need an exponent >= 1, got 0.5"),
     ],
 )
 def test_bad_numeric_value_names_the_parameter(tmp_path, capsys, argv, message):
@@ -432,6 +435,32 @@ def test_weight_specs_are_checked_where_they_are_sampled(tmp_path, capsys):
 def test_bad_numeric_value_in_config_file_names_the_parameter():
     with pytest.raises(ConfigError, match="param.eps_min: expected a number, got 'small'"):
         parse_config("subcommand = grand\ninput = const:1\nparam.eps_min = small\n")
+
+
+@pytest.mark.parametrize(
+    "sub, key, value, message",
+    [
+        ("amalgam", "p", "0.5", "need an exponent > 1, got 0.5"),
+        ("grand", "theta", "0", "need a power of epsilon > 0, got 0.0"),
+        ("grand", "eps_count", "1", "need at least two grid points"),
+        ("grand", "eps_min", "1.5", "need a smallest epsilon in (0, 1.0), got 1.5"),
+    ],
+)
+def test_a_csv_input_stage_value_is_rejected_before_the_file_is_read(tmp_path, monkeypatch, sub, key,
+                                                                      value, message):
+    path = tmp_path / "f.csv"
+    ga.write_grid_csv(ga.constant(ga.BoxDomain(0.0, 1.0, 16), 1.0), path)
+
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "read_grid_csv", unread)
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"subcommand = {sub}\ninput = {path}\nparam.{key} = {value}\n")
+    assert str(err.value) == f"param.{key}: {message}"
+    # a theta that no stage reads is not checked
+    parse_config(f"subcommand = amalgam\ninput = {path}\nparam.local = classical\n"
+                 "param.global = classical\nparam.theta = 0\n")
 
 
 def _flag_config(monkeypatch, argv):
@@ -595,7 +624,8 @@ def _spec(name: str, lower: list, upper: list) -> str:
 @st.composite
 def _valid_run(draw):
     """A valid norm, grand, amalgam or maximal run from the parameter tables, on a box of at
-    most 16 cells: its subcommand, its values by key ("input" for --f), and its box."""
+    most 16 cells: its subcommand, its values by key ("input" for --f, a sampler spec), its
+    box, and whether the input is that spec's grid CSV on the box (see :func:`_csv_input`)."""
     sub = draw(st.sampled_from(["norm", "grand", "amalgam", "maximal"]))
     ndim = draw(st.sampled_from([1, 2]))
     cells = [draw(st.integers(2, 16))] if ndim == 1 else [draw(st.integers(2, 4)) for _ in range(2)]
@@ -635,16 +665,39 @@ def _valid_run(draw):
         if ndim == 1:
             points = draw(st.lists(st.floats(lower[0], upper[0]), max_size=2))
             given["probe"] = ",".join(map(repr, points))
-    return sub, given, (lower, upper, cells, grand)
+    return sub, given, (lower, upper, cells, grand), draw(st.booleans())
+
+
+def _flag(key: str) -> str:
+    return "--f" if key == "input" else "--" + key.replace("_", "-")
+
+
+def _argv(sub: str, given: dict) -> list:
+    """The argv of ``sub`` that sets each value of ``given`` by its flag."""
+    return [sub, *(token for key, value in given.items() for token in (_flag(key), value))]
+
+
+def _csv_input(given: dict, box: tuple, folder: Path) -> dict:
+    """``given`` with its input spec sampled on the box, written to a grid CSV in ``folder``,
+    and named by the file's path.  The file's grid is inferred from its cell centers, and
+    its ends may differ from the box's by rounding: its probes are kept inside that grid."""
+    lower, upper, cells, _ = box
+    f = ga.build(ga.BoxDomain(lower, upper, cells), cli.make_sampler(given["input"], len(lower)))
+    ga.write_grid_csv(f, folder / "f.csv")
+    given = {**given, "input": str(folder / "f.csv")}
+    if given.get("probe"):
+        dom = ga.read_grid_csv(folder / "f.csv").domain
+        points = [min(max(float(x), dom.lower[0]), dom.upper[0]) for x in given["probe"].split(",")]
+        given["probe"] = ",".join(map(repr, points))
+    return given
 
 
 @st.composite
 def _one_bad_key_or_flag(draw):
     """A valid run with one key or flag corrupted: its argv before --out, the argv after it,
     and the key or flag that the error must name."""
-    sub, given, (lower, upper, cells, grand) = draw(_valid_run())
+    sub, given, (lower, upper, cells, grand), _ = draw(_valid_run())
     params = cli._PARAMS[sub]
-    flag = {key: "--f" if key == "input" else "--" + key.replace("_", "-") for key in ["input", *params]}
     numbers = [key for key in params if cli._KINDS.get(key) in (int, float)]
     cases = [(key, bad) for key in numbers for bad in ("x", "nan", "1e999")]
     cases += [(key, "2.5") for key in numbers if cli._KINDS[key] is int]
@@ -681,12 +734,11 @@ def _one_bad_key_or_flag(draw):
     elif case == "dropped value":
         key = draw(st.sampled_from(sorted(given)))
         del given[key]
-        name, tail = flag[key], [flag[key]]
+        name, tail = _flag(key), [_flag(key)]
     else:
         key, given[key] = case
         name = "input" if key == "input" else f"param.{key}"
-    head = [sub, *(token for key, value in given.items() for token in (flag[key], value))]
-    return head, tail, name
+    return _argv(sub, given), tail, name
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -699,6 +751,25 @@ def test_one_bad_key_or_flag_is_named_and_makes_no_output(tmp_path_factory, case
         code = cli.main([*head, "--out", str(out), *tail])
     assert code == 2 and err.getvalue().startswith(f"config error: {name}:"), (head, tail, err.getvalue())
     assert not out.exists()
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_valid_run(), st.sampled_from([None, "1e300", "1e-300"]))
+def test_a_valid_run_exits_0_and_writes_only_finite_numbers(tmp_path_factory, run, constant):
+    """Every run the tables admit succeeds, from a sampler spec or a grid CSV, also with a
+    constant input at the edges of float range, and no file it writes holds inf or NaN."""
+    sub, given, box, csv = run
+    if constant:
+        given = {**given, "input": f"const:{constant}"}
+    folder = tmp_path_factory.mktemp("run")
+    if csv:
+        given = _csv_input(given, box, folder)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([*_argv(sub, given), "--out", str(folder / "o")])
+    assert code == 0, (sub, given, err.getvalue())
+    for path in (folder / "o").iterdir():
+        assert not re.search(r"\b(inf|nan|NaN|Infinity)\b", path.read_text()), (sub, given, path.name)
 
 
 def _count_args(monkeypatch, name, pick=lambda args: None):

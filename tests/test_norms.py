@@ -238,6 +238,15 @@ def test_sup_eps_factor_matches_dense_scan():
                 assert ga.sup_eps_factor(mass, p, theta) >= scan - 1e-12
 
 
+def test_sup_eps_factor_checks_its_exponent_and_theta():
+    """eps**theta has no finite sup on (0, p - 1] for theta < 0: an error, not a number."""
+    for p, theta, message in [(1.0, 1.0, "need an exponent > 1, got 1.0"),
+                              (2.0, 0.0, "need a power of epsilon > 0, got 0.0"),
+                              (2.0, -1.0, "need a power of epsilon > 0, got -1.0")]:
+        with pytest.raises(ValueError, match=message):
+            ga.sup_eps_factor(0.5, p, theta)
+
+
 def test_eps_grid_geometric_shape():
     grid = EpsGrid.geometric(2.0)
     assert len(grid.values) == 33
@@ -279,19 +288,19 @@ def test_eps_grid_constructors_share_one_check(mode, capsys, tmp_path):
     for kwargs, message in [
         ({"count": 0}, "need at least two grid points"),
         ({"count": 1}, "need at least two grid points"),
-        ({"min_eps": 0.0}, r"need 0 < min_eps < p - 1"),
-        ({"min_eps": 1.0}, r"need 0 < min_eps < p - 1"),
-        ({"min_eps": 1.5}, r"need 0 < min_eps < p - 1"),
+        ({"min_eps": 0.0}, r"need a smallest epsilon in \(0, 1\.0\)"),
+        ({"min_eps": 1.0}, r"need a smallest epsilon in \(0, 1\.0\)"),
+        ({"min_eps": 1.5}, r"need a smallest epsilon in \(0, 1\.0\)"),
     ]:
         with pytest.raises(ValueError, match=message):
             make(2.0, **kwargs)
-    with pytest.raises(ValueError, match="need p > 1"):
+    with pytest.raises(ValueError, match="need an exponent > 1"):
         make(1.0)
     # the CLI reports the same error for either mode, naming the key, before making --out
     args = ["grand", "--f", "const:1", "--p", "2", "--eps-mode", mode, "--eps-min", "1.5",
             "--out", str(tmp_path / "o")]
     assert cli.main(args) == 2
-    assert capsys.readouterr().err == "config error: param.eps_min: need 0 < min_eps < p - 1 = 1.0, got 1.5\n"
+    assert capsys.readouterr().err == "config error: param.eps_min: need a smallest epsilon in (0, 1.0), got 1.5\n"
     assert not (tmp_path / "o").exists()
 
 

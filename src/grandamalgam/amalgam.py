@@ -98,10 +98,12 @@ class AmalgamSpec:
 
 @dataclass(frozen=True, eq=False)
 class ControlFunction:
-    """Local norms of the windowed restrictions, sampled on the anchor lattice."""
+    """Local norms of the windowed restrictions, sampled on the anchor lattice; none is below
+    1 / (1 + ``gap``) of its true value."""
 
     gridfn: GridFunction
     window: WindowSpec
+    gap: float = 0.0
 
     @property
     def values(self) -> np.ndarray:
@@ -172,30 +174,34 @@ def _window_blocks(values: np.ndarray, window: WindowSpec) -> np.ndarray:
 
 def _local_stage(
     fs: np.ndarray, local: SpaceDescriptor, window: WindowSpec, cell_volume: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """(k, anchors) control values of a (k, *shape) stack of samples (or of their moduli),
-    every window of every function a row of one block."""
+    every window of every function a row of one block, and each function's control gap."""
     k = len(fs)
     w = _weight_of(local)  # the weight's windows once per function, like the functions'
     wrows = w and _window_blocks(np.broadcast_to(w.values, fs.shape), window)
     blocks = _window_blocks(fs, window)
-    if isinstance(local, GrandParams):
-        return _grand_scan(blocks, wrows, local, cell_volume)[0].reshape(k, -1)
-    return _classical_rows(blocks, wrows, local.p, cell_volume).reshape(k, -1)
+    if not isinstance(local, GrandParams):
+        return _classical_rows(blocks, wrows, local.p, cell_volume).reshape(k, -1), np.zeros(k)
+    value, *_, upper = _grand_scan(blocks, wrows, local, cell_volume)
+    ratio = np.divide(upper, value, out=np.ones_like(value), where=value > 0)
+    return value.reshape(k, -1), ratio.reshape(k, -1).max(axis=1) - 1.0
 
 
 def _outer_stage(
-    ctrl: np.ndarray, glob: SpaceDescriptor, window: WindowSpec, domain: BoxDomain
+    ctrl: np.ndarray, gaps: np.ndarray, glob: SpaceDescriptor, window: WindowSpec, domain: BoxDomain
 ) -> list[NormReport]:
-    """Global norm of each row of a (k, anchors) block of control values, as one block."""
+    """Global norm of each row of a (k, anchors) block of control values, as one block; a
+    solid, homogeneous norm, so its bound times 1 + the row's control gap bounds the amalgam."""
     w = _weight_of(glob)
     if w is not None:  # one lattice weight row, read by every control row
         w = np.broadcast_to(lattice_weight(w, window, domain).values.reshape(1, -1), ctrl.shape)
     vol = _lattice(domain, window).cell_volume
     if isinstance(glob, GrandParams):
-        return _grand_report(ctrl, w, glob, vol)
-    values = _classical_rows(ctrl, w, glob.p, vol).tolist()
-    return [NormReport(v, None, (), p=glob.p, variant="classical") for v in values]
+        return _grand_report(ctrl, w, glob, vol, gaps)
+    values = _classical_rows(ctrl, w, glob.p, vol)
+    return [NormReport(v, ub, None, (), p=glob.p, variant="classical")
+            for v, ub in zip(values.tolist(), (values * (1.0 + gaps)).tolist())]
 
 
 def control_function(f: GridFunction, local: SpaceDescriptor, window: WindowSpec) -> ControlFunction:
@@ -210,8 +216,8 @@ def control_function(f: GridFunction, local: SpaceDescriptor, window: WindowSpec
     window = _window_on(dom, window)
     _check_space_domain(local, dom, "control_function")
     lattice = _lattice(dom, window)
-    out = _local_stage(f.values[None], local, window, dom.cell_volume)
-    return ControlFunction(gridfn=GridFunction(lattice, out.reshape(lattice.shape)), window=window)
+    out, (gap,) = _local_stage(f.values[None], local, window, dom.cell_volume)
+    return ControlFunction(GridFunction(lattice, out.reshape(lattice.shape)), window, float(gap))
 
 
 def lattice_weight(w: Weight, window: WindowSpec, domain: BoxDomain) -> Weight:
@@ -255,8 +261,8 @@ def amalgam_norms(fs: list[GridFunction], spec: AmalgamSpec) -> list[NormReport]
     for i in range(0, len(fs), per):
         # moduli, not samples: a complex stack and its window rows would take twice the room
         absf = np.stack([np.abs(f.values) for f in fs[i : i + per]])
-        ctrl = _local_stage(absf, spec.local_space, window, dom.cell_volume)
-        reports += _outer_stage(ctrl, spec.global_space, window, dom)
+        reports += _outer_stage(*_local_stage(absf, spec.local_space, window, dom.cell_volume),
+                                spec.global_space, window, dom)
     return reports
 
 
@@ -275,7 +281,8 @@ def amalgam_norm(
     elif control.window != window:
         raise ValueError("amalgam_norm: the control function was made with a different window")
     _check_space_domain(spec.global_space, f.domain, "amalgam_norm")
-    return _outer_stage(control.gridfn.values.reshape(1, -1), spec.global_space, window, f.domain)[0]
+    ctrl = control.gridfn.values.reshape(1, -1)
+    return _outer_stage(ctrl, np.array([control.gap]), spec.global_space, window, f.domain)[0]
 
 
 def mixed_norm_family(f: GridFunction, spec: AmalgamSpec, eps: float, eta: float) -> float:

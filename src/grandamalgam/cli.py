@@ -354,10 +354,9 @@ def _check_probes(points: list[float], domain: BoxDomain, what: str) -> None:
     """Each probe point checked against the 1-D ``domain``, a ``what``."""
     if domain.ndim != 1:
         raise ConfigError(f"param.probe: probe points need a 1-D {what}")
-    (lo,), (up,) = domain.lower, domain.upper
     for x in points:
-        if not lo <= x <= up:
-            raise ConfigError(f"param.probe: point {x} outside the {what} [{lo}, {up}]")
+        if not domain.contains(x):
+            raise ConfigError(f"param.probe: point {x} outside the {what} [{domain.lower[0]}, {domain.upper[0]}]")
 
 
 # ----------------------------------------------------------------------------

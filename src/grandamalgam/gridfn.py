@@ -137,8 +137,10 @@ class BoxDomain:
         )
 
     def contains(self, point) -> bool:
+        """Whether ``point`` is in the box, to the slack 1e-9 * max(h, 1) of :func:`read_grid_csv`."""
         p = _vector(point, "point", n=self.ndim)
-        return all(l <= x <= u for l, x, u in zip(self.lower, p, self.upper))
+        return all(l - 1e-9 * max(h, 1.0) <= x <= u + 1e-9 * max(h, 1.0)
+                   for l, x, u, h in zip(self.lower, p, self.upper, self.spacing))
 
     def nearest_cell(self, point) -> tuple[int, ...]:
         """Multi-index of the cell whose center is nearest to ``point``."""

@@ -1,21 +1,18 @@
-"""Weighted Lebesgue norms and grand norms with the epsilon-sup optimizer.
+"""Weighted Lebesgue norms and grand norms, with a certified sup over epsilon.
 
 A grand norm is a supremum over epsilon in (0, p-1] of epsilon-weighted
 L^(p-eps) norms.  With m = max|f| and g = |f| / m, every inner sum is
-m^(p-eps) sum exp(A + eps B), A = p ln g, B = ln a / p - ln g (ln a - ln g
+m^(p-eps) S, S = sum exp(A + eps B), A = p ln g, B = ln a / p - ln g (ln a - ln g
 for ``EXPONENT_FULL``), summed as a log-sum-exp shifted by its row max: no
-|f| or grandizer overflows or underflows it.  The log form takes the samples
-themselves, real or complex, keeps ln m per row, and builds A and B per cell
-chunk when a pass asks for them.  A row of at most ``gridfn._GRID_BLOCK_CELLS``
-cells is one chunk, built once, so a norm holds its A and B above its inputs;
-a longer row is built and summed chunk by chunk in cache-sized buffers and the
-chunks are merged, so a norm holds no array the size of the row.  An inner
-norm past float range is an error, not inf.  A classical L^q(w) norm is
+|f| or grandizer overflows or underflows it.  The log form of the samples, real
+or complex, keeps ln m per row and builds A and B per cell chunk when asked; a
+row longer than ``gridfn._GRID_BLOCK_CELLS`` cells is summed chunk by chunk, so a
+norm holds no array the size of the row.  An inner norm past float range is an
+error, not inf.  A classical L^q(w) norm is
 the ``EXPONENT_FULL`` inner norm at p = q + 1, eps = 1.  The sup is taken
-on an epsilon grid (geometric by default, so eps -> 0 is resolved), then
-refined by safeguarded Newton steps on ln(term), for all rows of a
-(windows, cells) block at once; a function is the one-row case.
-Two inner weightings are supported:
+on an epsilon grid (geometric by default, so eps -> 0 is resolved), and
+certified by splitting grid intervals, for all rows of a (windows, cells)
+block at once; a function is the one-row case.  Two inner weightings:
 
 * ``EXPONENT_OVER_P``: weight a**(eps/p), outer factor eps**theta;
 * ``EXPONENT_FULL``:   weight a**eps, outer factor eps**(theta/(p-eps)).
@@ -51,8 +48,7 @@ __all__ = [
     "write_norm_csv",
 ]
 
-_REL_TOL = 1e-12  # refinement stops at this fraction of max(bracket end, 1)
-_MAX_ITER = 96  # refinement passes per row at most
+_GAP = 1e-12  # the certified relative gap of a grand norm's value
 _LN_FLOAT_MAX = math.log(np.finfo(np.float64).max)  # the largest x whose exp is a finite float64
 
 DEFAULT_EPS_COUNT = 33
@@ -166,18 +162,13 @@ class GrandParams:
         a = self.grandizer.values
         return a ** (eps / self.p) if self.variant is Variant.EXPONENT_OVER_P else a**eps
 
-    def prefactor(self, eps: float) -> float:
-        if self.variant is Variant.EXPONENT_OVER_P:
-            return eps**self.theta
-        return eps ** (self.theta / (self.p - eps))
-
     def ln_prefactor(self, eps: np.ndarray) -> np.ndarray:
         t = self.theta if self.variant is Variant.EXPONENT_OVER_P else self.theta / (self.p - eps)
         return t * np.log(eps)
 
     def with_extra_eps(self, eps: float) -> "GrandParams":
-        """The same norm with ``eps`` on its grid (used to make sup bounds exact); a value
-        within 1e-15 of a grid point is already on it."""
+        """The same norm with ``eps`` on its grid, so that its value is at least the term at
+        ``eps``; a value within 1e-15 of a grid point is already on it."""
         _check_eps(eps, self.p)
         eps, vals = min(eps, self.p - 1.0), self.eps_grid.values
         if any(abs(eps - v) <= 1e-15 for v in vals):
@@ -191,11 +182,13 @@ class NormReport:
 
     ``curve`` rows are (eps, inner_lp_norm, weighted_term); the value equals
     the maximum weighted term over the curve and is attained at
-    ``argmax_eps``.  Classical (single-exponent) norms report an empty curve.
+    ``argmax_eps``.  ``upper_bound`` bounds the sup over all of (0, p-1]; a
+    classical norm's is its value, and its curve is empty.
     A grand curve is a sequence that makes its rows when read.
     """
 
     value: float
+    upper_bound: float
     argmax_eps: float | None
     curve: Sequence[tuple[float, float, float]]
     p: float | None = None
@@ -216,12 +209,10 @@ class _LogForm:
     chunk by chunk: A = p ln g, B = ln(a) / root - ln g.
 
     a is the grandizer or weight (``None``: 1), m the row max of |f|, and ln g = ln|f| - ln m.
-    The form keeps ln m, found by one abs-max walk over the cell chunks (:func:`_cell_chunks`),
-    and builds a chunk's A and B from the samples and the weight when it is asked for them,
-    so no array the size of the block is held.  A block of one chunk is built once, when the
-    form is made.  ``samples`` is never written.  A weight is strictly positive and
-    zero-padded where f is, so the live cells are those with |f| > 0.  Dead cells get
-    A = -inf, B = 0; a row with no live cell gets ln m = -inf, A = B = 0.
+    The form keeps ln m and builds a chunk's A and B when asked (:func:`_cell_chunks`), so no
+    array the size of the block is held; a block of one chunk is built once.  ``samples`` is
+    never written.  A weight is positive and zero-padded where f is, so the live cells have
+    |f| > 0.  Dead cells get A = -inf, B = 0; a row with no live cell ln m = -inf, A = B = 0.
     """
 
     def __init__(self, samples: np.ndarray, p: float, aw=None, root: float = 1.0):
@@ -274,9 +265,8 @@ def _grand_form(samples: np.ndarray, aw: np.ndarray, gp: GrandParams) -> _LogFor
 
 
 def _shifted_sums(t: np.ndarray, axis: int):
-    """(c, sum exp(t - c)) along ``axis``, c the max there: ln sum exp(t) = c + ln of a sum
-    of at least 1, for any ``t`` with a finite entry on each line.  A line of -inf (a chunk of
-    dead cells) gets the most negative float as c and a sum of 0.  ``t`` becomes exp(t - c)."""
+    """(c, sum exp(t - c)) along ``axis``, c the max there, so the sum is at least 1; a line of
+    -inf (dead cells) gets the most negative float and 0.  ``t`` becomes exp(t - c)."""
     c = t.max(axis=axis, keepdims=True, initial=np.finfo(np.float64).min)
     t -= c
     return c.squeeze(axis), np.exp(t, out=t).sum(axis=axis)
@@ -288,18 +278,14 @@ def _cell_chunks(cells: int) -> list[slice]:
     return [slice(j, min(j + width, cells)) for j in range(0, cells, width)]
 
 
-def _inner_norms(form: _LogForm, p: float, eps: np.ndarray, cell_volume: float) -> np.ndarray:
-    """(rows, eps) inner norms exp(ln m + (ln S + ln h) / (p - eps)).
+def _ln_sums(form: _LogForm, eps: np.ndarray, cell_volume: float) -> np.ndarray:
+    """(eps, rows) lam = ln S + ln h, S = sum exp(A + eps B), for every row at every eps.
 
-    A row walks its cells in chunks (:func:`_cell_chunks`), each built by the form once, one
-    preallocated buffer for every chunk and eps.  A pass takes as many epsilons as fit
-    ``_GRID_BLOCK_CELLS`` cells, cells first, so a chunk's max c_k and sum s_k reduce over the
-    leading axis in cell order (pairwise for a lone row and eps).  The chunks merge as an
-    online log-sum-exp (Milakov and Gimelshein 2018): C = max c_k, S = sum s_k exp(c_k - C),
-    in chunk order.  A row that fits is one chunk, whose merge is exact (C = c_0, weight 1),
-    so S is its one sum.  So a row summed alone at one eps (as a classical row always is) may
-    differ by a few ulp from that row summed in a block of several, and a long row from the
-    same row in one chunk; otherwise no row depends on the block.
+    A row walks its chunks (:func:`_cell_chunks`), each built once, in one buffer.  A pass
+    takes as many epsilons as fit ``_GRID_BLOCK_CELLS`` cells, cells first, reduced over the
+    leading axis in cell order (pairwise for a lone row and eps): a row alone at one eps (a
+    classical row) may differ by a few ulp from that row in a block, and a long row from one
+    chunk; no other row does.
     """
     rows, chunks = form.lnm.size, form.chunks
     width = chunks[0].stop
@@ -316,32 +302,61 @@ def _inner_norms(form: _LogForm, p: float, eps: np.ndarray, cell_volume: float) 
             np.multiply(bt[:, None, :], e[:, None], out=t)
             t += at[:, None, :]
             c[k, i : i + n], s[k, i : i + n] = _shifted_sums(t, 0)
-    # The merge and the root work in place: a block of many short rows keeps
-    # no (eps, rows) temporary beyond C and the chunk arrays.
+    lam = _merged(c, s)
+    lam += math.log(cell_volume)
+    return lam
+
+
+def _ln_sums_at(form: _LogForm, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """ln S of row ``rows[i]`` at eps ``x[i]``, in groups of at most ``_GRID_BLOCK_CELLS`` cells a
+    chunk; each row's chunk sums merge pairwise, so one-cell chunks give its one-chunk sum."""
+    width, chunks = form.chunks[0].stop, form.chunks
+    per = max(1, gridfn._GRID_BLOCK_CELLS // width)
+    buf = np.empty(min(rows.size, per) * width)
+    c = np.empty((rows.size, len(chunks)))
+    s = np.empty_like(c)
+    for i in range(0, rows.size, per):
+        sub, xs = form.select(rows[i : i + per]), x[i : i + per, None]
+        for k, cut in enumerate(chunks):
+            a, b = sub.chunk(cut)
+            t = buf[: xs.size * (cut.stop - cut.start)].reshape(xs.size, -1)
+            np.multiply(b, xs, out=t)
+            t += a
+            c[i : i + per, k], s[i : i + per, k] = _shifted_sums(t, 1)
+    return _merged(c.T, s.T)
+
+
+def _merged(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """ln sum_k s_k exp(c_k) over the leading (chunk) axis of the chunks' maxima ``c`` and
+    shifted sums ``s``, an online log-sum-exp (Milakov and Gimelshein 2018) exact for one
+    chunk, in place: a block of many short rows keeps no temporary beyond ``c`` and ``s``."""
     top = c.max(axis=0)
     np.exp(np.subtract(c, top, out=c), out=c)
     lns = np.multiply(s, c, out=s).sum(axis=0, out=c[0])
     np.log(lns, out=lns)
     lns += top
-    lns += math.log(cell_volume)
-    lns /= (p - eps)[:, None]
-    lns += form.lnm
-    return _exp_norms(lns).T
+    return lns
+
+
+def _inner_norms(form: _LogForm, p: float, eps: np.ndarray, cell_volume: float) -> np.ndarray:
+    """(rows, eps) inner norms exp(ln m + lam / (p - eps)) of :func:`_ln_sums`' lam."""
+    ln_inner = _ln_sums(form, eps, cell_volume)
+    ln_inner /= (p - eps)[:, None]
+    ln_inner += form.lnm
+    return _exp_norms(ln_inner).T
 
 
 def _exp_norms(ln_norms: np.ndarray) -> np.ndarray:
     """exp of the logs of norms, in place; a norm beyond float range is an error, not inf."""
     top = ln_norms.max(initial=-np.inf)
     if top > _LN_FLOAT_MAX:
-        raise ValueError(
-            f"the norm exceeds float range: its logarithm is {top:.6g} > {_LN_FLOAT_MAX:.6g}"
-        )
+        raise ValueError(f"the norm exceeds float range: its logarithm is {top:.6g} > {_LN_FLOAT_MAX:.6g}")
     return np.exp(ln_norms, out=ln_norms)
 
 
 def _classical_rows(samples: np.ndarray, wrows, q: float, cell_volume: float) -> np.ndarray:
-    """Weighted L^q norms of the rows (``wrows=None``: unweighted): L^q(w) is the
-    full-weighting member L^(p-eps)(w^eps) at p = q + 1, eps = 1."""
+    """Weighted L^q norms of the rows (``wrows=None``: unweighted), as the full-weighting
+    member L^(p-eps)(w^eps) at p = q + 1, eps = 1."""
     return _inner_norms(_LogForm(samples, q + 1.0, wrows), q + 1.0, np.ones(1), cell_volume)[:, 0]
 
 
@@ -354,170 +369,129 @@ def weighted_lp_norm(f: GridFunction, p: float, w: Weight | None = None) -> floa
     return float(_classical_rows(_one_window(f.values), wrows, p, f.domain.cell_volume)[0])
 
 
-def _moments(form: _LogForm, x: np.ndarray):
-    """ln S_0, S_1 / S_0, S_2 / S_0 per row, S_j = sum B^j exp(A + x B), one x per row.
+def _peak(theta: float, p: float, k):
+    """Where theta ln eps + k / (p - eps) is greatest on (0, p]: p where k >= 0, as it rises;
+    else it is concave, with its peak at the lesser root of theta eps^2 - (2 theta p - k) eps
+    + theta p^2, cancelling nothing."""
+    k = np.minimum(k, 0.0)
+    return 2.0 * theta * p * p / (2.0 * theta * p - k + np.sqrt(k * k - 4.0 * theta * p * k))
 
-    Rows stay rows: each sums its own cells, whatever else is in the block.  A row takes two
-    walks over its chunks (:func:`_cell_chunks`) in one buffer, and the form builds each chunk
-    again for each walk (a block of one chunk is built already): the first finds the row max
-    C, the second sums each chunk's B^j exp(A + x B - C) pairwise, and the chunk sums are
-    summed pairwise.  A row that fits is one chunk, so its sums are plain pairwise sums.
-    (Merging each chunk's own shift instead would round B^2 exp(t - C) differently from the
-    one-chunk sum, so one-cell chunks would not reproduce it.)
+
+def _chord_bounds(gp: GrandParams, lo, hi, flo, fhi) -> tuple[np.ndarray, np.ndarray]:
+    """(bound, at): an upper bound on psi = ln(term) - ln m over each [lo, hi], from lam =
+    ln S + ln h at its ends, ``flo`` and ``fhi``, and where it is reached.
+
+    ln S is convex in eps (a log-sum-exp of affine functions; Boyd and Vandenberghe 2004,
+    §3.1.5), so lam is below its chord, of value K at p.  ``EXPONENT_OVER_P``: psi <= theta ln
+    eps + K / (p - eps) less a constant, greatest at :func:`_peak`.  ``EXPONENT_FULL``: ln'' <=
+    -1 / hi^2 bounds ln eps by a concave quadratic about the midpoint x0, and psi by N / (p -
+    eps), which rises where N(p) >= 0 and else peaks where theta (p - eps)^2 = -2 hi^2 N(p).
     """
-    rows, chunks = x.size, form.chunks
-    buf = np.empty(rows * chunks[0].stop)
-    x = x[:, None]
-
-    def exponents(cut: slice) -> tuple[np.ndarray, np.ndarray]:
-        a, b = form.chunk(cut)
-        e = buf[: rows * (cut.stop - cut.start)].reshape(rows, -1)
-        np.multiply(b, x, out=e)
-        e += a
-        return e, b
-
-    c = functools.reduce(np.maximum, [exponents(cut)[0].max(axis=-1, keepdims=True) for cut in chunks])
-    sums = np.empty((3, rows, len(chunks)))
-    for k, cut in enumerate(chunks):
-        e, b = exponents(cut)
-        e -= c
-        np.exp(e, out=e)
-        for j in range(3):
-            if j:
-                e *= b
-            e.sum(axis=-1, out=sums[j, :, k])
-    s0, s1, s2 = sums.sum(axis=-1)
-    return c[:, 0] + np.log(s0), s1 / s0, s2 / s0
+    p, theta = gp.p, gp.theta
+    slope = (fhi - flo) / (hi - lo)  # its rounding moves the chord by an ulp of lam at most
+    if gp.variant is Variant.EXPONENT_OVER_P:
+        x = np.clip(_peak(theta, p, flo + slope * (p - lo)), lo, hi)
+        return theta * np.log(x) + (flo + slope * (x - lo)) / (p - x), x
+    x0, ln_x0 = 0.5 * (lo + hi), np.log(0.5 * (lo + hi))
+    # the peak p - (p - x0) sqrt(-N(p) / (q (p - x0)^2)), q = theta / (2 hi^2), free of overflow
+    m = 1.0 - 2.0 * (hi / (p - x0)) ** 2 * (ln_x0 + (p - x0) / x0 + (flo + slope * (p - lo)) / theta)
+    x = np.clip(p - (p - x0) * np.sqrt(np.maximum(m, 0.0)), lo, hi)
+    n = theta * (ln_x0 + (x - x0) / x0 - 0.5 * ((x - x0) / hi) ** 2) + flo + slope * (x - lo)
+    return n / (p - x), x
 
 
-def _newton_rows(form: _LogForm, gp: GrandParams, cell_volume: float, grid, k, value, inner):
-    """Refine each row's grid argmax by safeguarded Newton steps on phi = ln(term).
+def _split_rows(form: _LogForm, gp: GrandParams, cell_volume: float, ends, lam, psi, k, value, argmax, peak):
+    """Certify each row's sup over (0, p - 1] by bounding and splitting intervals (Piyavskii
+    1972; Shubert 1972); return ln(upper bound) - ln m per row.
 
-    phi' and phi'' come from one :func:`_moments` pass.  The first pass, at
-    the argmax, keeps the half of its grid neighbourhood that phi' points into.  Where phi' points out of the grid
-    at an end, the row instead restarts from the far end of the grid
-    interval at that end and goes on only if its Newton step stays inside
-    (an interior maximum beside an end one).  Steps outside the bracket or with
-    phi'' >= 0 bisect.  A row stops when its step or bracket is within
-    _REL_TOL * max(bracket end, 1), or after _MAX_ITER passes.  Returns the
-    best (eps, term, inner norm) per row, replaced only on strict increase.
+    ``ends`` (0 and the grid) cut (0, p - 1]; lam = ln S + ln h is given there and psi at the
+    grid.  As lam is below its chord and theta ln eps <= theta ln hi, psi on [lo, hi] is at
+    most max(psi(lo) + theta ln(hi / lo), psi(hi)) (over p - lo for ``EXPONENT_FULL``); the
+    rest go to :func:`_chord_bounds`.  An interval is done within _GAP / 2 of its row's best
+    psi (half is left for rounding), or when float64 cannot split it, or when its row has
+    over 32 (rounding noise); a pass splits the rest at their bounds' maximisers (for an end,
+    the midpoint), 1/32 in at least, updating ``value``, ``argmax`` and ``peak`` in place.
     """
-    p, lnh, last = gp.p, math.log(cell_volume), grid.size - 1
-    t_out, t_in = (gp.theta, 0.0) if gp.variant is Variant.EXPONENT_OVER_P else (0.0, gp.theta)
-    x = grid[k]
-    lo, hi = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, last)]
-    tol = _REL_TOL * np.maximum(hi, 1.0)
-    best_x, best_v, best_in = x.copy(), value.copy(), inner.copy()
-    restarted = np.zeros(x.size, dtype=bool)
-    running = value > 0  # a zero row has no logarithm; its value stays 0
-    for it in range(_MAX_ITER):
-        sel = np.flatnonzero(running)
-        if sel.size == 0:
-            break
-        xs = x[sel]
-        # while every row is still running, use the block itself: no copy
-        rows = form if sel.size == x.size else form.select(sel)
-        lns, mu, m2 = _moments(rows, xs)
-        lns += lnh
-        r = 1.0 / (p - xs)
-        if it:  # the first pass is at the grid argmax, already counted
-            ln_inner = rows.lnm + r * lns
-            _exp_norms(ln_inner + gp.ln_prefactor(xs))  # as in _grand_scan
-            inner_s = _exp_norms(ln_inner)
-            v = _terms(gp, xs, inner_s)
-            up = v > best_v[sel]
-            won = sel[up]
-            best_x[won], best_v[won], best_in[won] = xs[up], v[up], inner_s[up]
-        ix = 1.0 / xs
-        u = t_in * ix + mu + r * (t_in * np.log(xs) + lns)
-        d1 = t_out * ix + r * u
-        d2 = r * (m2 - mu * mu - t_in * ix * ix + 2.0 * r * u) - t_out * ix * ix
-        lo_s = np.where(d1 >= 0.0, xs, lo[sel])
-        hi_s = np.where(d1 <= 0.0, xs, hi[sel])
-        newton = d2 < 0.0
-        step = np.divide(d1, d2, out=np.zeros_like(d1), where=newton)
-        nxt = xs - step
-        inside = newton & (nxt > lo_s) & (nxt < hi_s)
-        nxt = np.where(inside, nxt, 0.5 * (lo_s + hi_s))
-        t = tol[sel]
-        done = newton & (np.abs(step) <= t)  # even a step that rounds onto x itself
-        if it == 0:
-            ks = k[sel]
-            end = ((ks == last) & (d1 >= 0.0)) | ((ks == 0) & (d1 <= 0.0))
-            restarted[sel] = end
-            done &= ~end
-            lo_s, hi_s = np.where(end, lo[sel], lo_s), np.where(end, hi[sel], hi_s)
-            nxt = np.where(end, np.where(ks == last, lo_s, hi_s), nxt)
-        lo[sel], hi[sel], x[sel] = lo_s, hi_s, nxt
-        go = ~done & (hi_s - lo_s > t) & (np.abs(nxt - xs) > t)
-        if it == 1:
-            go &= inside | ~restarted[sel]
-        running[sel] = go
-    return best_x, best_v, best_in
-
-
-def _terms(gp: GrandParams, eps: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """The weighted terms prefactor(eps) * inner, ``inner`` broadcast against ``eps``.
-
-    A prefactor past float range (eps**theta with eps > 1 and a large theta) would make an
-    inf of a finite term: where its logarithm passes ``_LN_FLOAT_MAX``, the term is
-    exp(ln prefactor + ln inner) instead, which the callers have checked is in range.  In
-    either variant the largest prefactor on (0, p - 1] is (p - 1)**theta, at eps = p - 1.
-    """
-    if gp.theta * math.log(gp.p - 1.0) <= _LN_FLOAT_MAX:
-        return inner * gp.prefactor(eps)
-    ln_pre = gp.ln_prefactor(eps)
-    big = ln_pre > _LN_FLOAT_MAX
-    terms = inner * gp.prefactor(np.where(big, 1.0, eps))
-    ln_inner = np.log(inner, out=np.full(inner.shape, -np.inf), where=inner > 0)
-    return np.exp(ln_inner + ln_pre, out=terms, where=big)
+    p, lnh, half = gp.p, math.log(cell_volume), 0.5 * _GAP
+    best = psi[k, np.arange(value.size)]
+    d = gp.theta * np.log(ends[2:] / ends[1:-1])
+    if gp.variant is Variant.EXPONENT_FULL:
+        d /= p - ends[1:-1]
+    cheap = psi[:-1] + d[:, None]  # then in place, for blocks of many rows
+    np.maximum(cheap, psi[1:], out=cheap)
+    cheap -= best
+    live = form.lnm > -np.inf  # a zero row is 0
+    near = (cheap > half) & live
+    cheap[near] = -np.inf
+    upper = cheap.max(axis=0, initial=-np.inf) + best  # the largest done bound
+    cut, row = np.nonzero(near)
+    first = np.flatnonzero(live)
+    row, cut = np.concatenate((first, row)), np.concatenate((0 * first, cut + 1))
+    ivl = np.stack((ends[cut], ends[cut + 1], lam[cut, row], lam[cut + 1, row]))  # lo, hi, lam there
+    b, x = _chord_bounds(gp, *ivl)
+    while True:
+        lo, hi = ivl[0], ivl[1]
+        w = hi - lo
+        x = np.clip(np.where((lo < x) & (x < hi), x, lo + 0.5 * w), lo + w / 32, hi - w / 32)
+        done = (b - best[row] <= half) | (x <= lo) | (x >= hi) | (np.bincount(row)[row] > 32)
+        np.maximum.at(upper, row[done], b[done])
+        row, ivl, x = row[~done], ivl[:, ~done], x[~done]
+        if not row.size:
+            return upper
+        fx = _ln_sums_at(form, row, x)
+        fx += lnh
+        lnm, root = form.lnm[row], fx / (p - x)
+        px = gp.ln_prefactor(x) + root
+        v, inner = _exp_norms(lnm + px), _exp_norms(lnm + root)
+        order = np.lexsort((px, row))  # each row's largest psi of the pass, last in its run
+        top = order[np.append(row[order][1:] != row[order][:-1], True)]
+        won = top[(px[top] > best[row[top]]) & (v[top] >= value[row[top]])]
+        r = row[won]
+        value[r], argmax[r], peak[r], best[r] = v[won], x[won], inner[won], px[won]
+        n = row.size  # [lo, hi] becomes [lo, x] and [x, hi]
+        row, ivl = np.concatenate((row, row)), np.concatenate((ivl, ivl), axis=1)
+        ivl[1, :n], ivl[3, :n], ivl[0, n:], ivl[2, n:] = x, fx, x, fx
+        b, x = _chord_bounds(gp, *ivl)
 
 
 def _grand_scan(samples: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volume: float):
-    """Epsilon scan of every row of a (windows, cells) block at once.
-
-    The grid stage is :func:`_inner_norms` over the epsilon grid; a grid of
-    more than one point is refined by :func:`_newton_rows` within the
-    argmax's grid neighbours.  Returns (value, argmax, inner, terms, peak):
-    per-row values and maximizers, the (rows, grid) inner norms and terms,
-    and the inner norm at each maximizer.
-    """
+    """Epsilon scan of every row of a (windows, cells) block at once: (value, argmax, inner,
+    terms, peak, upper), per row but the (rows, grid) inner norms and terms (exps of logs:
+    a prefactor past float range makes no inf); peak is the inner norm at argmax."""
     form = _grand_form(samples, aw, gp)
     grid = np.array(gp.eps_grid.values)
-    inner = _inner_norms(form, gp.p, grid, cell_volume)
-    # each eps's largest term, checked on its log before the product
-    _exp_norms(np.log(inner.max(axis=0, initial=np.finfo(float).tiny)) + gp.ln_prefactor(grid))
-    terms = _terms(gp, grid, inner)
+    ends = np.concatenate(([0.0], grid))
+    lam = _ln_sums(form, ends, cell_volume)  # lam at eps = 0 bounds (0, eps_1]
+    psi = lam[1:] / (gp.p - grid)[:, None]
+    inner = _exp_norms(psi + form.lnm).T
+    psi += gp.ln_prefactor(grid)[:, None]  # ln(term) - ln m
+    terms = _exp_norms(psi + form.lnm).T
     k = np.argmax(terms, axis=1)  # first maximum: ties break toward the lowest eps
     rows = np.arange(len(terms))
     value, argmax, peak = terms[rows, k], grid[k], inner[rows, k]
-    if grid.size > 1:
-        argmax, value, peak = _newton_rows(form, gp, cell_volume, grid, k, value, peak)
-    return value, argmax, inner, terms, peak
+    upper = _split_rows(form, gp, cell_volume, ends, lam, psi, k, value, argmax, peak)
+    upper = np.maximum(_exp_norms(upper + form.lnm), value)  # despite rounding
+    return value, argmax, inner, terms, peak, upper
 
 
-def _grand_report(
-    samples: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volume: float
-) -> list[NormReport]:
-    """Grand norm of every row of a (rows, cells) block with its curve, from one batched scan."""
-    value, argmax, inner, terms, peak = _grand_scan(samples, aw, gp, cell_volume)
+def _grand_report(samples: np.ndarray, aw, gp: GrandParams, cell_volume: float, gaps=0.0) -> list[NormReport]:
+    """Grand norm of every row of a (rows, cells) block with its curve, from one scan, each
+    upper bound times 1 + its row's ``gaps``."""
+    value, argmax, inner, terms, peak, upper = _grand_scan(samples, aw, gp, cell_volume)
+    upper *= 1.0 + np.asarray(gaps)
     return [
-        NormReport(v, x, _Curve(gp.eps_grid.values, row_inner, row_terms, (x, pk, v)),
+        NormReport(v, ub, x, _Curve(gp.eps_grid.values, row_inner, row_terms, (x, pk, v)),
                    gp.p, gp.theta, gp.variant.value)
-        for v, x, pk, row_inner, row_terms in zip(
-            value.tolist(), argmax.tolist(), peak.tolist(), inner, terms
+        for v, ub, x, pk, row_inner, row_terms in zip(
+            value.tolist(), upper.tolist(), argmax.tolist(), peak.tolist(), inner, terms
         )
     ]
 
 
 class _Curve(Sequence):
-    """The (eps, inner norm, weighted term) rows of one grand report, made when read.
-
-    The reports of a stack keep views of their scan's arrays: rows of Python
-    floats would cost about 4 KB per report, for reports whose callers mostly
-    read only the value.  The maximizer has a row of its own when it is not a
-    grid point.
-    """
+    """The (eps, inner norm, weighted term) rows of one grand report, made when read: the
+    reports of a stack keep views of their scan's arrays, as rows of Python floats would cost
+    about 4 KB a report.  The maximizer has a row of its own when it is not a grid point."""
 
     def __init__(self, eps: tuple, inner: np.ndarray, terms: np.ndarray, top: tuple):
         self._parts = (eps, inner, terms, top)
@@ -546,15 +520,14 @@ class _Curve(Sequence):
 
 
 def grand_norm(f: GridFunction, gp: GrandParams) -> NormReport:
-    """Grand norm of ``f``: sup over the epsilon grid, refined between grid points.
+    """Grand norm of ``f``: sup over the epsilon grid, certified between grid points.
 
     The samples of ``f`` go to the log form as they are, real or complex.  On a grid of at
     most ``gridfn._GRID_BLOCK_CELLS`` cells the norm holds A and B, two rows, above ``f`` and
     the grandizer; on a larger grid it holds a few chunks of them and its buffers, which
-    every pass rebuilds.  An inner norm past float range raises ``ValueError``.  Refinement never decreases the value: the Newton steps from the grid
-    argmax only replace the grid maximum when they find a larger term.  The
-    curve has a row at every grid point, and one more at the maximizer when
-    that is not a grid point.
+    every pass rebuilds.  An inner norm past float range raises ``ValueError``.  The value is
+    at least the grid's largest term; the curve has a row at every grid point, and one more at
+    the maximizer when that is not a grid point.
     """
     _check_same_domain(f, gp.grandizer, "grand_norm")
     samples, avals = _one_window(f.values), _one_window(gp.grandizer.values)
@@ -562,30 +535,14 @@ def grand_norm(f: GridFunction, gp: GrandParams) -> NormReport:
 
 
 def sup_eps_factor(mass: float, p: float, theta: float = 1.0) -> float:
-    """sup over eps in (0, p-1] of eps**theta * mass**(eps / (p (p - eps))).
-
-    It is maximized in closed form: the stationary points of the log solve the
-    quadratic theta*eps^2 + (ln mass - 2 p theta) eps + theta p^2 = 0.
-    """
+    """sup over eps in (0, p-1] of eps**theta * mass**(eps / (p (p - eps))), whose log is
+    theta ln eps + ln(mass) / (p - eps) less a constant: maximized at :func:`_peak`."""
     if mass <= 0.0:
         raise ValueError("mass must be positive")
     top = _grand_exponent(p) - 1.0
     _check_theta(theta)
-
-    def g(eps: float) -> float:
-        return eps**theta * mass ** (eps / (p * (p - eps)))
-
-    best = g(top)
-    ln_mass = math.log(mass)
-    if ln_mass < 0.0:
-        disc = (ln_mass - 2.0 * p * theta) ** 2 - 4.0 * theta**2 * p**2
-        if disc >= 0.0:
-            root = math.sqrt(disc)
-            for eps in ((2.0 * p * theta - ln_mass - root) / (2.0 * theta),
-                        (2.0 * p * theta - ln_mass + root) / (2.0 * theta)):
-                if 0.0 < eps < top:
-                    best = max(best, g(eps))
-    return best
+    eps = min(float(_peak(theta, p, math.log(mass))), top)
+    return eps**theta * mass ** (eps / (p * (p - eps)))
 
 
 def write_norm_csv(report: NormReport, path: str | Path) -> None:

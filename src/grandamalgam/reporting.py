@@ -69,21 +69,22 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[A
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _jsonable(obj: Any) -> Any:
+def _json(obj: Any, pad: str = "\n") -> str:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it, keys as strings and
+    enums as values; json's own indenting encoder is closures, which leave cyclic garbage."""
+    inner = pad + "  "
     if isinstance(obj, Mapping):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        items = [f"{json.dumps(k)}: {_json(v, inner)}" for k, v in sorted({str(k): v for k, v in obj.items()}.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[" + inner + ("," + inner).join(_json(v, inner) for v in obj) + pad + "]"
     if isinstance(obj, Enum):
-        return obj.value
-    if hasattr(obj, "item") and callable(obj.item):  # numpy scalars
-        return obj.item()
-    return obj
+        return _json(obj.value, pad)
+    return json.dumps(obj.item() if hasattr(obj, "item") else obj)  # a numpy scalar
 
 
 def write_json(path: str | Path, payload: Any) -> None:
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(_json(payload) + "\n")
 
 
 def check_payload(result: CheckResult) -> dict:
@@ -95,7 +96,7 @@ def check_payload(result: CheckResult) -> dict:
         else {"case": result.worst_case[0], "margin": result.worst_case[1]},
         "estimated_constant": result.estimated_constant,
         "tolerance": result.tolerance,
-        "notes": _jsonable(result.notes),
+        "notes": result.notes,
         "n_cases": len(result.details),
     }
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -411,6 +412,31 @@ def test_amalgam_norm_reuses_a_given_control_function(box16):
     other = ga.control_function(f, spec.local_space, ga.WindowSpec(4, 4))
     with pytest.raises(ValueError, match="window"):
         ga.amalgam_norm(f, spec, control=other)
+
+
+@pytest.mark.parametrize("local_kind, global_kind", [("grand", "grand"), ("classical", "grand"),
+                                                     ("grand", "classical"), ("classical", "classical")])
+def test_amalgam_upper_bound_covers_the_local_gap(local_kind, global_kind):
+    """The upper bound is (1 + the control function's largest gap) times the outer stage's:
+    no denser epsilon grid, in either stage, finds a larger value, and only a grand stage
+    leaves a gap, of at most 1e-12 each."""
+    dom = ga.BoxDomain(0.0, 1.0, 64)
+    f = ga.build(dom, lambda x: np.exp(-40.0 * (x - 0.3) ** 2) + 0.1)
+    a, b = ga.weight_from(dom, lambda x: np.exp(-3.0 * x)), ga.weight_from(dom, lambda x: 1.0 + x)
+    stages = {"grand": (ga.GrandParams(3.0, a), ga.GrandParams(2.5, b)),
+              "classical": (ga.ClassicalSpace(3.0, a), ga.ClassicalSpace(2.5, b))}
+    local, glob = stages[local_kind][0], stages[global_kind][1]
+    spec = ga.AmalgamSpec(local, glob, ga.WindowSpec(8, 4))
+    cf = ga.control_function(f, local, spec.window)
+    rep = ga.amalgam_norm(f, spec, control=cf)
+    assert (cf.gap == 0.0) == (local_kind == "classical") and 0.0 <= cf.gap <= 1e-12
+    assert rep.value <= rep.upper_bound <= rep.value * (1 + 2.1e-12)
+    if (local_kind, global_kind) == ("classical", "classical"):
+        assert rep.upper_bound == rep.value
+    dense = [replace(s, eps_grid=ga.EpsGrid.linear(s.p, 2001)) if isinstance(s, ga.GrandParams) else s
+             for s in (local, glob)]
+    assert ga.amalgam_norm(f, ga.AmalgamSpec(*dense, spec.window)).value <= rep.upper_bound * (1 + 1e-13)
+    assert ga.amalgam_norms([f], spec) == [rep]
 
 
 @st.composite

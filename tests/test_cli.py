@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grandamalgam as ga
-from grandamalgam import cli, gridfn
+from grandamalgam import cli, gridfn, reporting
 from grandamalgam.cli import ConfigError, RunConfig, parse_config
 
 
@@ -91,8 +91,9 @@ def test_cli_grand_closed_form(tmp_path):
     )
     assert code == 0
     summary = json.loads((out / "grand_summary.json").read_text())
-    assert sorted(summary) == sorted(["value", "argmax_eps", "variant", "p", "theta"])  # README
+    assert sorted(summary) == sorted(["value", "upper_bound", "argmax_eps", "variant", "p", "theta"])  # README
     assert summary["value"] == pytest.approx(1.0, rel=1e-9, abs=0.0)
+    assert summary["value"] <= summary["upper_bound"] <= summary["value"] * (1 + 1e-12)
     assert summary["argmax_eps"] == pytest.approx(1.0, rel=1e-6, abs=0.0)
     curve = (out / "grand_curve.csv").read_text().splitlines()
     assert curve[0] == "eps,inner_norm,weighted_term"
@@ -376,6 +377,34 @@ def test_a_rejected_command_leaves_no_cyclic_garbage(tmp_path, capsys):
         gc.enable()
 
 
+@pytest.mark.parametrize("sub", ["grand", "amalgam"])
+def test_a_successful_command_leaves_no_cyclic_garbage(tmp_path, sub):
+    """The same for a run that computes and writes its files: json's indenting encoder, made
+    of closures, would leave cycles for each JSON file."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main([sub, "--f", "gaussian:0.3,0.1", "--out", str(tmp_path / "o")]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_json_files_are_what_json_dumps_writes(tmp_path):
+    """Every JSON file of every subcommand is byte for byte json.dumps(payload, sort_keys=True,
+    indent=2) and a newline, and so is a payload with every kind of value."""
+    payload = {"b": [1, 2.5, {"x": None, "é": "ü\n"}, [], {}], "a": True, "c": {"z": [False, 1e300, -0.0]}}
+    assert reporting._json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    for k, argv in enumerate([["norm", "--f", "gaussian:0.5,0.2"], ["grand", "--f", "bump:0.5,0.4"],
+                              ["amalgam", "--f", "gaussian:0.5,0.2", "--local", "classical"],
+                              ["maximal", "--f", "indicator:-1,1", "--probe", "0,2"],
+                              ["verify", "--check", "norm_axioms", "--cells", "32"]]):
+        assert cli.main([*argv, "--out", str(tmp_path / str(k))]) == 0
+        for path in (tmp_path / str(k)).glob("*.json"):
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path
+
+
 def _help_lines(capsys, argv) -> dict:
     """The help that ``main(argv)`` prints, by first word of each line."""
     assert cli.main(argv) == 0
@@ -550,6 +579,17 @@ def test_radii_are_checked_against_the_csv_grid(tmp_path, capsys, monkeypatch):
     assert cli.main([*argv[:-3], "2,16", *argv[-2:]]) == 0
 
 
+def test_probe_at_the_ends_of_a_csv_grid_is_accepted(tmp_path):
+    """A CSV grid's ends are inferred from its centers, off the written box by rounding
+    (here [1.4e-17, 0.49999999999999994]): its box's own ends are still in the grid."""
+    path = tmp_path / "f.csv"
+    ga.write_grid_csv(ga.constant(ga.BoxDomain(0.0, 0.5, 3), 1.5), path)
+    out = tmp_path / "m"
+    assert cli.main(["maximal", "--f", str(path), "--probe", "0.0,0.5", "--out", str(out)]) == 0
+    summary = json.loads((out / "maximal_summary.json").read_text())
+    assert summary["probes"] == [{"x": 0.0, "mf": 1.5}, {"x": 0.5, "mf": 1.5}]
+
+
 def test_probe_inside_a_csv_grid_outside_the_box_is_accepted(tmp_path):
     path = tmp_path / "f.csv"
     ga.write_grid_csv(ga.constant(ga.BoxDomain(10.0, 20.0, 16), 1.0), path)
@@ -644,14 +684,18 @@ def _valid_run(draw):
             given[key] = draw(st.sampled_from(kind))
         elif kind == "sampler":
             given[key] = _spec(draw(st.sampled_from(families)), lower, upper)
+        if kind == "sampler" and draw(st.integers(0, 3)) == 0:  # a constant at the edges of float range
+            given[key] = f"const:1e{draw(st.integers(-300, 308))}"
     grand = {"p": sub == "grand" or given.get("local") == "grand", "q": given.get("global") == "grand"}
     for key in ("p", "q"):
         if key in cli._PARAMS[sub]:
             given[key] = repr(draw(st.floats(1.5 if grand[key] else 1.0, 4.0)))
     if "theta" in cli._PARAMS[sub]:
-        given["theta"] = repr(draw(st.floats(0.25, 3.0)))
+        # a large power of eps only where every grand stage reaches an eps above 1
+        wide = all(float(given[key]) > 2.0 for key in ("p", "q") if key in given and grand[key])
+        given["theta"] = repr(draw(st.floats(0.25, 3.0) | st.floats(3.0, 1100.0 if wide else 3.0)))
     if sub == "grand":
-        given["eps_count"] = str(draw(st.integers(2, 40)))
+        given["eps_count"] = str(draw(st.sampled_from([2, 3]) | st.integers(2, 40)))
         fraction = draw(st.one_of(st.none(), st.floats(0.01, 0.9)))
         given["eps_min"] = "" if fraction is None else repr((float(given["p"]) - 1.0) * fraction)
     elif sub == "amalgam":
@@ -679,17 +723,11 @@ def _argv(sub: str, given: dict) -> list:
 
 def _csv_input(given: dict, box: tuple, folder: Path) -> dict:
     """``given`` with its input spec sampled on the box, written to a grid CSV in ``folder``,
-    and named by the file's path.  The file's grid is inferred from its cell centers, and
-    its ends may differ from the box's by rounding: its probes are kept inside that grid."""
+    and named by the file's path, whose grid's ends may differ from the box's by rounding."""
     lower, upper, cells, _ = box
     f = ga.build(ga.BoxDomain(lower, upper, cells), cli.make_sampler(given["input"], len(lower)))
     ga.write_grid_csv(f, folder / "f.csv")
-    given = {**given, "input": str(folder / "f.csv")}
-    if given.get("probe"):
-        dom = ga.read_grid_csv(folder / "f.csv").domain
-        points = [min(max(float(x), dom.lower[0]), dom.upper[0]) for x in given["probe"].split(",")]
-        given["probe"] = ",".join(map(repr, points))
-    return given
+    return {**given, "input": str(folder / "f.csv")}
 
 
 @st.composite
@@ -754,19 +792,25 @@ def test_one_bad_key_or_flag_is_named_and_makes_no_output(tmp_path_factory, case
 
 
 @settings(max_examples=400, deadline=None, database=None)
-@given(_valid_run(), st.sampled_from([None, "1e300", "1e-300"]))
-def test_a_valid_run_exits_0_and_writes_only_finite_numbers(tmp_path_factory, run, constant):
+@given(_valid_run(), st.none() | st.integers(-300, 308))
+def test_a_valid_run_exits_0_and_writes_only_finite_numbers(tmp_path_factory, run, power):
     """Every run the tables admit succeeds, from a sampler spec or a grid CSV, also with a
-    constant input at the edges of float range, and no file it writes holds inf or NaN."""
+    constant input 10**power anywhere in float range, and no file it writes holds inf or NaN;
+    or its norm is past float range, which is an error that names the input and writes
+    nothing."""
     sub, given, box, csv = run
-    if constant:
-        given = {**given, "input": f"const:{constant}"}
+    if power is not None:
+        given = {**given, "input": f"const:1e{power}"}
     folder = tmp_path_factory.mktemp("run")
     if csv:
         given = _csv_input(given, box, folder)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main([*_argv(sub, given), "--out", str(folder / "o")])
+    if code == 2:
+        assert err.getvalue().startswith("config error: input: the norm exceeds float range"), (sub, given)
+        assert not (folder / "o").exists()
+        return
     assert code == 0, (sub, given, err.getvalue())
     for path in (folder / "o").iterdir():
         assert not re.search(r"\b(inf|nan|NaN|Infinity)\b", path.read_text()), (sub, given, path.name)

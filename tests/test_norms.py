@@ -27,6 +27,11 @@ def brute_lp(f, p, w=None):
     return total ** (1.0 / p) if total > 0 else 0.0
 
 
+def prefactor(gp, eps):
+    """eps**theta, or eps**(theta / (p - eps)) for ``EXPONENT_FULL``."""
+    return eps ** (gp.theta if gp.variant is ga.Variant.EXPONENT_OVER_P else gp.theta / (gp.p - eps))
+
+
 def dense_grand_oracle(f, gp, n=401):
     """Linear 401-point scan plus an independent (scipy) refinement pass."""
     absf = np.abs(f.values)
@@ -37,7 +42,7 @@ def dense_grand_oracle(f, gp, n=401):
         w = av ** (eps / gp.p) if gp.variant is ga.Variant.EXPONENT_OVER_P else av**eps
         s = float(np.sum(absf ** (gp.p - eps) * w)) * vol
         inner = s ** (1.0 / (gp.p - eps)) if s > 0 else 0.0
-        return gp.prefactor(eps) * inner
+        return prefactor(gp, eps) * inner
 
     top = gp.p - 1.0
     grid = np.linspace(top * 1e-6, top, n)
@@ -360,17 +365,17 @@ def test_grid_inner_norms_of_rows_spanning_600_decades():
 
 
 def test_batched_scan_rows_match_rows_scanned_alone():
-    """Rows converge after different numbers of Newton steps; each row must
+    """Rows are certified after different numbers of split passes; each row must
     still come out exactly as it does when it is scanned on its own."""
     rng = np.random.default_rng(11)
     for trial in range(50):
         gp = block_params(rng, list(ga.Variant)[trial % 2])
         rows, cells = int(rng.integers(1, 12)), int(rng.integers(1, 40))
         absw, aw = random_block(rng, rows, cells)
-        value, argmax, inner, _, _ = _grand_scan(absw, aw, gp, 1.0 / cells)
+        value, argmax, inner, _, _, upper = _grand_scan(absw, aw, gp, 1.0 / cells)
         for r in range(rows):
-            v, x, row, _, _ = _grand_scan(absw[r : r + 1], aw[r : r + 1], gp, 1.0 / cells)
-            assert (value[r], argmax[r]) == (v[0], x[0])
+            v, x, row, _, _, ub = _grand_scan(absw[r : r + 1], aw[r : r + 1], gp, 1.0 / cells)
+            assert (value[r], argmax[r], upper[r]) == (v[0], x[0], ub[0])
             assert np.array_equal(inner[r], row[0])
 
 
@@ -390,8 +395,8 @@ def test_grid_block_size_changes_no_bit(monkeypatch, cells_per_block):
 
 def test_refinement_takes_few_derivative_passes(monkeypatch, unit_box):
     passes = []
-    moments = norms._moments
-    monkeypatch.setattr(norms, "_moments", lambda *args: passes.append(1) or moments(*args))
+    ln_sums_at = norms._ln_sums_at
+    monkeypatch.setattr(norms, "_ln_sums_at", lambda *args: passes.append(1) or ln_sums_at(*args))
     f = ga.build(unit_box, lambda x: np.exp(-40.0 * (x - 0.3) ** 2))
     gp = ga.GrandParams(3.0, ga.weight_from(unit_box, lambda x: np.exp(-3.0 * x)))
     rep = ga.grand_norm(f, gp)
@@ -419,6 +424,51 @@ def test_an_interior_maximum_beside_an_end_maximum_is_found():
     assert scan.argmax() not in (0, eps.size - 1) and scan.max() > scan[-1] * 1.005
     assert rep.value >= scan.max() * (1 - 1e-12)
     assert rep.argmax_eps < p - 1.0
+
+
+def _reproducer(rng):
+    """p, theta, |f| and a grandizer on 64 cells, drawn in this order from ``rng``."""
+    p, theta = rng.uniform(1.2, 6.0), rng.uniform(0.2, 3.0)
+    absf = np.exp(rng.normal(0.0, rng.uniform(0.1, 8.0), 64))
+    return p, theta, absf, np.exp(rng.normal(0.0, rng.uniform(0.1, 8.0), 64))
+
+
+def _dense_log_terms(absf, a, gp, eps):
+    """ln of the weighted terms at each of ``eps``, from scipy's logsumexp over the cells."""
+    root = gp.p if gp.variant is ga.Variant.EXPONENT_OVER_P else 1.0
+    lns = logsumexp((gp.p - eps) * np.log(absf)[:, None] + eps * np.log(a)[:, None] / root, axis=0)
+    pre = gp.theta if gp.variant is ga.Variant.EXPONENT_OVER_P else gp.theta / (gp.p - eps)
+    return pre * np.log(eps) + (lns + math.log(1.0 / absf.size)) / (gp.p - eps)
+
+
+def test_a_sup_between_grid_points_is_found_and_certified():
+    """Draw 881 of the reproducer (seed 0): the grid's largest term is at p - 1, and the sup,
+    which a 4,001-point scan puts at 1572.23514, lies in the second interval below it.  The
+    value is within 1e-12 of its bound."""
+    rng = np.random.default_rng(0)
+    for _ in range(882):
+        p, theta, absf, a = _reproducer(rng)
+    dom = ga.BoxDomain(0.0, 1.0, 64)
+    gp = ga.GrandParams(p, ga.Weight(dom, a), theta=theta)
+    rep = ga.grand_norm(ga.GridFunction(dom, absf), gp)
+    scan = np.exp(_dense_log_terms(absf, a, gp, np.linspace(1e-9, p - 1.0, 4001)).max())
+    assert scan == pytest.approx(1572.23514, rel=1e-8, abs=0.0)
+    assert rep.value >= 1572.2351 and rep.value >= rep.upper_bound / (1 + 1e-12)
+    assert scan <= rep.upper_bound * (1 + 1e-13)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(ga.Variant)))
+def test_the_upper_bound_holds_and_the_value_is_within_the_gap(seed, variant):
+    """Over the reproducer's distribution, no point of a dense scan (the grid and 2,001 more)
+    is above the upper bound, and the value is within ``_GAP`` of it."""
+    p, theta, absf, a = _reproducer(np.random.default_rng(seed))
+    dom = ga.BoxDomain(0.0, 1.0, 64)
+    gp = ga.GrandParams(p, ga.Weight(dom, a), theta=theta, variant=variant)
+    rep = ga.grand_norm(ga.GridFunction(dom, absf), gp)
+    eps = np.concatenate((gp.eps_grid.values, np.linspace(1e-9, p - 1.0, 2001)))
+    assert _dense_log_terms(absf, a, gp, eps).max() <= math.log(rep.upper_bound) + 1e-13
+    assert rep.value <= rep.upper_bound and rep.value >= rep.upper_bound / (1 + norms._GAP)
 
 
 def test_grand_norm_of_a_grandizer_beyond_float_range():
@@ -473,7 +523,7 @@ def test_inner_norms_match_a_log_space_reference_across_float_range(cells, p, va
     root = p if variant is ga.Variant.EXPONENT_OVER_P else 1.0
     h = dom.cell_volume
     logs = [_log_inner(absf, eps / root * np.log(a), p - eps, h) for eps in gp.eps_grid.values]
-    terms = [log + math.log(gp.prefactor(eps)) for log, eps in zip(logs, gp.eps_grid.values)]
+    terms = [log + math.log(prefactor(gp, eps)) for log, eps in zip(logs, gp.eps_grid.values)]
     if max(logs + terms) > _HUGE_LOG:
         with pytest.raises(ValueError, match="the norm exceeds float range"):
             ga.grand_norm(f, gp)
@@ -554,7 +604,7 @@ def test_long_rows_stream_through_ragged_cell_chunks(variant):
             want, rel = _fsum_inner(absf, a, p, eps, root, dom.cell_volume)
             if want is not None:
                 assert inner == pytest.approx(want, rel=rel, abs=0.0)
-                assert term == pytest.approx(gp.prefactor(eps) * want, rel=rel, abs=0.0)
+                assert term == pytest.approx(prefactor(gp, eps) * want, rel=rel, abs=0.0)
                 compared += 1
     assert compared >= 20
 
@@ -579,7 +629,7 @@ def test_chunked_rows_agree_with_one_chunk(monkeypatch):
     lp = _chunked(monkeypatch, 100, lambda: ga.weighted_lp_norm(f, 3.0, gp.grandizer))
     assert lp == pytest.approx(ga.weighted_lp_norm(f, 3.0, gp.grandizer), rel=1e-14, abs=0.0)
 
-    # An interior maximum on a row of ten chunks, one all zero: Newton's passes rebuild the
+    # An interior maximum on a row of ten chunks, one all zero: the split passes rebuild the
     # chunks they sum, and find the maximizer of one chunk.
     g = ga.build(dom, lambda x: np.where((x > 0.5) & (x < 0.6), 0.0, np.exp(-40.0 * (x - 0.3) ** 2)))
     assert not g.values[500:600].any()
@@ -621,7 +671,7 @@ def _long_row():
 
 def test_grand_norm_of_a_long_row_allocates_little_beyond_its_log_form():
     """On 2^18 cells the log form keeps ln m and builds each chunk's A and B when asked, and
-    the scan and the Newton passes stream them through chunk buffers: the traced peak is a
+    the scan and the split passes stream them through chunk buffers: the traced peak is a
     few chunks of 2^14 cells, under half a row."""
     f, a = _long_row()
     gp = ga.GrandParams(2.0, a)
@@ -702,8 +752,8 @@ def test_norms_past_float_range_are_errors():
 
 def test_weighted_terms_past_float_range_are_errors():
     """Finite inner norms whose terms eps**theta * inner pass float range are errors, not inf:
-    at the grid's last eps (|f| = 1e308, theta = 3: 8e308 at eps = 2), and at Newton's
-    interior maximum alone (|f| on half the box, p = 10, theta = 5: the grid's largest term
+    at the grid's last eps (|f| = 1e308, theta = 3: 8e308 at eps = 2), and at an interior
+    maximum between grid points alone (|f| on half the box, p = 10, theta = 5: the grid's largest term
     is 0.7% below it, and |f| is scaled to put the float maximum between the two)."""
     dom = ga.BoxDomain(0.0, 1.0, 4)
     with pytest.raises(ValueError, match="the norm exceeds float range"):

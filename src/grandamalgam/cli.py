@@ -38,6 +38,7 @@ from .amalgam import (
 from .gridfn import BoxDomain, GridFunction, _SAMPLERS, build, read_grid_csv, weight_from
 from .maximal import RadiusSet, _sample_profile, maximal_fast, write_maximal_csv
 from .norms import (
+    DEFAULT_EPS_COUNT,
     ClassicalSpace,
     EpsGrid,
     GrandParams,
@@ -63,7 +64,7 @@ _PARAMS = {
         "variant": "over_p",
         "a": "const:1",
         "eps_mode": "geometric",
-        "eps_count": "33",
+        "eps_count": str(DEFAULT_EPS_COUNT),
         "eps_min": "",
         "box": "0,1",
         "cells": "64",

@@ -8,11 +8,11 @@ for ``EXPONENT_FULL``), summed as a log-sum-exp shifted by its row max: no
 or complex, keeps ln m per row and builds A and B per cell chunk when asked; a
 row longer than ``gridfn._GRID_BLOCK_CELLS`` cells is summed chunk by chunk, so a
 norm holds no array the size of the row.  An inner norm past float range is an
-error, not inf.  A classical L^q(w) norm is
-the ``EXPONENT_FULL`` inner norm at p = q + 1, eps = 1.  The sup is taken
-on an epsilon grid (geometric by default, so eps -> 0 is resolved), and
-certified by splitting grid intervals, for all rows of a (windows, cells)
-block at once; a function is the one-row case.  Two inner weightings:
+error, not inf.  A classical L^q(w) norm is the ``EXPONENT_FULL`` inner norm at
+p = q + 1, eps = 1.  The sup is certified by splitting intervals of an epsilon
+grid (geometric by default) for all rows of a (windows, cells) block at once; a
+function is one row.  The grid only seeds the sup: a smaller one shortens the
+curve, not the certificate.  Two inner weightings:
 
 * ``EXPONENT_OVER_P``: weight a**(eps/p), outer factor eps**theta;
 * ``EXPONENT_FULL``:   weight a**eps, outer factor eps**(theta/(p-eps)).
@@ -51,7 +51,7 @@ __all__ = [
 _GAP = 1e-12  # the certified relative gap of a grand norm's value
 _LN_FLOAT_MAX = math.log(np.finfo(np.float64).max)  # the largest x whose exp is a finite float64
 
-DEFAULT_EPS_COUNT = 33
+DEFAULT_EPS_COUNT = 9
 DEFAULT_EPS_MIN_FRACTION = 1e-4
 
 
@@ -525,9 +525,8 @@ def grand_norm(f: GridFunction, gp: GrandParams) -> NormReport:
     The samples of ``f`` go to the log form as they are, real or complex.  On a grid of at
     most ``gridfn._GRID_BLOCK_CELLS`` cells the norm holds A and B, two rows, above ``f`` and
     the grandizer; on a larger grid it holds a few chunks of them and its buffers, which
-    every pass rebuilds.  An inner norm past float range raises ``ValueError``.  The value is
-    at least the grid's largest term; the curve has a row at every grid point, and one more at
-    the maximizer when that is not a grid point.
+    every pass rebuilds.  An inner norm past float range raises ``ValueError``.  The curve has
+    a row at every grid point, and one at an off-grid maximizer.
     """
     _check_same_domain(f, gp.grandizer, "grand_norm")
     samples, avals = _one_window(f.values), _one_window(gp.grandizer.values)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import grandamalgam as ga
 from grandamalgam.amalgam import lattice_weight
+from grandamalgam.norms import DEFAULT_EPS_COUNT
 
 
 def make_random_function(domain, seed):
@@ -70,7 +71,7 @@ def test_amalgam_grand_outer_carries_curve(box16):
     gp = ga.GrandParams(2.0, ga.unit_weight(box16))
     spec = ga.AmalgamSpec(ga.ClassicalSpace(2.0), gp, ga.WindowSpec(4, 4))
     rep = ga.amalgam_norm(ga.constant(box16, 1.0), spec)
-    assert len(rep.curve) >= 33
+    assert len(rep.curve) >= DEFAULT_EPS_COUNT
     assert rep.argmax_eps is not None
     # classical outer: empty curve
     spec_c = ga.AmalgamSpec(ga.ClassicalSpace(2.0), ga.ClassicalSpace(2.0), ga.WindowSpec(4, 4))

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import grandamalgam as ga
 from grandamalgam import cli, gridfn, reporting
 from grandamalgam.cli import ConfigError, RunConfig, parse_config
+from grandamalgam.norms import DEFAULT_EPS_COUNT
 
 
 SAMPLE_CONFIG = """\
@@ -97,7 +98,7 @@ def test_cli_grand_closed_form(tmp_path):
     assert summary["argmax_eps"] == pytest.approx(1.0, rel=1e-6, abs=0.0)
     curve = (out / "grand_curve.csv").read_text().splitlines()
     assert curve[0] == "eps,inner_norm,weighted_term"
-    assert len(curve) >= 34  # default 33-point grid, plus any refinement row
+    assert len(curve) >= DEFAULT_EPS_COUNT + 1  # the header and the default grid, plus any off-grid maximiser
 
 
 def test_cli_norm_and_weight(tmp_path):
@@ -795,23 +796,28 @@ def test_one_bad_key_or_flag_is_named_and_makes_no_output(tmp_path_factory, case
 @given(_valid_run(), st.none() | st.integers(-300, 308))
 def test_a_valid_run_exits_0_and_writes_only_finite_numbers(tmp_path_factory, run, power):
     """Every run the tables admit succeeds, from a sampler spec or a grid CSV, also with a
-    constant input 10**power anywhere in float range, and no file it writes holds inf or NaN;
-    or its norm is past float range, which is an error that names the input and writes
-    nothing."""
+    constant input 10**power anywhere in float range, and no file it writes holds inf or NaN,
+    and its input as sampled is not all zero unless its spec is a zero constant; or its norm
+    is past float range, which is an error that names the input and writes nothing."""
     sub, given, box, csv = run
     if power is not None:
         given = {**given, "input": f"const:1e{power}"}
+    name, _, args = given["input"].partition(":")
+    zero_spec = name == "const" and float(args) == 0.0
     folder = tmp_path_factory.mktemp("run")
     if csv:
         given = _csv_input(given, box, folder)
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    loaded, load_input = [], cli._load_input  # the input of the run, as sampled or read
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
+        patch.setattr(cli, "_load_input", lambda *args: loaded.append(load_input(*args)) or loaded[-1])
         code = cli.main([*_argv(sub, given), "--out", str(folder / "o")])
     if code == 2:
         assert err.getvalue().startswith("config error: input: the norm exceeds float range"), (sub, given)
         assert not (folder / "o").exists()
         return
     assert code == 0, (sub, given, err.getvalue())
+    assert len(loaded) == 1 and (zero_spec or loaded[0].values.any()), (sub, given)
     for path in (folder / "o").iterdir():
         assert not re.search(r"\b(inf|nan|NaN|Infinity)\b", path.read_text()), (sub, given, path.name)
 

@@ -254,7 +254,7 @@ def test_sup_eps_factor_checks_its_exponent_and_theta():
 
 def test_eps_grid_geometric_shape():
     grid = EpsGrid.geometric(2.0)
-    assert len(grid.values) == 33
+    assert len(grid.values) == norms.DEFAULT_EPS_COUNT
     assert grid.values[-1] == 1.0
     assert grid.values[0] == pytest.approx(1e-4, rel=1e-9, abs=0.0)
     assert all(b > a for a, b in zip(grid.values, grid.values[1:]))
@@ -471,6 +471,23 @@ def test_the_upper_bound_holds_and_the_value_is_within_the_gap(seed, variant):
     assert rep.value <= rep.upper_bound and rep.value >= rep.upper_bound / (1 + norms._GAP)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(ga.Variant)))
+def test_the_value_does_not_depend_on_the_grid(seed, variant):
+    """Over the reproducer's distribution, the value on the default grid and on a 33-point
+    grid agree within 2 ``_GAP``: the grid only seeds the certified sup.  Each value lies
+    within ``_GAP`` of its own upper bound."""
+    p, theta, absf, a = _reproducer(np.random.default_rng(seed))
+    dom = ga.BoxDomain(0.0, 1.0, 64)
+    reps = []
+    for grid in (None, EpsGrid.geometric(p, 33)):
+        gp = ga.GrandParams(p, ga.Weight(dom, a), theta=theta, variant=variant, eps_grid=grid)
+        reps.append(ga.grand_norm(ga.GridFunction(dom, absf), gp))
+        assert reps[-1].upper_bound / (1 + norms._GAP) <= reps[-1].value <= reps[-1].upper_bound
+    assert len(reps[0].curve) <= norms.DEFAULT_EPS_COUNT + 1
+    assert reps[0].value == pytest.approx(reps[1].value, rel=2 * norms._GAP, abs=0.0)
+
+
 def test_grand_norm_of_a_grandizer_beyond_float_range():
     """a^eps reaches 1e600 in one cell; the sup, at eps = p - 1 = 2, is
     2 * 0.25 * 1e-300 * 1e600 = 5.0e299 (a 50-digit sum gives
@@ -592,7 +609,7 @@ def test_long_rows_stream_through_ragged_cell_chunks(variant):
     a = 10.0 ** rng.uniform(-300.0, 300.0, cells)
     compared = 0
     for p in (1.5, 3.0):
-        gp = ga.GrandParams(p, ga.Weight(dom, a), theta=0.7, variant=variant)
+        gp = ga.GrandParams(p, ga.Weight(dom, a), theta=0.7, variant=variant, eps_grid=EpsGrid.geometric(p, 33))
         root = p if variant is ga.Variant.EXPONENT_OVER_P else 1.0
         g = ga.GridFunction(dom, absf)
         if any(_fsum_inner(absf, a, p, eps, root, dom.cell_volume)[0] is None for eps in gp.eps_grid.values):

@@ -25,7 +25,6 @@ from .gridfn import (
     write_grid_csv,
 )
 from .norms import (
-    EpsGrid,
     GrandParams,
     NormReport,
     Variant,

@@ -7,8 +7,8 @@ kind (float, int, allowed words, or a sampler spec).  The config-file keys, the
 from them.
 
 One pass, :func:`_resolve`, turns each parameter into its value once: numbers by
-``_KINDS``, the box, each sampler spec, the epsilon grid, the window, the radius set
-and the probe points.  Each rule on a value alone has one owner in the library, whose
+``_KINDS``, the box, each sampler spec, the window, the radius set and the probe
+points.  Each rule on a value alone has one owner in the library, whose
 ``ValueError`` becomes a configuration error that names the key, and it is checked
 before any grid exists.  The values that need the input's grid (the weights, the
 window's stride, the radii and the probes) are checked on the box of a sampler input
@@ -40,10 +40,10 @@ from .maximal import RadiusSet, _sample_profile, maximal_fast, write_maximal_csv
 from .norms import (
     DEFAULT_EPS_COUNT,
     ClassicalSpace,
-    EpsGrid,
     GrandParams,
     Variant,
     _check_theta,
+    _eps_grid,
     _grand_exponent,
     grand_norm,
     weighted_lp_norm,
@@ -63,9 +63,7 @@ _PARAMS = {
         "theta": "1",
         "variant": "over_p",
         "a": "const:1",
-        "eps_mode": "geometric",
         "eps_count": str(DEFAULT_EPS_COUNT),
-        "eps_min": "",
         "box": "0,1",
         "cells": "64",
     },
@@ -99,12 +97,10 @@ _KINDS = {
     "p": float,
     "q": float,
     "theta": float,
-    "eps_min": float,
     "eps_count": int,
     "window_side": int,
     "window_stride": int,
     "variant": ("over_p", "full"),
-    "eps_mode": ("geometric", "linear"),
     "local": ("classical", "grand"),
     "global": ("classical", "grand"),
     "include_center": ("true", "false"),
@@ -280,10 +276,7 @@ def _resolve(config: RunConfig) -> tuple[RunConfig, dict]:
     if "grand" in kinds:
         _made("theta", _check_theta, values["theta"])
     if sub == "grand":
-        make = getattr(EpsGrid, params["eps_mode"])
-        values["eps_grid"] = _made("eps_count", make, values["p"], values["eps_count"])
-        if "eps_min" in values:  # with a count that is known good, only eps_min can be at fault
-            values["eps_grid"] = _made("eps_min", make, values["p"], values["eps_count"], values["eps_min"])
+        _made("eps_count", _eps_grid, values["p"], values["eps_count"])
     elif sub == "amalgam":  # a tiling window first, so that a bad side is told from a bad stride
         window = _made("window_side", WindowSpec, values["window_side"], values["window_side"])
         values["window"] = _made("window_stride", replace, window, stride_cells=values["window_stride"])
@@ -325,7 +318,7 @@ def _on_grid(config: RunConfig, values: dict, domain: BoxDomain, what: str) -> d
         out["space"] = _stage("classical", "p", values, out["w"])
     elif sub == "grand":
         out["space"] = GrandParams(values["p"], out["a"], values["theta"], Variant(params["variant"]),
-                                   values["eps_grid"])
+                                   values["eps_count"])
     elif sub == "amalgam":
         out["spec"] = AmalgamSpec(
             local_space=_stage(params["local"], "p", values, out["a"]),

@@ -9,10 +9,10 @@ or complex, keeps ln m per row and builds A and B per cell chunk when asked; a
 row longer than ``gridfn._GRID_BLOCK_CELLS`` cells is summed chunk by chunk, so a
 norm holds no array the size of the row.  An inner norm past float range is an
 error, not inf.  A classical L^q(w) norm is the ``EXPONENT_FULL`` inner norm at
-p = q + 1, eps = 1.  The sup is certified by splitting intervals of an epsilon
-grid (geometric by default) for all rows of a (windows, cells) block at once; a
-function is one row.  The grid only seeds the sup: a smaller one shortens the
-curve, not the certificate.  Two inner weightings:
+p = q + 1, eps = 1.  The sup is certified by splitting intervals of a geometric
+epsilon grid for all rows of a (windows, cells) block at once; a function is one
+row.  The grid only seeds the sup: a smaller one shortens the curve, not the
+certificate.  Two inner weightings:
 
 * ``EXPONENT_OVER_P``: weight a**(eps/p), outer factor eps**theta;
 * ``EXPONENT_FULL``:   weight a**eps, outer factor eps**(theta/(p-eps)).
@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -38,7 +39,6 @@ from .reporting import write_csv
 
 __all__ = [
     "Variant",
-    "EpsGrid",
     "GrandParams",
     "ClassicalSpace",
     "NormReport",
@@ -84,48 +84,17 @@ def _check_eps(eps: float, p: float) -> None:
         raise ValueError(f"need an epsilon in (0, {p - 1.0}], got {eps}")
 
 
-@dataclass(frozen=True)
-class EpsGrid:
-    """Strictly increasing epsilon values in (0, p-1], ending exactly at p-1."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise ValueError("empty epsilon grid")
-        if any(v <= 0.0 for v in vals):
-            raise ValueError("epsilon values must be positive")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ValueError("epsilon values must be strictly increasing")
-        object.__setattr__(self, "values", vals)
-
-    @staticmethod
-    def _span(p: float, count: int, min_eps: float | None) -> tuple[float, float]:
-        """Checked (min_eps, p - 1) of a generated grid of ``count`` points: one check,
-        so every generator gives the same errors."""
-        top = _grand_exponent(p) - 1.0
-        if count < 2:
-            raise ValueError("need at least two grid points")
-        if min_eps is None:
-            min_eps = top * DEFAULT_EPS_MIN_FRACTION
-        if not 0.0 < min_eps < top:
-            raise ValueError(f"need a smallest epsilon in (0, {top}), got {min_eps}")
-        return min_eps, top
-
-    @staticmethod
-    def geometric(p: float, count: int = DEFAULT_EPS_COUNT, min_eps: float | None = None) -> "EpsGrid":
-        min_eps, top = EpsGrid._span(p, count, min_eps)
-        ratio = (min_eps / top) ** (1.0 / (count - 1))
-        vals = [top * ratio ** (count - 1 - k) for k in range(count - 1)] + [top]
-        return EpsGrid(tuple(vals))
-
-    @staticmethod
-    def linear(p: float, count: int = DEFAULT_EPS_COUNT, min_eps: float | None = None) -> "EpsGrid":
-        min_eps, top = EpsGrid._span(p, count, min_eps)
-        vals = np.linspace(min_eps, top, count)
-        vals[-1] = top
-        return EpsGrid(tuple(vals))
+def _eps_grid(p: float, count: int) -> tuple[float, ...]:
+    """The epsilon grid of ``count`` points: geometric from (p - 1) * ``DEFAULT_EPS_MIN_FRACTION``,
+    ending exactly at p - 1."""
+    top = _grand_exponent(p) - 1.0
+    if not isinstance(count, numbers.Integral):
+        raise ValueError(f"need an integer count of grid points, got {count!r}")
+    if count < 2:
+        raise ValueError("need at least two grid points")
+    min_eps = top * DEFAULT_EPS_MIN_FRACTION
+    ratio = (min_eps / top) ** (1.0 / (count - 1))
+    return tuple(top * ratio ** (count - 1 - k) for k in range(count - 1)) + (top,)
 
 
 @dataclass(frozen=True)
@@ -142,21 +111,19 @@ class ClassicalSpace:
 
 @dataclass(frozen=True)
 class GrandParams:
-    """Parameters (p, theta, variant, grandizer, epsilon grid) of a grand norm."""
+    """Parameters (p, theta, variant, grandizer, epsilon grid size) of a grand norm;
+    ``eps_grid`` is the grid of ``eps_count`` points that seeds its sup."""
 
     p: float
     grandizer: Weight
     theta: float = 1.0
     variant: Variant = Variant.EXPONENT_OVER_P
-    eps_grid: EpsGrid | None = None
+    eps_count: int = DEFAULT_EPS_COUNT
+    eps_grid: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        top = _grand_exponent(self.p) - 1.0
+        object.__setattr__(self, "eps_grid", _eps_grid(self.p, self.eps_count))
         _check_theta(self.theta)
-        grid = self.eps_grid if self.eps_grid is not None else EpsGrid.geometric(self.p)
-        if abs(grid.values[-1] - top) > 1e-12 * max(1.0, top):
-            raise ValueError(f"need an epsilon grid that ends at {top}, got {grid.values[-1]}")
-        object.__setattr__(self, "eps_grid", grid)
 
     def weight_power(self, eps: float) -> np.ndarray:
         a = self.grandizer.values
@@ -165,15 +132,6 @@ class GrandParams:
     def ln_prefactor(self, eps: np.ndarray) -> np.ndarray:
         t = self.theta if self.variant is Variant.EXPONENT_OVER_P else self.theta / (self.p - eps)
         return t * np.log(eps)
-
-    def with_extra_eps(self, eps: float) -> "GrandParams":
-        """The same norm with ``eps`` on its grid, so that its value is at least the term at
-        ``eps``; a value within 1e-15 of a grid point is already on it."""
-        _check_eps(eps, self.p)
-        eps, vals = min(eps, self.p - 1.0), self.eps_grid.values
-        if any(abs(eps - v) <= 1e-15 for v in vals):
-            return self
-        return replace(self, eps_grid=EpsGrid(tuple(sorted(vals + (float(eps),)))))
 
 
 @dataclass(frozen=True)
@@ -459,7 +417,7 @@ def _grand_scan(samples: np.ndarray, aw: np.ndarray, gp: GrandParams, cell_volum
     terms, peak, upper), per row but the (rows, grid) inner norms and terms (exps of logs:
     a prefactor past float range makes no inf); peak is the inner norm at argmax."""
     form = _grand_form(samples, aw, gp)
-    grid = np.array(gp.eps_grid.values)
+    grid = np.array(gp.eps_grid)
     ends = np.concatenate(([0.0], grid))
     lam = _ln_sums(form, ends, cell_volume)  # lam at eps = 0 bounds (0, eps_1]
     psi = lam[1:] / (gp.p - grid)[:, None]
@@ -480,7 +438,7 @@ def _grand_report(samples: np.ndarray, aw, gp: GrandParams, cell_volume: float, 
     value, argmax, inner, terms, peak, upper = _grand_scan(samples, aw, gp, cell_volume)
     upper *= 1.0 + np.asarray(gaps)
     return [
-        NormReport(v, ub, x, _Curve(gp.eps_grid.values, row_inner, row_terms, (x, pk, v)),
+        NormReport(v, ub, x, _Curve(gp.eps_grid, row_inner, row_terms, (x, pk, v)),
                    gp.p, gp.theta, gp.variant.value)
         for v, ub, x, pk, row_inner, row_terms in zip(
             value.tolist(), upper.tolist(), argmax.tolist(), peak.tolist(), inner, terms

@@ -85,7 +85,7 @@ def test_two_stage_sup_bound(box16):
     win = ga.WindowSpec(4, 2)
     f = make_random_function(box16, 0)
     grand_cf = ga.control_function(f, params, win)
-    for eps in params.eps_grid.values:
+    for eps in params.eps_grid:
         wder = ga.Weight(box16, params.weight_power(eps))
         cl = ga.control_function(f, ga.ClassicalSpace(2.0 - eps, wder), win)
         excess = (eps**params.theta) * cl.values - grand_cf.values
@@ -215,12 +215,11 @@ def test_mixed_norm_family_where_the_derived_weight_leaves_float_range(box16, ep
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 def test_mixed_bound_with_augmented_grid(box16):
-    """eps^theta eta^theta * mixed <= grand amalgam when (eps, eta) are on the grids."""
+    """eps^theta eta^theta * mixed <= grand amalgam at any (eps, eta), on the grids or off
+    them: the certified sup covers the points between grid points."""
     w = ga.weight_from(box16, lambda x: np.exp(-x))
+    spec = ga.AmalgamSpec(ga.GrandParams(2.0, w), ga.GrandParams(2.0, w), ga.WindowSpec(4, 2))
     for eps, eta in ((0.1, 0.5), (0.5, 0.1), (1.0, 1.0)):
-        lp = ga.GrandParams(2.0, w).with_extra_eps(eps)
-        gq = ga.GrandParams(2.0, w).with_extra_eps(eta)
-        spec = ga.AmalgamSpec(lp, gq, ga.WindowSpec(4, 2))
         for seed in range(3):
             f = make_random_function(box16, seed)
             mixed = ga.mixed_norm_family(f, spec, eps, eta)
@@ -434,7 +433,7 @@ def test_amalgam_upper_bound_covers_the_local_gap(local_kind, global_kind):
     assert rep.value <= rep.upper_bound <= rep.value * (1 + 2.1e-12)
     if (local_kind, global_kind) == ("classical", "classical"):
         assert rep.upper_bound == rep.value
-    dense = [replace(s, eps_grid=ga.EpsGrid.linear(s.p, 2001)) if isinstance(s, ga.GrandParams) else s
+    dense = [replace(s, eps_count=2001) if isinstance(s, ga.GrandParams) else s
              for s in (local, glob)]
     assert ga.amalgam_norm(f, ga.AmalgamSpec(*dense, spec.window)).value <= rep.upper_bound * (1 + 1e-13)
     assert ga.amalgam_norms([f], spec) == [rep]

@@ -241,9 +241,9 @@ def test_sampler_specs():
         (["norm", "--p", "inf"], "param.p: expected a finite number, got 'inf'"),
         (["amalgam", "--q", "nan"], "param.q: expected a finite number, got 'nan'"),
         (["grand", "--theta", "inf"], "param.theta: expected a finite number, got 'inf'"),
-        (["grand", "--eps-min", "nan"], "param.eps_min: expected a finite number, got 'nan'"),
+        (["grand", "--eps-min", "0.01"], "--eps-min: unknown flag for subcommand grand"),
         (["grand", "--p", "1e999"], "param.p: expected a finite number, got '1e999'"),
-        (["grand", "--p", "2", "--eps-min", "1.5"], "param.eps_min: need a smallest epsilon in (0, 1.0), got 1.5"),
+        (["grand", "--p", "2", "--eps-count", "1"], "param.eps_count: need at least two grid points"),
         (["maximal", "--cells", "64", "--radii", "5000"],
          "param.radii: max radius 5000 exceeds the grid extent 64"),
         (["maximal", "--radii", "3,3"], "param.radii: radii must be distinct"),
@@ -278,7 +278,7 @@ def test_sampler_specs():
          "param.box: axis 0: the extent upper - lower of [-1e+308, 1e+308] overflows"),
         # words, the seed and argv itself, which the parameter table checks
         (["grand", "--variant", "foo"], "param.variant: expected 'over_p' or 'full'"),
-        (["grand", "--eps-mode", "log"], "param.eps_mode: expected 'geometric' or 'linear'"),
+        (["grand", "--eps-mode", "linear"], "--eps-mode: unknown flag for subcommand grand"),
         (["amalgam", "--global", "x"], "param.global: expected 'classical' or 'grand'"),
         (["verify", "--check", "norm_axioms", "--seed", "x"], "seed: expected an integer, got 'x'"),
         (["grand", "--bogus", "1"], "--bogus: unknown flag for subcommand grand"),
@@ -429,6 +429,18 @@ def test_top_level_help_lists_every_subcommand(capsys):
     assert _help_lines(capsys, ["-h"]) == lines
 
 
+def test_the_readme_names_only_flags_and_keys_that_exist():
+    """Every --flag the README writes is a flag of some subcommand, and every param.<key> a key
+    of some subcommand, so a deleted option cannot stay documented."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    flags = {flag for sub in (*cli.SUBCOMMANDS, "run") for flag in cli._flags(sub)}
+    # --help is answered before the table is read; --key is the README's placeholder, --bogus
+    # its example of an unknown flag, and --no-build-isolation a flag of pip
+    flags |= {"--help", "--key", "--bogus", "--no-build-isolation"}
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text)) <= flags
+    assert set(re.findall(r"param\.(\w+)", text)) <= {key for keys in cli._PARAMS.values() for key in keys}
+
+
 def test_negative_values_follow_a_flag_or_an_equals_sign(tmp_path):
     """The token after a flag is its value, even when it starts with '-'."""
     argv = ["maximal", "--f", "indicator:-1,1", "--cells", "256"]
@@ -463,8 +475,8 @@ def test_weight_specs_are_checked_where_they_are_sampled(tmp_path, capsys):
 
 
 def test_bad_numeric_value_in_config_file_names_the_parameter():
-    with pytest.raises(ConfigError, match="param.eps_min: expected a number, got 'small'"):
-        parse_config("subcommand = grand\ninput = const:1\nparam.eps_min = small\n")
+    with pytest.raises(ConfigError, match="param.theta: expected a number, got 'small'"):
+        parse_config("subcommand = grand\ninput = const:1\nparam.theta = small\n")
 
 
 @pytest.mark.parametrize(
@@ -473,7 +485,6 @@ def test_bad_numeric_value_in_config_file_names_the_parameter():
         ("amalgam", "p", "0.5", "need an exponent > 1, got 0.5"),
         ("grand", "theta", "0", "need a power of epsilon > 0, got 0.0"),
         ("grand", "eps_count", "1", "need at least two grid points"),
-        ("grand", "eps_min", "1.5", "need a smallest epsilon in (0, 1.0), got 1.5"),
     ],
 )
 def test_a_csv_input_stage_value_is_rejected_before_the_file_is_read(tmp_path, monkeypatch, sub, key,
@@ -515,7 +526,7 @@ def test_flags_and_config_file_share_defaults(monkeypatch, subcommand):
     "argv",
     [
         ["verify", "--all"],
-        ["grand", "--f", "const:1", "--eps-min", "0.01", "--variant", "full"],
+        ["grand", "--f", "const:1", "--eps-count", "5", "--variant", "full"],
         ["amalgam", "--f", "const:1", "--local", "classical", "--window-side", "8"],
         ["maximal", "--f", "const:1", "--no-center", "--probe", "-2,3", "--box", "-4,4"],
     ],
@@ -697,8 +708,6 @@ def _valid_run(draw):
         given["theta"] = repr(draw(st.floats(0.25, 3.0) | st.floats(3.0, 1100.0 if wide else 3.0)))
     if sub == "grand":
         given["eps_count"] = str(draw(st.sampled_from([2, 3]) | st.integers(2, 40)))
-        fraction = draw(st.one_of(st.none(), st.floats(0.01, 0.9)))
-        given["eps_min"] = "" if fraction is None else repr((float(given["p"]) - 1.0) * fraction)
     elif sub == "amalgam":
         given["window_side"] = str(draw(st.integers(1, min(cells))))
         given["window_stride"] = str(draw(st.integers(1, min(cells))))
@@ -747,7 +756,7 @@ def _one_bad_key_or_flag(draw):
     if "theta" in params and (grand["p"] or grand["q"]):
         cases.append(("theta", "0"))
     if sub == "grand":
-        cases += [("eps_min", repr(float(given["p"]) - 1.0)), ("eps_count", "1")]
+        cases.append(("eps_count", "1"))
     elif sub == "amalgam":
         cases += [("window_side", "0"), ("window_stride", str(min(cells) + 1))]
     elif sub == "maximal":

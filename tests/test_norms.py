@@ -9,9 +9,9 @@ from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
 import grandamalgam as ga
-from grandamalgam import cli, gridfn, norms
+from grandamalgam import gridfn, norms
 from grandamalgam.amalgam import _window_blocks
-from grandamalgam.norms import EpsGrid, _grand_scan
+from grandamalgam.norms import _grand_scan
 
 
 def brute_lp(f, p, w=None):
@@ -156,16 +156,17 @@ def test_grand_norm_sup_definition(unit_box):
 
 def _grid_rows(rep, gp):
     """The rows of a report's curve at the points of the epsilon grid."""
-    return [row for row in rep.curve if row[0] in gp.eps_grid.values]
+    return [row for row in rep.curve if row[0] in gp.eps_grid]
 
 
 def test_grand_norm_curve(unit_box):
-    gp = ga.GrandParams(2.0, ga.unit_weight(unit_box), eps_grid=EpsGrid([0.1, 0.5, 1.0]))
+    # f = 1 and a = 1 make every inner norm 1, so term(eps) = eps at each grid point
+    gp = ga.GrandParams(2.0, ga.unit_weight(unit_box), eps_count=3)
     rep = ga.grand_norm(ga.constant(unit_box, 1.0), gp)
     curve = [(eps, term) for eps, _, term in _grid_rows(rep, gp)]
-    assert curve[0] == (0.1, pytest.approx(0.1, rel=1e-14, abs=0.0))
+    assert curve == [(eps, pytest.approx(eps, rel=1e-14, abs=0.0)) for eps in gp.eps_grid]
     zero = ga.grand_norm(ga.constant(unit_box, 0.0), gp)
-    assert [(eps, term) for eps, _, term in _grid_rows(zero, gp)] == [(0.1, 0.0), (0.5, 0.0), (1.0, 0.0)]
+    assert [(eps, term) for eps, _, term in _grid_rows(zero, gp)] == [(eps, 0.0) for eps in gp.eps_grid]
     # the grid maximum is the norm value: eps * 1 rises to its end at p - 1
     assert max(t for _, t in curve) == rep.value
 
@@ -175,7 +176,7 @@ def test_grand_curve_reads_as_a_tuple_of_float_rows(unit_box):
     gp = ga.GrandParams(2.5, ga.weight_from(unit_box, lambda x: np.exp(-x)))
     rep = ga.grand_norm(make_random_function(unit_box, 3), gp)
     rows = tuple(rep.curve)
-    assert len(rows) >= len(gp.eps_grid.values) and all(type(x) is float for row in rows for x in row)
+    assert len(rows) >= len(gp.eps_grid) and all(type(x) is float for row in rows for x in row)
     assert rep.curve == rows and rep.curve[1] == rows[1] and len(rep.curve) == len(rows)
     as_tuple = replace(rep, curve=rows)
     assert rep == as_tuple and hash(rep) == hash(as_tuple)
@@ -253,69 +254,57 @@ def test_sup_eps_factor_checks_its_exponent_and_theta():
 
 
 def test_eps_grid_geometric_shape():
-    grid = EpsGrid.geometric(2.0)
-    assert len(grid.values) == norms.DEFAULT_EPS_COUNT
-    assert grid.values[-1] == 1.0
-    assert grid.values[0] == pytest.approx(1e-4, rel=1e-9, abs=0.0)
-    assert all(b > a for a, b in zip(grid.values, grid.values[1:]))
-    ratios = [b / a for a, b in zip(grid.values, grid.values[1:])]
+    grid = ga.GrandParams(2.0, ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4))).eps_grid
+    assert len(grid) == norms.DEFAULT_EPS_COUNT
+    assert grid[-1] == 1.0
+    assert grid[0] == pytest.approx(1e-4, rel=1e-9, abs=0.0)
+    assert all(b > a for a, b in zip(grid, grid[1:]))
+    ratios = [b / a for a, b in zip(grid, grid[1:])]
     assert max(ratios) / min(ratios) == pytest.approx(1.0, rel=1e-9, abs=0.0)
 
 
 def test_eps_grid_validation():
-    with pytest.raises(ValueError):
-        EpsGrid([])
-    with pytest.raises(ValueError):
-        EpsGrid([0.5, 0.5])
-    with pytest.raises(ValueError):
-        EpsGrid([-0.1, 1.0])
-    with pytest.raises(ValueError):
-        ga.GrandParams(2.0, ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4)),
-                       eps_grid=EpsGrid([0.2, 0.9]))  # must end at p-1
     with pytest.raises(ValueError):
         ga.GrandParams(1.0, ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4)))
     with pytest.raises(ValueError):
         ga.GrandParams(2.0, ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4)), theta=0.0)
     # above 2**53, p - 1 rounds: the grid's last eps leaves p - eps off 1 (at 0 from 1e16 up)
     unit = ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4))
-    assert ga.GrandParams(2.0**53, unit).eps_grid.values[-1] == 2.0**53 - 1.0
+    assert ga.GrandParams(2.0**53, unit).eps_grid[-1] == 2.0**53 - 1.0
     for p in (2.0**53 + 2.0, 1e16, 1e300):
         with pytest.raises(ValueError, match="- 1 is not exact in float64"):
             ga.GrandParams(p, unit)
 
 
-@pytest.mark.parametrize("mode", ["geometric", "linear"])
-def test_eps_grid_constructors_share_one_check(mode, capsys, tmp_path):
-    make = getattr(EpsGrid, mode)
-    grid = make(3.0, count=5, min_eps=0.5)
-    assert len(grid.values) == 5 and grid.values[-1] == 2.0
-    assert grid.values[0] == pytest.approx(0.5, rel=1e-12, abs=0.0)
-    for kwargs, message in [
-        ({"count": 0}, "need at least two grid points"),
-        ({"count": 1}, "need at least two grid points"),
-        ({"min_eps": 0.0}, r"need a smallest epsilon in \(0, 1\.0\)"),
-        ({"min_eps": 1.0}, r"need a smallest epsilon in \(0, 1\.0\)"),
-        ({"min_eps": 1.5}, r"need a smallest epsilon in \(0, 1\.0\)"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            make(2.0, **kwargs)
+def test_eps_grid_constructors_share_one_check():
+    unit = ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4))
+    grid = ga.GrandParams(3.0, unit, eps_count=5).eps_grid
+    assert len(grid) == 5 and grid[-1] == 2.0
+    assert grid[0] == pytest.approx(2.0 * norms.DEFAULT_EPS_MIN_FRACTION, rel=1e-12, abs=0.0)
+    for count in (0, 1):
+        with pytest.raises(ValueError, match="need at least two grid points"):
+            ga.GrandParams(2.0, unit, eps_count=count)
     with pytest.raises(ValueError, match="need an exponent > 1"):
-        make(1.0)
-    # the CLI reports the same error for either mode, naming the key, before making --out
-    args = ["grand", "--f", "const:1", "--p", "2", "--eps-mode", mode, "--eps-min", "1.5",
-            "--out", str(tmp_path / "o")]
-    assert cli.main(args) == 2
-    assert capsys.readouterr().err == "config error: param.eps_min: need a smallest epsilon in (0, 1.0), got 1.5\n"
-    assert not (tmp_path / "o").exists()
+        ga.GrandParams(1.0, unit, eps_count=5)
 
 
-def test_eps_grid_with_extra():
-    w = ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4))
-    gp = ga.GrandParams(2.0, w, eps_grid=EpsGrid.geometric(2.0, count=5))
-    gp2 = gp.with_extra_eps(0.123)
-    assert 0.123 in gp2.eps_grid.values
-    assert gp2.eps_grid.values[-1] == 1.0
-    assert gp.with_extra_eps(gp.eps_grid.values[2]) is gp
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1.0, 2.0**53, exclude_min=True), st.integers(2, 64))
+def test_the_eps_grid_of_a_count(p, count):
+    """The one grid rule: ``count`` finite, strictly increasing points from
+    (p - 1) * ``DEFAULT_EPS_MIN_FRACTION``, within 1e-12, to exactly p - 1."""
+    grid = ga.GrandParams(p, ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4)), eps_count=count).eps_grid
+    assert type(grid) is tuple and len(grid) == count and all(map(math.isfinite, grid))
+    assert all(b > a for a, b in zip(grid, grid[1:]))
+    assert grid[0] == pytest.approx((p - 1.0) * norms.DEFAULT_EPS_MIN_FRACTION, rel=1e-12, abs=0.0)
+    assert grid[-1] == p - 1.0
+
+
+@given(st.floats(1.0, 2.0**53, exclude_min=True),
+       st.integers(max_value=1) | st.booleans() | st.floats() | st.text(max_size=3) | st.none())
+def test_a_count_below_two_or_not_an_integer_is_an_error(p, count):
+    with pytest.raises(ValueError, match="grid points"):
+        ga.GrandParams(p, ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4)), eps_count=count)
 
 
 def random_block(rng, rows, cells):
@@ -343,7 +332,7 @@ def test_grid_inner_norms_match_the_power_formula(variant):
         h = 1.0 / 64
         inner = _grand_scan(absw, aw, gp, h)[2]
         p = gp.p
-        for j, eps in enumerate(gp.eps_grid.values):
+        for j, eps in enumerate(gp.eps_grid):
             w = aw ** (eps / p) if variant is ga.Variant.EXPONENT_OVER_P else aw**eps
             want = (np.sum(absw ** (p - eps) * w, axis=1) * h) ** (1.0 / (p - eps))
             np.testing.assert_allclose(inner[:, j], want, rtol=1e-13, atol=0.0)
@@ -355,7 +344,7 @@ def test_grid_inner_norms_of_rows_spanning_600_decades():
     gp = block_params(np.random.default_rng(0), ga.Variant.EXPONENT_OVER_P)
     inner = _grand_scan(absw, aw, gp, 0.25)[2]
     p = gp.p
-    for j, eps in enumerate(gp.eps_grid.values):
+    for j, eps in enumerate(gp.eps_grid):
         for r in range(2):
             logs = [(p - eps) * math.log(f) + eps / p * math.log(a)
                     for f, a in zip(absw[r], aw[r]) if f > 0]
@@ -400,7 +389,7 @@ def test_refinement_takes_few_derivative_passes(monkeypatch, unit_box):
     f = ga.build(unit_box, lambda x: np.exp(-40.0 * (x - 0.3) ** 2))
     gp = ga.GrandParams(3.0, ga.weight_from(unit_box, lambda x: np.exp(-3.0 * x)))
     rep = ga.grand_norm(f, gp)
-    assert rep.argmax_eps not in gp.eps_grid.values  # an interior maximum
+    assert rep.argmax_eps not in gp.eps_grid  # an interior maximum
     assert rep.value == pytest.approx(dense_grand_oracle(f, gp), rel=1e-12, abs=0.0)
     assert 1 <= len(passes) <= 12
 
@@ -418,7 +407,7 @@ def test_an_interior_maximum_beside_an_end_maximum_is_found():
     dom = ga.BoxDomain(0.0, 1.0, 64)
     gp = ga.GrandParams(p, ga.Weight(dom, a), theta=theta)
     rep = ga.grand_norm(ga.GridFunction(dom, absf), gp)
-    eps = np.linspace(gp.eps_grid.values[-2], p - 1.0, 4001)
+    eps = np.linspace(gp.eps_grid[-2], p - 1.0, 4001)
     sums = np.sum(absf[:, None] ** (p - eps) * a[:, None] ** (eps / p), axis=0) / 64
     scan = eps**theta * sums ** (1.0 / (p - eps))
     assert scan.argmax() not in (0, eps.size - 1) and scan.max() > scan[-1] * 1.005
@@ -466,7 +455,7 @@ def test_the_upper_bound_holds_and_the_value_is_within_the_gap(seed, variant):
     dom = ga.BoxDomain(0.0, 1.0, 64)
     gp = ga.GrandParams(p, ga.Weight(dom, a), theta=theta, variant=variant)
     rep = ga.grand_norm(ga.GridFunction(dom, absf), gp)
-    eps = np.concatenate((gp.eps_grid.values, np.linspace(1e-9, p - 1.0, 2001)))
+    eps = np.concatenate((gp.eps_grid, np.linspace(1e-9, p - 1.0, 2001)))
     assert _dense_log_terms(absf, a, gp, eps).max() <= math.log(rep.upper_bound) + 1e-13
     assert rep.value <= rep.upper_bound and rep.value >= rep.upper_bound / (1 + norms._GAP)
 
@@ -480,8 +469,8 @@ def test_the_value_does_not_depend_on_the_grid(seed, variant):
     p, theta, absf, a = _reproducer(np.random.default_rng(seed))
     dom = ga.BoxDomain(0.0, 1.0, 64)
     reps = []
-    for grid in (None, EpsGrid.geometric(p, 33)):
-        gp = ga.GrandParams(p, ga.Weight(dom, a), theta=theta, variant=variant, eps_grid=grid)
+    for count in (norms.DEFAULT_EPS_COUNT, 33):
+        gp = ga.GrandParams(p, ga.Weight(dom, a), theta=theta, variant=variant, eps_count=count)
         reps.append(ga.grand_norm(ga.GridFunction(dom, absf), gp))
         assert reps[-1].upper_bound / (1 + norms._GAP) <= reps[-1].value <= reps[-1].upper_bound
     assert len(reps[0].curve) <= norms.DEFAULT_EPS_COUNT + 1
@@ -539,8 +528,8 @@ def test_inner_norms_match_a_log_space_reference_across_float_range(cells, p, va
     gp = ga.GrandParams(p, w, variant=variant)
     root = p if variant is ga.Variant.EXPONENT_OVER_P else 1.0
     h = dom.cell_volume
-    logs = [_log_inner(absf, eps / root * np.log(a), p - eps, h) for eps in gp.eps_grid.values]
-    terms = [log + math.log(prefactor(gp, eps)) for log, eps in zip(logs, gp.eps_grid.values)]
+    logs = [_log_inner(absf, eps / root * np.log(a), p - eps, h) for eps in gp.eps_grid]
+    terms = [log + math.log(prefactor(gp, eps)) for log, eps in zip(logs, gp.eps_grid)]
     if max(logs + terms) > _HUGE_LOG:
         with pytest.raises(ValueError, match="the norm exceeds float range"):
             ga.grand_norm(f, gp)
@@ -609,10 +598,10 @@ def test_long_rows_stream_through_ragged_cell_chunks(variant):
     a = 10.0 ** rng.uniform(-300.0, 300.0, cells)
     compared = 0
     for p in (1.5, 3.0):
-        gp = ga.GrandParams(p, ga.Weight(dom, a), theta=0.7, variant=variant, eps_grid=EpsGrid.geometric(p, 33))
+        gp = ga.GrandParams(p, ga.Weight(dom, a), theta=0.7, variant=variant, eps_count=33)
         root = p if variant is ga.Variant.EXPONENT_OVER_P else 1.0
         g = ga.GridFunction(dom, absf)
-        if any(_fsum_inner(absf, a, p, eps, root, dom.cell_volume)[0] is None for eps in gp.eps_grid.values):
+        if any(_fsum_inner(absf, a, p, eps, root, dom.cell_volume)[0] is None for eps in gp.eps_grid):
             with pytest.raises(ValueError, match="the norm exceeds float range"):
                 ga.grand_norm(g, gp)
             continue
@@ -653,7 +642,7 @@ def test_chunked_rows_agree_with_one_chunk(monkeypatch):
     gp = ga.GrandParams(3.0, ga.weight_from(dom, lambda x: np.exp(-3.0 * x)))
     want = ga.grand_norm(g, gp)
     got = _chunked(monkeypatch, 100, lambda: ga.grand_norm(g, gp))
-    assert want.argmax_eps not in gp.eps_grid.values
+    assert want.argmax_eps not in gp.eps_grid
     assert got.argmax_eps == pytest.approx(want.argmax_eps, rel=1e-8, abs=0.0)
     assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
 
@@ -776,8 +765,7 @@ def test_weighted_terms_past_float_range_are_errors():
     with pytest.raises(ValueError, match="the norm exceeds float range"):
         ga.grand_norm(ga.constant(dom, 1e308), ga.GrandParams(3.0, ga.unit_weight(dom), theta=3.0))
     half = ga.GridFunction(dom, np.array([1.0, 1.0, 0.0, 0.0]))
-    grid = ga.EpsGrid.geometric(10.0, count=2)
-    gp = ga.GrandParams(10.0, ga.unit_weight(dom), theta=5.0, eps_grid=grid)
+    gp = ga.GrandParams(10.0, ga.unit_weight(dom), theta=5.0, eps_count=2)
     rep = ga.grand_norm(half, gp)
     ln_grid, ln_top = math.log(max(t for _, _, t in _grid_rows(rep, gp))), math.log(rep.value)
     ln_c = _HUGE_LOG - 0.5 * (ln_grid + ln_top)

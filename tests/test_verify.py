@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,11 @@ def test_vanishing_limit(setup):
     classical = AmalgamSpec(ClassicalSpace(2.0), ClassicalSpace(2.0), spec.window)
     with pytest.raises(ValueError):
         verify.check_vanishing_limit(bump.gridfn, classical)
+    # the check samples its own curve, whatever the grid of a stage
+    coarse = AmalgamSpec(replace(spec.local_space, eps_count=2), spec.global_space, spec.window)
+    again = verify.check_vanishing_limit(bump.gridfn, coarse)
+    assert again.verdict is Verdict.PASS
+    assert [row["case"] for row in again.details] == [row["case"] for row in res.details]
 
 
 def test_maximal_bounded(setup):

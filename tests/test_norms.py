@@ -9,7 +9,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
 import grandamalgam as ga
-from grandamalgam import gridfn, norms
+from grandamalgam import cli, gridfn, norms
 from grandamalgam.amalgam import _window_blocks
 from grandamalgam.norms import _grand_scan
 
@@ -276,7 +276,8 @@ def test_eps_grid_validation():
             ga.GrandParams(p, unit)
 
 
-def test_eps_grid_constructors_share_one_check():
+@pytest.mark.parametrize("mode", ["geometric", "linear"])
+def test_eps_grid_constructors_share_one_check(mode, capsys, tmp_path):
     unit = ga.unit_weight(ga.BoxDomain(0.0, 1.0, 4))
     grid = ga.GrandParams(3.0, unit, eps_count=5).eps_grid
     assert len(grid) == 5 and grid[-1] == 2.0
@@ -286,6 +287,14 @@ def test_eps_grid_constructors_share_one_check():
             ga.GrandParams(2.0, unit, eps_count=count)
     with pytest.raises(ValueError, match="need an exponent > 1"):
         ga.GrandParams(1.0, unit, eps_count=5)
+    # the CLI reports the same count error, naming the key, and no longer takes a grid
+    # mode, either of the two it had; both before making --out
+    args = ["grand", "--f", "const:1", "--p", "2", "--out", str(tmp_path / "o")]
+    assert cli.main(args + ["--eps-count", "1"]) == 2
+    assert capsys.readouterr().err == "config error: param.eps_count: need at least two grid points\n"
+    assert cli.main(args + ["--eps-mode", mode]) == 2
+    assert capsys.readouterr().err == "config error: --eps-mode: unknown flag for subcommand grand\n"
+    assert not (tmp_path / "o").exists()
 
 
 @settings(max_examples=300, deadline=None)
